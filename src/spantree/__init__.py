@@ -18,7 +18,7 @@ from .experiments import (
     write_dynamics_csv,
 )
 from .numerics import OptimizerState, Tensor, backward, cosine_distance, optimizer_step
-from .projector import ProjectionResult, exact_project, greedy_project, greedy_tree, t_score
+from .projector import ProjectionResult, exact_project, greedy_project, t_score
 from .spanrep import SciChart, Span, build_sci_chart, build_t_mask, context_free_vector, contextual_span_vector
 from .training import train_mlm, train_probe, train_seq2seq
 from .treeval import baseline_tree, corpus_parseval, delinearize, linearize, parseval_f1
@@ -54,7 +54,6 @@ __all__ = [
     "exact_project",
     "generate_expressions",
     "greedy_project",
-    "greedy_tree",
     "linearize",
     "load_checkpoint",
     "make_cg_split",

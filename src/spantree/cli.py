@@ -16,6 +16,7 @@ diverged training), 2 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -123,8 +124,11 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def resolve_settings(args: argparse.Namespace, wanted: list[str]) -> dict:
-    """defaults < config file < flags; seed: flag > env > config > default."""
+def resolve_settings(args: argparse.Namespace) -> dict:
+    """The subcommand's settings (``args.settings_keys``, stored by
+    ``build_parser``): defaults < config file < flags; seed: flag > env >
+    config > default."""
+    wanted = args.settings_keys
     settings = {key: DEFAULTS[key] for key in wanted}
     from_file = parse_config_file(args.config) if getattr(args, "config", None) else {}
     for key in wanted:
@@ -156,9 +160,11 @@ def write_resolved(run_dir: str, settings: dict) -> None:
     log.info("resolved settings: %s", settings)
 
 
-def _print_json(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+def _write_json(payload: dict, path: str | None = None) -> None:
+    """Indented, key-sorted JSON to ``path``, or to stdout without one."""
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def _reports_dir(run_dir: str) -> str:
@@ -185,7 +191,7 @@ def _encoder_config(s: dict, dec_layers: int | None = None) -> EncoderConfig:
 
 
 def cmd_gen_data(args) -> int:
-    s = resolve_settings(args, ["seed", "count", "depth_min", "depth_max", "alphabet", "val_frac"])
+    s = resolve_settings(args)
     write_resolved(args.out, s)
     examples = datasets.generate_expressions(
         s["count"],
@@ -200,7 +206,7 @@ def cmd_gen_data(args) -> int:
         val_frac=s["val_frac"],
     )
     datasets.save_corpus(corpus, args.out)
-    _print_json(
+    _write_json(
         {
             "out": args.out,
             "train": len(corpus.train),
@@ -212,15 +218,8 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-_TRAIN_KEYS = [
-    "seed", "steps", "checkpoint_every", "batch_size", "lr", "warmup",
-    "weight_decay", "d_model", "heads", "enc_layers", "dec_layers", "d_ff",
-    "max_len", "eval_limit",
-]
-
-
 def cmd_train(args) -> int:
-    s = resolve_settings(args, _TRAIN_KEYS)
+    s = resolve_settings(args)
     write_resolved(args.run_dir, s)
     corpus = datasets.load_corpus(args.data)
     series = train_seq2seq(
@@ -244,22 +243,13 @@ def cmd_train(args) -> int:
         "final_iid_acc": final.iid_acc,
         "final_cg_acc": final.cg_acc,
     }
-    with open(os.path.join(_reports_dir(args.run_dir), "train.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    _print_json(payload)
+    _write_json(payload, os.path.join(_reports_dir(args.run_dir), "train.json"))
+    _write_json(payload)
     return 0
 
 
-_MLM_KEYS = [
-    "seed", "steps", "checkpoint_every", "batch_size", "lr", "warmup",
-    "weight_decay", "d_model", "heads", "enc_layers", "d_ff", "max_len",
-    "mask_frac",
-]
-
-
 def cmd_train_mlm(args) -> int:
-    s = resolve_settings(args, _MLM_KEYS)
+    s = resolve_settings(args)
     write_resolved(args.run_dir, s)
     corpus = datasets.load_corpus(args.data)
     series = train_mlm(
@@ -276,7 +266,7 @@ def cmd_train_mlm(args) -> int:
         out_dir=os.path.join(args.run_dir, "checkpoints"),
     )
     final = series[-1]
-    _print_json(
+    _write_json(
         {
             "checkpoints": len(series),
             "final_step": final.step,
@@ -299,7 +289,7 @@ def _input_sentences(args, vocab) -> list[tuple[list[str], list[int]]]:
 
 
 def cmd_chart(args) -> int:
-    s = resolve_settings(args, ["threshold", "index"])
+    s = resolve_settings(args)
     model = load_checkpoint(args.checkpoint)
     sentences = _input_sentences(args, model.vocab)
     if not 0 <= s["index"] < len(sentences):
@@ -315,7 +305,7 @@ def cmd_chart(args) -> int:
 
 
 def cmd_project(args) -> int:
-    s = resolve_settings(args, ["seed", "threshold", "mode", "samples_per_node"])
+    s = resolve_settings(args)
     if s["mode"] not in ("greedy", "exact"):
         raise ContractViolation(f"--mode must be greedy or exact, got {s['mode']!r}")
     model = load_checkpoint(args.checkpoint)
@@ -351,11 +341,11 @@ def cmd_project(args) -> int:
             s["samples_per_node"],
             rng=np.random.default_rng(component_seed(s["seed"], "t_score")),
         )
-    with open(os.path.join(args.out_dir, "scores.json"), "w", encoding="utf-8") as fh:
-        json.dump(scores, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    _print_json({"out_dir": args.out_dir, "sentences": len(rows), **{
-        k: scores[k] for k in ("mode", "threshold") }})
+    _write_json(scores, os.path.join(args.out_dir, "scores.json"))
+    _write_json(
+        {"out_dir": args.out_dir, "sentences": len(rows), "mode": s["mode"],
+         "threshold": s["threshold"]}
+    )
     return 0
 
 
@@ -370,7 +360,7 @@ def cmd_eval_trees(args) -> int:
     precision, recall, f1 = treeval.corpus_parseval(
         list(zip(pred, gold)), include_root=include_root
     )
-    _print_json(
+    _write_json(
         {
             "precision": precision,
             "recall": recall,
@@ -383,7 +373,7 @@ def cmd_eval_trees(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    s = resolve_settings(args, ["seed", "probe_steps", "batch_size", "lr", "warmup"])
+    s = resolve_settings(args)
     write_resolved(args.run_dir, s)
     encoder = load_checkpoint(args.checkpoint)
     corpus = datasets.load_corpus(args.data)
@@ -406,15 +396,13 @@ def cmd_probe(args) -> int:
         "coerced": result.coerced,
         "heldout": result.heldout,
     }
-    with open(os.path.join(_reports_dir(args.run_dir), "probe.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    _print_json(payload)
+    _write_json(payload, os.path.join(_reports_dir(args.run_dir), "probe.json"))
+    _write_json(payload)
     return 0
 
 
 def cmd_perturb(args) -> int:
-    s = resolve_settings(args, ["seed", "pairs", "sigma2", "sentences"])
+    s = resolve_settings(args)
     model = load_checkpoint(args.checkpoint)
     corpus = datasets.load_corpus(args.data)
     examples = [ex for ex in corpus.iid_val if ex.tree is not None][: s["sentences"]]
@@ -429,7 +417,7 @@ def cmd_perturb(args) -> int:
         seed=component_seed(s["seed"], "perturb"),
     )
     write_perturb_csv(report, args.out)
-    _print_json(
+    _write_json(
         {
             "delta_ic": report.main.delta_ic,
             "delta_oc": report.main.delta_oc,
@@ -446,7 +434,7 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    s = resolve_settings(args, ["seed", "span_samples", "sentences"])
+    s = resolve_settings(args)
     model = load_checkpoint(args.checkpoint)
     corpus = datasets.load_corpus(args.data)
     sentences = [ex.source for ex in corpus.iid_val[: s["sentences"]]]
@@ -459,7 +447,7 @@ def cmd_gap(args) -> int:
     write_gap_csv(report, args.out)
     gaps = [r.gap for r in report.records]
     controls = [r.control_gap for r in report.records if np.isfinite(r.control_gap)]
-    _print_json(
+    _write_json(
         {
             "spans": len(report.records),
             "mean_gap": float(np.mean(gaps)) if gaps else None,
@@ -490,13 +478,7 @@ def _load_series(run_dir: str) -> list[CheckpointInfo]:
 
 
 def cmd_dynamics(args) -> int:
-    s = resolve_settings(
-        args,
-        [
-            "seed", "threshold_mode", "fixed_t", "eval_sentences",
-            "tune_sentences", "samples_per_node", "eval_limit", "probe_steps",
-        ],
-    )
+    s = resolve_settings(args)
     corpus = datasets.load_corpus(args.data)
     series = _load_series(args.run_dir)
     mode = s["threshold_mode"]
@@ -514,7 +496,7 @@ def cmd_dynamics(args) -> int:
     )
     out_csv = os.path.join(_reports_dir(args.run_dir), "dynamics.csv")
     write_dynamics_csv(result.records, out_csv)
-    _print_json(
+    _write_json(
         {
             "csv": out_csv,
             "checkpoints": len(result.records),
@@ -542,33 +524,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, keys, **required):
+    def command(name, func, keys, **paths):
+        """Subparser with --config, one flag per settings key (``keys`` is
+        space-separated) and the given path arguments."""
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key = value settings file")
-        _add_settings_flags(p, keys)
-        for flag, kwargs in required.items():
+        _add_settings_flags(p, keys.split())
+        for flag, kwargs in paths.items():
             p.add_argument("--" + flag.replace("_", "-"), **kwargs)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, settings_keys=keys.split())
         return p
 
-    command(
-        "gen-data", cmd_gen_data,
-        ["seed", "count", "depth_min", "depth_max", "alphabet", "val_frac"],
-        out={"required": True},
-    )
-    command("train", cmd_train, _TRAIN_KEYS,
-            data={"required": True}, run_dir={"required": True})
-    command("train-mlm", cmd_train_mlm, _MLM_KEYS,
-            data={"required": True}, run_dir={"required": True})
-    chart = command("chart", cmd_chart, ["threshold", "index"],
-                    checkpoint={"required": True}, out={"default": None})
+    required = {"required": True}
+    command("gen-data", cmd_gen_data, "seed count depth_min depth_max alphabet val_frac",
+            out=required)
+    train_keys = ("seed steps checkpoint_every batch_size lr warmup weight_decay "
+                  "d_model heads enc_layers d_ff max_len")
+    command("train", cmd_train, train_keys + " dec_layers eval_limit",
+            data=required, run_dir=required)
+    command("train-mlm", cmd_train_mlm, train_keys + " mask_frac",
+            data=required, run_dir=required)
+    chart = command("chart", cmd_chart, "threshold index",
+                    checkpoint=required, out={"default": None})
     chart.add_argument("--input", default=None)
     chart.add_argument("--sentence", default=None, help="space-separated tokens")
-    project = command(
-        "project", cmd_project,
-        ["seed", "threshold", "mode", "samples_per_node"],
-        checkpoint={"required": True}, out_dir={"required": True},
-    )
+    project = command("project", cmd_project, "seed threshold mode samples_per_node",
+                      checkpoint=required, out_dir=required)
     project.add_argument("--input", default=None)
     project.add_argument("--sentence", default=None, help="space-separated tokens")
     eval_trees = sub.add_parser("eval-trees")
@@ -576,28 +557,17 @@ def build_parser() -> argparse.ArgumentParser:
     eval_trees.add_argument("--gold", required=True)
     eval_trees.add_argument("--exclude-root", action="store_true")
     eval_trees.set_defaults(func=cmd_eval_trees)
-    command(
-        "probe", cmd_probe,
-        ["seed", "probe_steps", "batch_size", "lr", "warmup"],
-        checkpoint={"required": True}, data={"required": True}, run_dir={"required": True},
-    )
-    command(
-        "perturb", cmd_perturb,
-        ["seed", "pairs", "sigma2", "sentences"],
-        checkpoint={"required": True}, data={"required": True}, out={"required": True},
-    )
-    command(
-        "gap", cmd_gap,
-        ["seed", "span_samples", "sentences"],
-        checkpoint={"required": True}, data={"required": True}, out={"required": True},
-    )
+    command("probe", cmd_probe, "seed probe_steps batch_size lr warmup",
+            checkpoint=required, data=required, run_dir=required)
+    command("perturb", cmd_perturb, "seed pairs sigma2 sentences",
+            checkpoint=required, data=required, out=required)
+    command("gap", cmd_gap, "seed span_samples sentences",
+            checkpoint=required, data=required, out=required)
     dynamics = command(
         "dynamics", cmd_dynamics,
-        [
-            "seed", "threshold_mode", "fixed_t", "eval_sentences",
-            "tune_sentences", "samples_per_node", "eval_limit", "probe_steps",
-        ],
-        run_dir={"required": True}, data={"required": True},
+        "seed threshold_mode fixed_t eval_sentences tune_sentences samples_per_node "
+        "eval_limit probe_steps",
+        run_dir=required, data=required,
     )
     dynamics.add_argument("--probe", action="store_true",
                           help="also train a fresh probe per checkpoint (slow)")

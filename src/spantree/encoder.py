@@ -36,7 +36,6 @@ from .numerics import (
     layer_norm,
     masked_softmax,
     matmul,
-    mul,
     parameter,
     permute,
     relu,
@@ -71,9 +70,9 @@ class EncoderConfig:
             raise ContractViolation("enc_layers must be >= 1")
         if self.dec_layers < 0:
             raise ContractViolation("dec_layers must be >= 0")
-        if self.d_model < 1 or self.d_model % self.heads != 0:
+        if self.d_model < 1 or self.heads < 1 or self.d_model % self.heads != 0:
             raise ContractViolation(
-                f"heads ({self.heads}) must divide d_model ({self.d_model})"
+                f"heads ({self.heads}) must be positive and divide d_model ({self.d_model})"
             )
         if self.d_ff < 1 or self.max_len < 1:
             raise ContractViolation("d_ff and max_len must be positive")
@@ -302,7 +301,7 @@ class TransformerModel:
 
     def _ff(self, prefix: str, x: Tensor) -> Tensor:
         hidden = relu(self._affine(x, f"{prefix}.w1", f"{prefix}.b1"))
-        return add(matmul(hidden, self._p(f"{prefix}.w2")), self._p(f"{prefix}.b2"))
+        return self._affine(hidden, f"{prefix}.w2", f"{prefix}.b2")
 
     def encoder_block(self, i: int, x: Tensor, additive: Array) -> Tensor:
         h = self._ln(x, f"enc.{i}.ln1")
@@ -415,7 +414,7 @@ class TransformerModel:
                                        memory, cross_additive))
             x = add(x, self._ff(f"dec.{i}.ff", self._ln(x, f"dec.{i}.ln3")))
         x = self._ln(x, "dec.ln_f")
-        return add(matmul(x, self._p("out.w")), self._p("out.b"))
+        return self._affine(x, "out.w", "out.b")
 
     # -- losses ------------------------------------------------------------
 
@@ -467,7 +466,7 @@ class TransformerModel:
         final = self.encoder_states_t(
             np.asarray(masked_ids), [pad_additive] * self.config.enc_layers
         )[-1]
-        logits = add(matmul(final, self._p("mlm.w")), self._p("mlm.b"))
+        logits = self._affine(final, "mlm.w", "mlm.b")
         return cross_entropy(logits, np.asarray(original_ids), np.asarray(loss_mask))
 
     # -- decoding ----------------------------------------------------------
@@ -538,19 +537,53 @@ def save_checkpoint(model: TransformerModel, path) -> str:
     return str(path)
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _field(record: dict, key: str, kind: type, where: str):
+    """``record[key]``, which must exist and have exactly the JSON type ``kind``."""
+    if key not in record:
+        raise CheckpointError(f"{where}: missing {key!r}")
+    value = record[key]
+    if type(value) is not kind:
+        raise CheckpointError(f"{where}: {key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _manifest_config(raw: dict, path) -> EncoderConfig:
+    defaults = asdict(EncoderConfig())
+    for key, value in raw.items():
+        if key not in defaults:
+            raise CheckpointError(f"{path}: unknown config key {key!r}")
+        _field(raw, key, type(defaults[key]), f"{path}: config")
+    config = EncoderConfig(**raw)
+    try:
+        config.validate()
+    except ContractViolation as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    return config
+
+
 def load_checkpoint(path) -> TransformerModel:
-    """Reload a checkpoint directory, validating shapes against its config."""
+    """Reload a checkpoint directory, validating shapes against its config.
+
+    Every malformed manifest (a missing or mistyped field, an unknown key,
+    a shape or size that disagrees with the config) raises CheckpointError.
+    """
     manifest_path = os.path.join(path, MANIFEST_FILE)
     try:
         with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{manifest_path}: malformed JSON: {exc}") from exc
+    if type(manifest) is not dict:
+        raise CheckpointError(f"{manifest_path}: manifest must be a JSON object")
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: unknown checkpoint format")
-    config = EncoderConfig(**manifest["config"])
-    config.validate()
-    tokens = manifest["vocab"]
+    config = _manifest_config(_field(manifest, "config", dict, manifest_path), path)
+    tokens = _field(manifest, "vocab", list, manifest_path)
+    if not all(type(tok) is str for tok in tokens):
+        raise CheckpointError(f"{path}: vocabulary entries must be strings")
     if tokens[: len(RESERVED)] != list(RESERVED):
         raise CheckpointError(f"{path}: vocabulary lost its reserved prefix")
     vocab = Vocab(tokens[len(RESERVED) :])
@@ -561,15 +594,22 @@ def load_checkpoint(path) -> TransformerModel:
     task = manifest.get("task")
     if task not in TASKS:
         raise CheckpointError(f"{path}: unknown task {task!r}")
+    step = _field(manifest, "step", int, manifest_path) if "step" in manifest else 0
     specs = expected_param_specs(config, task)
-    listed = [t["name"] for t in manifest["tensors"]]
+    entries = _field(manifest, "tensors", list, manifest_path)
+    for entry in entries:
+        if type(entry) is not dict:
+            raise CheckpointError(f"{path}: tensor entry must be an object, got {entry!r}")
+        for key, kind in (("name", str), ("rows", int), ("cols", int)):
+            _field(entry, key, kind, f"{path}: tensor entry")
+    listed = [t["name"] for t in entries]
     unknown = sorted(set(listed) - set(specs))
     missing = sorted(set(specs) - set(listed))
     if unknown:
         raise CheckpointError(f"{path}: unknown tensor {unknown[0]!r} in manifest")
     if missing:
         raise CheckpointError(f"{path}: manifest is missing tensor {missing[0]!r}")
-    for entry in manifest["tensors"]:
+    for entry in entries:
         expect = specs[entry["name"]]
         if (entry["rows"], entry["cols"]) != expect:
             raise CheckpointError(
@@ -579,21 +619,19 @@ def load_checkpoint(path) -> TransformerModel:
     blob_path = os.path.join(path, DATA_FILE)
     with open(blob_path, "rb") as fh:
         blob = fh.read()
-    expected_bytes = sum(t["rows"] * t["cols"] * 8 for t in manifest["tensors"])
+    expected_bytes = sum(t["rows"] * t["cols"] * 8 for t in entries)
     if len(blob) != expected_bytes:
         raise CheckpointError(
             f"{blob_path}: has {len(blob)} bytes, manifest implies {expected_bytes}"
         )
     params: dict[str, Tensor] = {}
     offset = 0
-    for entry in manifest["tensors"]:
+    for entry in entries:
         count = entry["rows"] * entry["cols"]
         flat = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         offset += count * 8
         value = flat.reshape(entry["rows"], entry["cols"]).astype(np.float64)
         params[entry["name"]] = parameter(value, name=entry["name"])
-    model = TransformerModel(
-        config, vocab, task, params=params, step=int(manifest.get("step", 0))
-    )
+    model = TransformerModel(config, vocab, task, params=params, step=step)
     model.tag = str(path)
     return model

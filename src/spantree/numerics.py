@@ -322,7 +322,9 @@ _degenerate_warned = False
 
 
 def reset_degenerate_warning() -> None:
-    """Re-arm the once-per-run degenerate-norm log line (used by the CLI)."""
+    """Re-arm the degenerate-norm log line, which is otherwise logged at most
+    once per process.  Nothing in the package calls this; tests do, to observe
+    the line again."""
     global _degenerate_warned
     _degenerate_warned = False
 
@@ -331,7 +333,9 @@ def cosine_distance(x: Array, y: Array) -> float:
     """1 - x.y / (|x||y|), clamped to [0, 2].
 
     Identical inputs return exactly 0.0.  If either norm falls below 1e-12
-    the distance is 1.0 by convention (logged once per run).
+    the distance is 1.0 by convention (logged once per process).  A NaN or
+    infinite entry (any input whose norm is not finite) raises
+    ContractViolation rather than yielding a plausible distance.
     """
     global _degenerate_warned
     x = _f64(x).ravel()
@@ -342,6 +346,8 @@ def cosine_distance(x: Array, y: Array) -> float:
         )
     nx = float(np.linalg.norm(x))
     ny = float(np.linalg.norm(y))
+    if not (np.isfinite(nx) and np.isfinite(ny)):
+        raise ContractViolation(f"cosine_distance: non-finite input (norms {nx}, {ny})")
     if nx < DEGENERATE_NORM or ny < DEGENERATE_NORM:
         if not _degenerate_warned:
             log.warning("cosine_distance: near-zero norm, returning 1.0 by convention")

@@ -229,12 +229,3 @@ def build_sci_chart(
         provenance={"checkpoint": model.tag, "sentence": list(tokens)},
     )
 
-
-def build_charts(
-    model: TransformerModel,
-    sentences,
-    t: int,
-    pooling: str = "mean",
-) -> list[SciChart]:
-    """Charts for a batch of sentences (token-id lists)."""
-    return [build_sci_chart(model, s, t, pooling=pooling) for s in sentences]

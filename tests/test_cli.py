@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -271,15 +272,15 @@ def test_seed_precedence(tmp_path, monkeypatch):
     cfg.write_text("seed = 7\n")
     base = ["gen-data", "--out", "unused", "--config", str(cfg)]
     monkeypatch.delenv("SPANTREE_SEED", raising=False)
-    assert resolve_settings(parse(base), ["seed"])["seed"] == 7
+    assert resolve_settings(parse(base))["seed"] == 7
     monkeypatch.setenv("SPANTREE_SEED", "9")
-    assert resolve_settings(parse(base), ["seed"])["seed"] == 9
-    assert resolve_settings(parse(base + ["--seed", "3"]), ["seed"])["seed"] == 3
+    assert resolve_settings(parse(base))["seed"] == 9
+    assert resolve_settings(parse(base + ["--seed", "3"]))["seed"] == 3
     monkeypatch.setenv("SPANTREE_SEED", "ouch")
     with pytest.raises(ContractViolation):
-        resolve_settings(parse(base), ["seed"])
+        resolve_settings(parse(base))
     monkeypatch.delenv("SPANTREE_SEED")
-    assert resolve_settings(parse(["gen-data", "--out", "u"]), ["seed"])["seed"] == 0
+    assert resolve_settings(parse(["gen-data", "--out", "u"]))["seed"] == 0
 
 
 def test_env_seed_equivalent_to_flag(tmp_path, monkeypatch):
@@ -321,6 +322,56 @@ def test_missing_inputs_exit_2(tmp_path, pipeline):
     rc, _ = run_cli(["gen-data", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "d")])
     assert rc == 2
+
+
+_DROP = object()
+
+
+def _edit(*keys, value=_DROP):
+    """Manifest corruption: drop (or set to ``value``) the entry at ``keys``."""
+
+    def corrupt(manifest):
+        node = manifest
+        for key in keys[:-1]:
+            node = node[key]
+        if value is _DROP:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+        return manifest
+
+    return corrupt
+
+
+MANIFEST_CORRUPTIONS = {
+    "missing config": _edit("config"),
+    "missing vocab": _edit("vocab"),
+    "unknown config key": _edit("config", "colour", value="red"),
+    "mistyped config value": _edit("config", "d_model", value="16"),
+    "zero heads": _edit("config", "heads", value=0),
+    "tensors not a list": _edit("tensors", value={"enc.emb": [1, 2]}),
+    "tensor entry without rows": _edit("tensors", 0, "rows"),
+    "tensor entry not an object": _edit("tensors", 0, value="enc.emb"),
+    "vocab an int": _edit("vocab", value=7),
+    "step not an integer": _edit("step", value="four"),
+    "manifest a list": lambda manifest: [manifest],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_CORRUPTIONS))
+def test_malformed_manifest_is_a_clean_error(pipeline, tmp_path, case):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(pipeline["ckpt"], ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    (ckpt / "manifest.json").write_text(json.dumps(MANIFEST_CORRUPTIONS[case](manifest)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spantree", "chart", "--checkpoint", str(ckpt),
+         "--sentence", "A1 B1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert any(line.startswith("error:") for line in proc.stderr.splitlines()), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_module_entry_point():

@@ -304,6 +304,17 @@ def test_cosine_distance_shape_mismatch():
         nm.cosine_distance(np.ones(3), np.ones(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cosine_distance_rejects_non_finite_input(bad):
+    vec = np.array([1.0, bad, 2.0])
+    with pytest.raises(ContractViolation, match="non-finite"):
+        nm.cosine_distance(vec, np.ones(3))
+    with pytest.raises(ContractViolation, match="non-finite"):
+        nm.cosine_distance(np.ones(3), vec)
+    with pytest.raises(ContractViolation, match="non-finite"):
+        nm.cosine_distance(vec, vec)
+
+
 # ---------------------------------------------------------------------------
 # embedding / cross-entropy contracts
 # ---------------------------------------------------------------------------

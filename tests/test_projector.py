@@ -89,7 +89,6 @@ def test_greedy_trace_is_consistent():
     res = projector.greedy_project(chart, rng=rng, samples_per_node=2)
     # one decision per internal node
     assert len(res.split_trace) == 6
-    assert res.baseline_sum == pytest.approx(sum(d.baseline for d in res.split_trace))
     assert res.normalized_score == pytest.approx(
         sum(d.baseline - d.split_cost for d in res.split_trace)
     )
@@ -105,11 +104,11 @@ def test_greedy_samples_per_node_contract():
         projector.greedy_project(chart, rng=0, samples_per_node=0)
 
 
-def test_greedy_tree_matches_greedy_project():
+def test_greedy_tree_does_not_depend_on_rng():
     rng = np.random.default_rng(4)
     for _ in range(20):
         chart = random_chart(6, rng)
-        assert projector.greedy_tree(chart) == projector.greedy_project(chart, rng).tree
+        assert projector.greedy_project(chart, 0).tree == projector.greedy_project(chart, rng).tree
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +137,7 @@ def test_exact_never_worse_than_greedy():
         n = int(rng.integers(3, 13))
         chart = random_chart(n, rng)
         _, exact_score = projector.exact_project(chart)
-        greedy_score = projector.cumulative_sci(chart, projector.greedy_tree(chart))
+        greedy_score = projector.greedy_project(chart, 0).cumulative_sci
         assert exact_score <= greedy_score + 1e-12
 
 
@@ -171,11 +170,11 @@ def test_shift_and_rescale_leave_trees_unchanged():
         shifted = SciChart(n=n, threshold=1, values=chart.values + 0.75)
         scaled = SciChart(n=n, threshold=1, values=chart.values * 13.0)
         base_exact, _ = projector.exact_project(chart)
-        base_greedy = projector.greedy_tree(chart)
+        base_greedy = projector.greedy_project(chart, 0).tree
         assert projector.exact_project(shifted)[0] == base_exact
         assert projector.exact_project(scaled)[0] == base_exact
-        assert projector.greedy_tree(shifted) == base_greedy
-        assert projector.greedy_tree(scaled) == base_greedy
+        assert projector.greedy_project(shifted, 0).tree == base_greedy
+        assert projector.greedy_project(scaled, 0).tree == base_greedy
 
 
 def test_cumulative_sci_excludes_leaves_includes_root():
@@ -184,6 +183,94 @@ def test_cumulative_sci_excludes_leaves_includes_root():
     chart.values[np.diag_indices(3)] = 100.0
     assert projector.cumulative_sci(chart, ((0, 1), 2)) == pytest.approx(0.8)
     assert projector.cumulative_sci(chart, (0, (1, 2))) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# frozen results
+# ---------------------------------------------------------------------------
+
+
+def preorder_splits(tree):
+    """Split point (last position of the left child) of every internal node,
+    in prefix order; this determines the tree."""
+    if isinstance(tree, int):
+        return []
+    return [trees.span_of(tree[0])[1]] + preorder_splits(tree[0]) + preorder_splits(tree[1])
+
+
+# (n, tied) -> (greedy splits, greedy cumulative_sci, greedy normalized_score,
+#               exact splits, exact score), for the charts of ``seeded_chart``
+# with ``greedy_project(chart, rng=n, samples_per_node=2)``.
+FROZEN = {
+    (4, False): (
+        [1, 0, 2],
+        1.0693171005491702, 0.35748842170656503,
+        [0, 1, 2],
+        0.7325173638788369,
+    ),
+    (4, True): (
+        [0, 1, 2],
+        0.25, 0.5,
+        [0, 1, 2],
+        0.25,
+    ),
+    (9, False): (
+        [2, 1, 0, 7, 3, 6, 4, 5],
+        2.2040308219973475, 3.4975588107503275,
+        [2, 0, 1, 7, 3, 4, 6, 5],
+        1.966738937090755,
+    ),
+    (9, True): (
+        [0, 5, 2, 1, 3, 4, 6, 7],
+        1.0, 2.0,
+        [0, 1, 7, 2, 6, 5, 3, 4],
+        0.75,
+    ),
+    (17, False): (
+        [9, 5, 2, 1, 0, 3, 4, 6, 7, 8, 12, 11, 10, 14, 13, 15],
+        5.066169283872801, 3.243396927108502,
+        [15, 10, 1, 0, 2, 9, 8, 6, 5, 4, 3, 7, 11, 14, 12, 13],
+        3.5267105886700705,
+    ),
+    (17, True): (
+        [0, 2, 1, 4, 3, 8, 5, 7, 6, 10, 9, 11, 14, 12, 13, 15],
+        2.0, 3.625,
+        [0, 2, 1, 11, 9, 5, 4, 3, 6, 7, 8, 10, 15, 12, 14, 13],
+        1.5,
+    ),
+    (40, False): (
+        [20, 3, 0, 2, 1, 9, 8, 5, 4, 6, 7, 18, 12, 10, 11, 16, 13, 14, 15, 17, 19, 35, 34, 22, 21, 23, 25, 24, 28, 27, 26, 30, 29, 33, 31, 32, 38, 37, 36],
+        10.613979909771752, 12.026458461769948,
+        [16, 15, 14, 13, 0, 12, 6, 2, 1, 5, 3, 4, 7, 11, 10, 8, 9, 17, 19, 18, 38, 37, 36, 35, 34, 33, 21, 20, 32, 22, 23, 24, 26, 25, 31, 29, 27, 28, 30],
+        5.749554951480372,
+    ),
+    (40, True): (
+        [4, 2, 1, 0, 3, 25, 11, 5, 7, 6, 9, 8, 10, 18, 12, 13, 14, 17, 15, 16, 19, 20, 22, 21, 23, 24, 28, 26, 27, 32, 29, 31, 30, 34, 33, 35, 36, 37, 38],
+        6.0, 6.0,
+        [4, 1, 0, 2, 3, 5, 11, 10, 8, 6, 7, 9, 12, 22, 17, 13, 14, 15, 16, 18, 19, 20, 21, 30, 29, 28, 23, 24, 25, 27, 26, 31, 32, 33, 34, 36, 35, 38, 37],
+        1.25,
+    ),
+}
+
+
+def seeded_chart(n, tied):
+    rng = np.random.default_rng([n, int(tied)])
+    raw = rng.integers(0, 3, size=(n, n)) / 4.0 if tied else rng.random((n, n))
+    return SciChart(n=n, threshold=1, values=np.triu(raw))
+
+
+@pytest.mark.parametrize("n, tied", sorted(FROZEN))
+def test_projections_match_frozen_results(n, tied):
+    greedy_splits, greedy_cum, greedy_norm, exact_splits, exact_score = FROZEN[n, tied]
+    chart = seeded_chart(n, tied)
+    res = projector.greedy_project(chart, rng=n, samples_per_node=2)
+    assert preorder_splits(res.tree) == greedy_splits
+    assert [d.k for d in res.split_trace] == greedy_splits
+    assert res.cumulative_sci == pytest.approx(greedy_cum, abs=1e-12)
+    assert res.normalized_score == pytest.approx(greedy_norm, abs=1e-12)
+    tree, score = projector.exact_project(chart)
+    assert preorder_splits(tree) == exact_splits
+    assert score == pytest.approx(exact_score, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -246,3 +333,22 @@ def test_expected_sci_uniform_hand_value():
     # n=3: two trees, cumulative scores 0.1+0.7 and 0.3+0.7 -> mean 0.9
     chart = chart_from(3, {(0, 1): 0.1, (1, 2): 0.3, (0, 2): 0.7})
     assert projector.expected_sci_uniform(chart) == pytest.approx(0.9)
+
+
+def test_expected_sci_uniform_matches_enumeration():
+    rng = np.random.default_rng(11)
+    for n in range(1, 10):
+        for _ in range(5):
+            chart = random_chart(n, rng)
+            mean = np.mean(
+                [projector.cumulative_sci(chart, t) for t in trees.enumerate_trees(n)]
+            )
+            assert abs(projector.expected_sci_uniform(chart) - mean) <= 1e-12
+
+
+def test_t_score_uniform_trees_runs_on_long_sentences():
+    gold = trees.random_tree(40, np.random.default_rng(12))
+    charts = [planted_chart(40, gold)]
+    # greedy recovers the planted tree at zero cost; a uniform tree pays 0.5
+    # for every span it holds outside the gold set
+    assert projector.t_score_uniform_trees(charts) > 0

@@ -291,7 +291,8 @@ def test_chart_json_round_trip():
     assert np.array_equal(again.values, chart.values)
 
 
-def test_build_charts_batch():
+def test_chart_from_model_with_nan_parameter_raises():
     m = make_model(layers=2)
-    charts = spanrep.build_charts(m, [[5, 6], [7, 8, 9]], t=1)
-    assert [c.n for c in charts] == [2, 3]
+    m.params["enc.0.ff.w1"].value[0, 0] = np.nan
+    with pytest.raises(ContractViolation, match="non-finite"):
+        build_sci_chart(m, [5, 6, 7], t=1)
