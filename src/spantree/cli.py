@@ -27,7 +27,7 @@ import numpy as np
 
 from . import datasets, treeval
 from .encoder import EncoderConfig, load_checkpoint, save_checkpoint
-from .errors import ContractViolation
+from .errors import ContractViolation, numbered_lines
 from .experiments import (
     assumption_gap,
     dynamics_report,
@@ -44,19 +44,6 @@ from .trees import to_sexpr
 log = logging.getLogger("spantree.cli")
 
 SEED_ENV = "SPANTREE_SEED"
-
-_INT_KEYS = (
-    "seed steps checkpoint_every batch_size warmup d_model heads enc_layers "
-    "dec_layers d_ff max_len count depth_min depth_max alphabet threshold "
-    "samples_per_node pairs span_samples eval_limit eval_sentences "
-    "tune_sentences probe_steps fixed_t sentences index"
-).split()
-_FLOAT_KEYS = "lr weight_decay val_frac sigma2 mask_frac".split()
-_STR_KEYS = "mode threshold_mode".split()
-
-CASTERS = {k: int for k in _INT_KEYS}
-CASTERS.update({k: float for k in _FLOAT_KEYS})
-CASTERS.update({k: str for k in _STR_KEYS})
 
 DEFAULTS = {
     "seed": 0,
@@ -94,6 +81,9 @@ DEFAULTS = {
     "threshold_mode": "fixed",
 }
 
+# Each key's type is its default's: config values and flags are cast to it.
+CASTERS = {key: type(value) for key, value in DEFAULTS.items()}
+
 
 def component_seed(seed: int, name: str) -> int:
     """Stable per-component seed derived from the top-level seed."""
@@ -104,23 +94,22 @@ def component_seed(seed: int, name: str) -> int:
 def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` lines; blank lines and # comments allowed."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ContractViolation(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in CASTERS:
-                raise ContractViolation(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = CASTERS[key](value)
-            except ValueError as exc:
-                raise ContractViolation(
-                    f"{path}:{lineno}: bad value for {key}: {value!r}"
-                ) from exc
+    for lineno, raw in numbered_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ContractViolation(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in CASTERS:
+            raise ContractViolation(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = CASTERS[key](value)
+        except ValueError as exc:
+            raise ContractViolation(
+                f"{path}:{lineno}: bad value for {key}: {value!r}"
+            ) from exc
     return values
 
 

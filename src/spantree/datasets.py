@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import trees
-from .errors import ContractViolation
+from .errors import ContractViolation, numbered_lines
 
 PAD, BOS, EOS, MASK, UNK = "<pad>", "<bos>", "<eos>", "<mask>", "<unk>"
 RESERVED = (PAD, BOS, EOS, MASK, UNK)
@@ -312,32 +312,31 @@ def write_tsv(examples: list[TransductionExample], path) -> None:
 
 def load_tsv(path) -> list[TransductionExample]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) not in (2, 3):
+    for lineno, line in numbered_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        cols = line.split("\t")
+        if len(cols) not in (2, 3):
+            raise ContractViolation(
+                f"{path}:{lineno}: expected 2 or 3 tab-separated columns, got {len(cols)}"
+            )
+        source = cols[0].split()
+        target = cols[1].split()
+        if not source:
+            raise ContractViolation(f"{path}:{lineno}: empty source")
+        tree = None
+        if len(cols) == 3 and cols[2].strip():
+            try:
+                tree = trees.parse_sexpr(cols[2])
+            except ContractViolation as exc:
+                raise ContractViolation(f"{path}:{lineno}: {exc}") from exc
+            if trees.leaf_count(tree) != len(source):
                 raise ContractViolation(
-                    f"{path}:{lineno}: expected 2 or 3 tab-separated columns, got {len(cols)}"
+                    f"{path}:{lineno}: gold tree covers {trees.leaf_count(tree)} "
+                    f"tokens but source has {len(source)}"
                 )
-            source = cols[0].split()
-            target = cols[1].split()
-            if not source:
-                raise ContractViolation(f"{path}:{lineno}: empty source")
-            tree = None
-            if len(cols) == 3 and cols[2].strip():
-                try:
-                    tree = trees.parse_sexpr(cols[2])
-                except ContractViolation as exc:
-                    raise ContractViolation(f"{path}:{lineno}: {exc}") from exc
-                if trees.leaf_count(tree) != len(source):
-                    raise ContractViolation(
-                        f"{path}:{lineno}: gold tree covers {trees.leaf_count(tree)} "
-                        f"tokens but source has {len(source)}"
-                    )
-            out.append(TransductionExample(source=source, target=target, tree=tree))
+        out.append(TransductionExample(source=source, target=target, tree=tree))
     return out
 
 

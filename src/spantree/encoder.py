@@ -363,6 +363,13 @@ class TransformerModel:
             states[-1] = self._ln(states[-1], "enc.ln_f")
         return states
 
+    def memory(self, ids: Array) -> tuple[Tensor, Array]:
+        """Final encoder states of a padded (B, n) id batch, plus the additive
+        (B, 1, 1, n) mask that hides its pad positions from attention."""
+        ids = np.asarray(ids)
+        additive = np.where(ids == self.vocab.pad, NEG_MASK, 0.0)[:, None, None, :]
+        return self.encoder_states_t(ids, [additive] * self.config.enc_layers)[-1], additive
+
     def final_norm(self, x: Tensor) -> Tensor:
         return self._ln(x, "enc.ln_f")
 
@@ -426,22 +433,19 @@ class TransformerModel:
         """
         if not pairs:
             raise ContractViolation("seq2seq_loss: empty batch")
-        src, src_additive = self._pad_sources([s for s, _ in pairs])
+        memory, src_additive = self.memory(self._pad_sources([s for s, _ in pairs]))
         tgt_in, tgt_out, weights = self._pad_targets([t for _, t in pairs])
-        memory = self.encoder_states_t(src, [src_additive] * self.config.enc_layers)[-1]
         logits = self.decoder_logits(tgt_in, memory, src_additive)
         return cross_entropy(logits, tgt_out, weights)
 
-    def _pad_sources(self, sources: list[list[int]]):
-        pad = self.vocab.pad
+    def _pad_sources(self, sources: list[list[int]]) -> Array:
         if any(len(s) == 0 for s in sources):
             raise ContractViolation("empty source sentence")
         ns = max(len(s) for s in sources)
-        src = np.full((len(sources), ns), pad, dtype=np.int64)
+        src = np.full((len(sources), ns), self.vocab.pad, dtype=np.int64)
         for b, s in enumerate(sources):
             src[b, : len(s)] = s
-        additive = np.where(src == pad, NEG_MASK, 0.0)[:, None, None, :]
-        return src, additive
+        return src
 
     def _pad_targets(self, targets: list[list[int]]):
         pad, bos, eos = self.vocab.pad, self.vocab.bos, self.vocab.eos
@@ -457,15 +461,14 @@ class TransformerModel:
         return tgt_in, tgt_out, weights
 
     def mlm_loss(self, masked_ids: Array, original_ids: Array, loss_mask: Array) -> Tensor:
-        """Cross-entropy of the vocabulary head at masked positions only."""
+        """Cross-entropy of the vocabulary head at masked positions only.
+
+        Masking replaces real tokens only, so ``masked_ids`` and
+        ``original_ids`` share their pad positions.
+        """
         if self.task != "mlm":
             raise ContractViolation("mlm_loss requires an mlm model")
-        pad_additive = np.where(
-            np.asarray(original_ids) == self.vocab.pad, NEG_MASK, 0.0
-        )[:, None, None, :]
-        final = self.encoder_states_t(
-            np.asarray(masked_ids), [pad_additive] * self.config.enc_layers
-        )[-1]
+        final, _ = self.memory(masked_ids)
         logits = self._affine(final, "mlm.w", "mlm.b")
         return cross_entropy(logits, np.asarray(original_ids), np.asarray(loss_mask))
 
@@ -473,8 +476,7 @@ class TransformerModel:
 
     def greedy_decode(self, sources: list[list[int]], max_new: int) -> list[list[int]]:
         """Batched argmax decoding until EOS (ties take the lowest id)."""
-        src, src_additive = self._pad_sources(sources)
-        memory = self.encoder_states_t(src, [src_additive] * self.config.enc_layers)[-1]
+        memory, src_additive = self.memory(self._pad_sources(sources))
         return self.decode_with_memory(memory, src_additive, max_new)
 
     def decode_with_memory(

@@ -20,3 +20,13 @@ class TrainingDiverged(ContractViolation):
     def __init__(self, message: str, checkpoints=None):
         super().__init__(message)
         self.checkpoints = checkpoints or []
+
+
+def numbered_lines(path):
+    """Yield (line number, line) over a UTF-8 text file; a byte sequence that
+    is not UTF-8 raises ContractViolation naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise ContractViolation(f"{path}: not UTF-8 text ({exc.reason})") from exc

@@ -103,7 +103,7 @@ def _run_arm(
     model: TransformerModel,
     sentences: list[list[int]],
     sentence_trees: list,
-    mask_for,
+    masks: list[LayerMask | None],
     sigma2: float,
     pairs: int,
     rng: np.random.Generator,
@@ -117,7 +117,7 @@ def _run_arm(
         raise ContractViolation("perturbation analysis found no valid (w, c, k) tuples")
     clean = {}
     for s_idx, ids in enumerate(sentences):
-        clean[s_idx] = _final_states(model, ids, mask_for(s_idx))
+        clean[s_idx] = _final_states(model, ids, masks[s_idx])
     d_ic = np.zeros(pairs)
     d_oc = np.zeros(pairs)
     samples = []
@@ -130,7 +130,7 @@ def _run_arm(
         for arm, j in (("ic", j_in), ("oc", j_out)):
             delta = np.zeros((len(ids), d))
             delta[j] = eps
-            moved = _final_states(model, ids, mask_for(s_idx), delta)[w]
+            moved = _final_states(model, ids, masks[s_idx], delta)[w]
             dist = float(np.linalg.norm(moved - base))
             if arm == "ic":
                 d_ic[p] = dist
@@ -157,7 +157,6 @@ def perturbation_analysis(
     sigma2: float = 0.01,
     pairs: int = 500,
     seed: int = 0,
-    mask: LayerMask | None = None,
     masks: list[LayerMask] | None = None,
 ) -> PerturbationReport:
     """Noise a word inside vs. outside w's constituent; compare w's movement.
@@ -167,33 +166,30 @@ def perturbation_analysis(
     out-of-constituent word at the same distance from w; the two L2
     displacements of w's final vector form one paired sample.  The control
     arm repeats everything with constituents read off random trees instead
-    of the given ones.  ``mask`` (or per-sentence ``masks``) restricts the
-    encoder, which is how the hard-partitioned oracle setting is built.
+    of the given ones.  Per-sentence ``masks`` restrict the encoder, which is
+    how the hard-partitioned oracle setting is built.
     """
     if len(sentences) != len(sentence_trees):
         raise ContractViolation("sentences and trees differ in length")
     if sigma2 < 0:
         raise ContractViolation("sigma2 must be >= 0")
-    if masks is not None and len(masks) != len(sentences):
+    if masks is None:
+        masks = [None] * len(sentences)
+    elif len(masks) != len(sentences):
         raise ContractViolation("per-sentence masks differ in length from sentences")
     for ids, tree in zip(sentences, sentence_trees):
         trees.validate_tree(tree, len(ids))
 
-    def mask_for(s_idx: int) -> LayerMask | None:
-        if masks is not None:
-            return masks[s_idx]
-        return mask
-
     rng = np.random.default_rng([seed, 11])
     main, n_main = _run_arm(
-        model, sentences, sentence_trees, mask_for, sigma2, pairs, rng
+        model, sentences, sentence_trees, masks, sigma2, pairs, rng
     )
     control_rng = np.random.default_rng([seed, 12])
     control_trees = [
         trees.random_tree(len(ids), control_rng) for ids in sentences
     ]
     control, n_control = _run_arm(
-        model, sentences, control_trees, mask_for, sigma2, pairs, control_rng
+        model, sentences, control_trees, masks, sigma2, pairs, control_rng
     )
     return PerturbationReport(
         main=main,

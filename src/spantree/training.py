@@ -1,10 +1,12 @@
 """Training loops: sequence transduction, masked-token pretraining, probing.
 
-All loops run AdamW with linear warmup on the float64 tape, draw batches from
-a seeded generator, and collect a checkpoint series — deep copies (and
-optionally on-disk directories) taken at step 0 and every ``checkpoint_every``
-updates.  A non-finite loss aborts the run with ``TrainingDiverged`` carrying
-every checkpoint collected before the failure.
+One generator, ``_updates``, runs every AdamW update (linear warmup, float64
+tape) and aborts with ``TrainingDiverged`` on a non-finite loss.
+``train_seq2seq`` and ``train_mlm`` hand it their model, batch draw and
+checkpoint evaluator through ``_train_series``, which collects deep copies
+(and optionally on-disk directories) at step 0, every ``checkpoint_every``
+updates and the final step; a divergence carries every checkpoint collected
+before it.  ``train_probe`` drains the same loop without checkpoints.
 
 The probe is a 1-layer decoder trained to emit a sentence's bracketed parse
 (``( ( A1 B1 ) C1 )`` as a token stream) while cross-attending to the frozen
@@ -25,7 +27,6 @@ from .datasets import RESERVED, Corpus, TransductionExample, Vocab
 from .encoder import EncoderConfig, TransformerModel, save_checkpoint
 from .errors import ContractViolation, TrainingDiverged
 from .numerics import (
-    NEG_MASK,
     OptimizerState,
     Tensor,
     backward,
@@ -36,6 +37,13 @@ from .numerics import (
 log = logging.getLogger("spantree.training")
 
 OPEN, CLOSE = "(", ")"
+
+# Evaluation batch size; masked-token accuracy's mask fraction and sentence cap.
+EVAL_CHUNK = 64
+EVAL_MASK_FRAC = 0.15
+EVAL_SENTENCES = 256
+PROBE_DEC_LAYERS = 1
+PROBE_WEIGHT_DECAY = 0.01
 
 
 @dataclass
@@ -50,47 +58,86 @@ class CheckpointInfo:
     path: str | None = None
 
 
-def _check_finite(loss_value: float, step: int, series: list[CheckpointInfo]):
-    if not np.isfinite(loss_value):
-        raise TrainingDiverged(
-            f"non-finite loss at step {step}; keeping {len(series)} checkpoints",
-            checkpoints=series,
-        )
+def _updates(model: TransformerModel, state: OptimizerState, batch_loss, steps: int,
+             series: list[CheckpointInfo]):
+    """Yield (0, None) for the initial model, then run ``steps`` AdamW updates
+    of it, yielding (step, loss value) after each.
+
+    ``batch_loss()`` draws a batch and returns its loss on the tape.  A
+    non-finite loss raises TrainingDiverged carrying ``series``, the
+    checkpoints kept so far.
+    """
+    if steps < 0:
+        raise ContractViolation(f"steps must be >= 0, got {steps}")
+    yield 0, None
+    params = list(model.params.values())
+    for step in range(1, steps + 1):
+        loss = batch_loss()
+        value = float(loss.value)
+        if not np.isfinite(value):
+            raise TrainingDiverged(
+                f"non-finite loss at step {step}; keeping {len(series)} checkpoints",
+                checkpoints=series,
+            )
+        backward(loss, params)
+        optimizer_step(model.params, state)
+        model.step = step
+        yield step, value
 
 
-def _encode_examples(examples, vocab: Vocab):
-    return [(vocab.encode(ex.source), vocab.encode(ex.target)) for ex in examples]
+def _train_series(
+    model: TransformerModel,
+    state: OptimizerState,
+    batch_loss,
+    evaluate,
+    steps: int,
+    checkpoint_every: int,
+    out_dir: str | None,
+) -> list[CheckpointInfo]:
+    """Train through ``_updates`` and return the checkpoint series.
+
+    Checkpoints are taken at step 0, every ``checkpoint_every`` updates and
+    the final step; each carries the mean loss of the updates since the one
+    before and ``evaluate(snapshot)``, an (iid accuracy, cg accuracy) pair.
+    """
+    if checkpoint_every < 1:
+        raise ContractViolation(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+    series: list[CheckpointInfo] = []
+    running: list[float] = []
+    for step, loss in _updates(model, state, batch_loss, steps, series):
+        if loss is not None:
+            running.append(loss)
+        if step % checkpoint_every == 0 or step == steps:
+            mean_loss = float(np.mean(running)) if running else None
+            running.clear()
+            snap = model.clone()
+            iid_acc, cg_acc = evaluate(snap)
+            path = None
+            if out_dir is not None:
+                path = save_checkpoint(snap, os.path.join(out_dir, f"step-{step:05d}"))
+            series.append(CheckpointInfo(step, snap, mean_loss, iid_acc, cg_acc, path))
+            log.info("%s step %d loss %s iid %s cg %s", model.task, step, mean_loss,
+                     iid_acc, cg_acc)
+    return series
 
 
 def exact_match_accuracy(
-    model: TransformerModel,
-    examples: list[TransductionExample],
-    max_new: int | None = None,
-    limit: int | None = None,
-    chunk: int = 64,
+    model: TransformerModel, examples: list[TransductionExample], limit: int | None = None
 ) -> float:
     """Fraction of examples whose greedy decode equals the target exactly."""
     subset = examples[: limit] if limit else list(examples)
     if not subset:
         raise ContractViolation("exact_match_accuracy: empty evaluation split")
     vocab = model.vocab
-    if max_new is None:
-        max_new = max(len(ex.target) for ex in subset) + 2
+    max_new = max(len(ex.target) for ex in subset) + 2
     correct = 0
-    for lo in range(0, len(subset), chunk):
-        batch = subset[lo : lo + chunk]
+    for lo in range(0, len(subset), EVAL_CHUNK):
+        batch = subset[lo : lo + EVAL_CHUNK]
         decoded = model.greedy_decode([vocab.encode(ex.source) for ex in batch], max_new)
         for out, ex in zip(decoded, batch):
             if out == vocab.encode(ex.target):
                 correct += 1
     return correct / len(subset)
-
-
-def _maybe_save(model: TransformerModel, out_dir: str | None, step: int) -> str | None:
-    if out_dir is None:
-        return None
-    path = os.path.join(out_dir, f"step-{step:05d}")
-    return save_checkpoint(model, path)
 
 
 def train_seq2seq(
@@ -117,41 +164,21 @@ def train_seq2seq(
     vocab = corpus.vocab
     config.vocab_size = len(vocab)
     model = TransformerModel(config, vocab, "seq2seq", rng=np.random.default_rng(seed))
-    state = OptimizerState(
-        base_lr=base_lr, warmup_steps=warmup_steps, weight_decay=weight_decay
-    )
-    pairs = _encode_examples(corpus.train, vocab)
+    pairs = [(vocab.encode(ex.source), vocab.encode(ex.target)) for ex in corpus.train]
     batch_rng = np.random.default_rng([seed, 1])
-    series: list[CheckpointInfo] = []
-    params = list(model.params.values())
-    running: list[float] = []
 
-    def collect(step: int, loss: float | None):
-        snap = model.clone()
-        info = CheckpointInfo(step=step, model=snap, train_loss=loss)
-        if corpus.iid_val:
-            info.iid_acc = exact_match_accuracy(snap, corpus.iid_val, limit=eval_limit)
-        if corpus.cg_test:
-            info.cg_acc = exact_match_accuracy(snap, corpus.cg_test, limit=eval_limit)
-        info.path = _maybe_save(snap, out_dir, step)
-        series.append(info)
-        log.info(
-            "step %d loss %s iid %s cg %s", step, loss, info.iid_acc, info.cg_acc
+    def batch_loss():
+        idx = batch_rng.integers(0, len(pairs), size=batch_size)
+        return model.seq2seq_loss([pairs[i] for i in idx])
+
+    def evaluate(snap: TransformerModel):
+        return tuple(
+            exact_match_accuracy(snap, split, limit=eval_limit) if split else None
+            for split in (corpus.iid_val, corpus.cg_test)
         )
 
-    collect(0, None)
-    for step in range(1, steps + 1):
-        idx = batch_rng.integers(0, len(pairs), size=batch_size)
-        loss = model.seq2seq_loss([pairs[i] for i in idx])
-        _check_finite(float(loss.value), step, series)
-        running.append(float(loss.value))
-        backward(loss, params)
-        optimizer_step(model.params, state)
-        model.step = step
-        if step % checkpoint_every == 0 or step == steps:
-            collect(step, float(np.mean(running)))
-            running.clear()
-    return series
+    state = OptimizerState(base_lr=base_lr, warmup_steps=warmup_steps, weight_decay=weight_decay)
+    return _train_series(model, state, batch_loss, evaluate, steps, checkpoint_every, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -191,24 +218,19 @@ def make_mlm_batch(
 
 
 def masked_prediction_accuracy(
-    model: TransformerModel,
-    sentences: list[list[int]],
-    seed: int = 0,
-    frac: float = 0.15,
-    limit: int | None = 256,
-    chunk: int = 64,
+    model: TransformerModel, sentences: list[list[int]], seed: int = 0
 ) -> float:
     """Top-1 accuracy at masked positions under a fixed masking draw."""
-    usable = [s for s in sentences if len(s) >= 2]
-    usable = usable[:limit] if limit else usable
+    usable = [s for s in sentences if len(s) >= 2][:EVAL_SENTENCES]
     if not usable:
         raise ContractViolation("masked_prediction_accuracy: no usable sentences")
     rng = np.random.default_rng([seed, 99])
     hit = total = 0
-    for lo in range(0, len(usable), chunk):
-        masked, original, loss_mask = make_mlm_batch(rng, usable[lo : lo + chunk], model.vocab, frac)
-        pad_additive = np.where(original == model.vocab.pad, NEG_MASK, 0.0)[:, None, None, :]
-        final = model.encoder_states_t(masked, [pad_additive] * model.config.enc_layers)[-1]
+    for lo in range(0, len(usable), EVAL_CHUNK):
+        masked, original, loss_mask = make_mlm_batch(
+            rng, usable[lo : lo + EVAL_CHUNK], model.vocab, EVAL_MASK_FRAC
+        )
+        final, _ = model.memory(masked)
         logits = final.value @ model.params["mlm.w"].value + model.params["mlm.b"].value
         pred = logits.argmax(axis=-1)
         hit += int(((pred == original) & (loss_mask > 0)).sum())
@@ -241,43 +263,24 @@ def train_mlm(
         raise ContractViolation("train_mlm: no trainable sentences")
     config.vocab_size = len(vocab)
     model = TransformerModel(config, vocab, "mlm", rng=np.random.default_rng(seed))
-    state = OptimizerState(
-        base_lr=base_lr, warmup_steps=warmup_steps, weight_decay=weight_decay
-    )
     batch_rng = np.random.default_rng([seed, 2])
-    series: list[CheckpointInfo] = []
-    params = list(model.params.values())
-    running: list[float] = []
     iid_sents = [vocab.encode(ex.source) for ex in corpus.iid_val]
     cg_sents = [vocab.encode(ex.source) for ex in corpus.cg_test]
 
-    def collect(step: int, loss: float | None):
-        snap = model.clone()
-        info = CheckpointInfo(step=step, model=snap, train_loss=loss)
-        if any(len(s) >= 2 for s in iid_sents):
-            info.iid_acc = masked_prediction_accuracy(snap, iid_sents, seed=seed)
-        if any(len(s) >= 2 for s in cg_sents):
-            info.cg_acc = masked_prediction_accuracy(snap, cg_sents, seed=seed)
-        info.path = _maybe_save(snap, out_dir, step)
-        series.append(info)
-        log.info("mlm step %d loss %s", step, loss)
-
-    collect(0, None)
-    for step in range(1, steps + 1):
+    def batch_loss():
         idx = batch_rng.integers(0, len(sentences), size=batch_size)
-        masked, original, loss_mask = make_mlm_batch(
-            batch_rng, [sentences[i] for i in idx], vocab, mask_frac
+        batch = make_mlm_batch(batch_rng, [sentences[i] for i in idx], vocab, mask_frac)
+        return model.mlm_loss(*batch)
+
+    def evaluate(snap: TransformerModel):
+        return tuple(
+            masked_prediction_accuracy(snap, sents, seed=seed)
+            if any(len(s) >= 2 for s in sents) else None
+            for sents in (iid_sents, cg_sents)
         )
-        loss = model.mlm_loss(masked, original, loss_mask)
-        _check_finite(float(loss.value), step, series)
-        running.append(float(loss.value))
-        backward(loss, params)
-        optimizer_step(model.params, state)
-        model.step = step
-        if step % checkpoint_every == 0 or step == steps:
-            collect(step, float(np.mean(running)))
-            running.clear()
-    return series
+
+    state = OptimizerState(base_lr=base_lr, warmup_steps=warmup_steps, weight_decay=weight_decay)
+    return _train_series(model, state, batch_loss, evaluate, steps, checkpoint_every, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +306,7 @@ def probe_vocab_for(vocab: Vocab) -> Vocab:
 
 def _frozen_memory(encoder: TransformerModel, sources: list[list[int]]):
     """Final encoder states with gradients cut, plus the cross-attention mask."""
-    src, additive = encoder._pad_sources(sources)
-    memory = encoder.encoder_states_t(src, [additive] * encoder.config.enc_layers)[-1]
+    memory, additive = encoder.memory(encoder._pad_sources(sources))
     return Tensor(memory.value), additive
 
 
@@ -318,22 +320,24 @@ def predicted_tree(decoded_tokens: list[str], n_leaves: int):
     return tree, repaired, coerced
 
 
+def _bracket_length(examples: list[TransductionExample]) -> int:
+    """Longest probe output for these examples: 3 tokens per leaf, plus 2."""
+    return max(3 * len(ex.source) for ex in examples) + 2
+
+
 def evaluate_probe(
     probe: TransformerModel,
     encoder: TransformerModel,
     examples: list[TransductionExample],
-    max_new: int | None = None,
-    chunk: int = 64,
 ) -> tuple[float, float, float, int, int]:
     """Corpus PARSEVAL of repaired probe decodes against gold trees."""
     if not examples:
         raise ContractViolation("evaluate_probe: empty evaluation set")
-    if max_new is None:
-        max_new = max(3 * len(ex.source) for ex in examples) + 2
+    max_new = _bracket_length(examples)
     pairs = []
     repaired_count = coerced_count = 0
-    for lo in range(0, len(examples), chunk):
-        batch = examples[lo : lo + chunk]
+    for lo in range(0, len(examples), EVAL_CHUNK):
+        batch = examples[lo : lo + EVAL_CHUNK]
         memory, additive = _frozen_memory(
             encoder, [encoder.vocab.encode(ex.source) for ex in batch]
         )
@@ -359,8 +363,6 @@ def train_probe(
     batch_size: int = 32,
     base_lr: float = 3e-4,
     warmup_steps: int = 150,
-    weight_decay: float = 0.01,
-    dec_layers: int = 1,
 ) -> ProbeResult:
     """Fit a small decoder to emit bracketed parses off frozen encoder states.
 
@@ -371,36 +373,33 @@ def train_probe(
     if not usable:
         raise ContractViolation("train_probe: no examples with gold trees")
     probe_vocab = probe_vocab_for(encoder.vocab)
-    max_target = max(3 * len(ex.source) for ex in usable) + 2
     config = EncoderConfig(
         enc_layers=encoder.config.enc_layers,
-        dec_layers=dec_layers,
+        dec_layers=PROBE_DEC_LAYERS,
         heads=encoder.config.heads,
         d_model=encoder.config.d_model,
         d_ff=encoder.config.d_ff,
         vocab_size=len(probe_vocab),
-        max_len=max(encoder.config.max_len, max_target),
+        max_len=max(encoder.config.max_len, _bracket_length(usable)),
     )
     probe = TransformerModel(config, probe_vocab, "probe", rng=np.random.default_rng(seed))
-    state = OptimizerState(
-        base_lr=base_lr, warmup_steps=warmup_steps, weight_decay=weight_decay
-    )
     sources = [encoder.vocab.encode(ex.source) for ex in usable]
     targets = [
         probe_vocab.encode(treeval.linearize(ex.tree, ex.source)) for ex in usable
     ]
     batch_rng = np.random.default_rng([seed, 3])
-    params = list(probe.params.values())
-    for step in range(1, steps + 1):
+
+    def batch_loss():
         idx = batch_rng.integers(0, len(usable), size=batch_size)
         memory, additive = _frozen_memory(encoder, [sources[i] for i in idx])
         tgt_in, tgt_out, weights = probe._pad_targets([targets[i] for i in idx])
-        logits = probe.decoder_logits(tgt_in, memory, additive)
-        loss = cross_entropy(logits, tgt_out, weights)
-        _check_finite(float(loss.value), step, [])
-        backward(loss, params)
-        optimizer_step(probe.params, state)
-        probe.step = step
+        return cross_entropy(probe.decoder_logits(tgt_in, memory, additive), tgt_out, weights)
+
+    state = OptimizerState(
+        base_lr=base_lr, warmup_steps=warmup_steps, weight_decay=PROBE_WEIGHT_DECAY
+    )
+    for _ in _updates(probe, state, batch_loss, steps, []):
+        pass
     precision, recall, f1, repaired, coerced = evaluate_probe(
         probe, encoder, heldout_examples
     )

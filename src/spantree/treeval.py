@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import trees
-from .errors import ContractViolation
+from .errors import ContractViolation, numbered_lines
 
 OPEN, CLOSE = "(", ")"
 
@@ -180,13 +180,12 @@ def save_trees(path, tree_list, tokens_list) -> None:
 
 def load_trees(path) -> list:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(trees.parse_sexpr(line))
-            except ContractViolation as exc:
-                raise ContractViolation(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in numbered_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            out.append(trees.parse_sexpr(line))
+        except ContractViolation as exc:
+            raise ContractViolation(f"{path}:{lineno}: {exc}") from exc
     return out

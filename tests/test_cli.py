@@ -358,20 +358,71 @@ MANIFEST_CORRUPTIONS = {
 }
 
 
+def assert_clean_error(argv):
+    """``python -m spantree argv`` exits 1 with an error line and no traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "spantree", *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert any(line.startswith("error:") for line in proc.stderr.splitlines()), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("case", sorted(MANIFEST_CORRUPTIONS))
 def test_malformed_manifest_is_a_clean_error(pipeline, tmp_path, case):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(pipeline["ckpt"], ckpt)
     manifest = json.loads((ckpt / "manifest.json").read_text())
     (ckpt / "manifest.json").write_text(json.dumps(MANIFEST_CORRUPTIONS[case](manifest)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "spantree", "chart", "--checkpoint", str(ckpt),
-         "--sentence", "A1 B1"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 1, proc.stderr
-    assert any(line.startswith("error:") for line in proc.stderr.splitlines()), proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert_clean_error(["chart", "--checkpoint", str(ckpt), "--sentence", "A1 B1"])
+
+
+NOT_UTF8 = b"A1 B1\tA1 B1\n\xff\xfe\n"
+
+
+def _not_utf8(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(NOT_UTF8)
+    return str(path)
+
+
+def _data_with_bad_split(pipeline, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    (data / "iid_val.tsv").write_bytes(NOT_UTF8)
+    return str(data)
+
+
+def _train(pipeline, tmp_path, command="train"):
+    return [command, "--data", pipeline["data"], "--run-dir", str(tmp_path / "run"),
+            "--steps", "2", "--d-model", "16", "--heads", "2", "--d-ff", "32"]
+
+
+# Each case: (pipeline, tmp_path) -> argv that must fail cleanly.
+BAD_INPUTS = {
+    "train --checkpoint-every 0": lambda p, t: _train(p, t) + ["--checkpoint-every", "0"],
+    "train-mlm --checkpoint-every 0":
+        lambda p, t: _train(p, t, "train-mlm") + ["--checkpoint-every", "0"],
+    "train --steps -1": lambda p, t: _train(p, t) + ["--steps", "-1"],
+    "probe --probe-steps -3": lambda p, t: [
+        "probe", "--checkpoint", p["ckpt"], "--data", p["data"],
+        "--run-dir", str(t / "run"), "--probe-steps", "-3"],
+    "chart --input not UTF-8": lambda p, t: [
+        "chart", "--checkpoint", p["ckpt"], "--input", _not_utf8(t, "in.tsv")],
+    "split under --data not UTF-8": lambda p, t: [
+        "perturb", "--checkpoint", p["ckpt"], "--data", _data_with_bad_split(p, t),
+        "--out", str(t / "perturb.csv")],
+    "eval-trees file not UTF-8": lambda p, t: [
+        "eval-trees", "--pred", _not_utf8(t, "pred.sexpr"), "--gold", _not_utf8(t, "gold.sexpr")],
+    "--config not UTF-8": lambda p, t: [
+        "gen-data", "--config", _not_utf8(t, "bad.cfg"), "--out", str(t / "d")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_a_clean_error(pipeline, tmp_path, case):
+    assert_clean_error(BAD_INPUTS[case](pipeline, tmp_path))
 
 
 def test_module_entry_point():
