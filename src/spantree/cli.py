@@ -390,11 +390,21 @@ def cmd_probe(args) -> int:
     return 0
 
 
+def _first_sentences(items: list, count: int) -> list:
+    """The first ``--sentences`` items; a count below 1 is rejected, since a
+    negative slice would silently drop items from the end instead."""
+    if count < 1:
+        raise ContractViolation(f"--sentences must be >= 1, got {count}")
+    return items[:count]
+
+
 def cmd_perturb(args) -> int:
     s = resolve_settings(args)
     model = load_checkpoint(args.checkpoint)
     corpus = datasets.load_corpus(args.data)
-    examples = [ex for ex in corpus.iid_val if ex.tree is not None][: s["sentences"]]
+    examples = _first_sentences(
+        [ex for ex in corpus.iid_val if ex.tree is not None], s["sentences"]
+    )
     if not examples:
         raise ContractViolation("perturb: no evaluation examples with gold trees")
     report = perturbation_analysis(
@@ -426,7 +436,7 @@ def cmd_gap(args) -> int:
     s = resolve_settings(args)
     model = load_checkpoint(args.checkpoint)
     corpus = datasets.load_corpus(args.data)
-    sentences = [ex.source for ex in corpus.iid_val[: s["sentences"]]]
+    sentences = [ex.source for ex in _first_sentences(corpus.iid_val, s["sentences"])]
     report = assumption_gap(
         model,
         sentences,

@@ -118,7 +118,7 @@ class _Expr:
     value: list[str]
     head: str          # op name, or LEAF
     tree: object
-    depth: int
+    arg_heads: tuple   # head of each direct argument
 
 
 def _apply_unary(op: str, xs: list[str]) -> list[str]:
@@ -156,7 +156,7 @@ def _gen_expr(rng: random.Random, depth: int, alphabet: list[str], offset: int) 
     """
     if depth == 0:
         a, b = rng.choice(alphabet), rng.choice(alphabet)
-        return _Expr([a, b], [a, b], LEAF, (offset, offset + 1), 0)
+        return _Expr([a, b], [a, b], LEAF, (offset, offset + 1), ())
     op = rng.choice(ALL_OPS)
     if op in UNARY_OPS:
         arg = _gen_expr(rng, depth - 1, alphabet, offset + 1)
@@ -165,7 +165,7 @@ def _gen_expr(rng: random.Random, depth: int, alphabet: list[str], offset: int) 
             _apply_unary(op, arg.value),
             op,
             (offset, arg.tree),
-            depth,
+            (arg.head,),
         )
     # Binary: the first argument carries the full remaining depth; the second
     # gets a random shallower budget.  Interleaving needs equal value lengths,
@@ -192,7 +192,7 @@ def _gen_expr(rng: random.Random, depth: int, alphabet: list[str], offset: int) 
         _apply_binary(op, first.value, second.value),
         op,
         (offset, (first.tree, second.tree)),
-        depth,
+        (first.head, second.head),
     )
 
 
@@ -208,53 +208,23 @@ def generate_expressions(
         raise ContractViolation(f"bad depth range {depth_range}")
     if count < 1:
         raise ContractViolation("count must be positive")
+    if alphabet_size < 1:
+        raise ContractViolation(f"alphabet size must be >= 1, got {alphabet_size}")
     rng = random.Random(seed)
     alphabet = default_alphabet(alphabet_size)
     out = []
     for _ in range(count):
         depth = rng.randint(lo, hi)
         expr = _gen_expr(rng, depth, alphabet, 0)
-        pairs = _head_pairs(expr)
         out.append(
             TransductionExample(
                 source=expr.tokens,
                 target=list(expr.value),
                 tree=expr.tree,
-                head_pairs=pairs,
+                head_pairs=tuple((expr.head, head) for head in expr.arg_heads),
             )
         )
     return out
-
-
-def _head_pairs(expr: _Expr) -> tuple:
-    """(root op, head of each direct argument).  Leaf expressions have none.
-
-    Heads are recomputed from the token stream so examples stay honest even
-    if generation internals change: the root op is tokens[0] when it is an
-    operation, and each argument's head is its own first token (or LEAF).
-    """
-    if expr.head == LEAF:
-        return ()
-    toks = expr.tokens
-    arity = 1 if expr.head in UNARY_OPS else 2
-    pairs = []
-    pos = 1
-    for _ in range(arity):
-        head = toks[pos] if toks[pos] in ALL_OPS else LEAF
-        pairs.append((expr.head, head))
-        pos += _expr_token_len(toks, pos)
-    return tuple(pairs)
-
-
-def _expr_token_len(toks: list[str], pos: int) -> int:
-    """Token length of the sub-expression starting at ``pos``."""
-    tok = toks[pos]
-    if tok not in ALL_OPS:
-        return 2  # a leaf list is exactly two symbols
-    length = 1
-    for _ in range(1 if tok in UNARY_OPS else 2):
-        length += _expr_token_len(toks, pos + length)
-    return length
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +243,8 @@ def make_cg_split(
     The remainder is shuffled deterministically and split into train and iid
     validation.  The vocabulary is built from train sources and targets only.
     """
+    if not 0 <= val_frac < 1:
+        raise ContractViolation(f"val_frac must lie in [0, 1), got {val_frac}")
     unseen = {tuple(p) for p in unseen_pairs}
     held, kept = [], []
     for ex in examples:

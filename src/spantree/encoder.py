@@ -1,8 +1,8 @@
 """Pre-layer-norm transformer encoder-decoder on the float64 tape.
 
 Encoder self-attention accepts an external per-layer boolean mask, which is
-how span-restricted passes are built; ``mask=None`` and an all-true mask are
-the same code path (additive zeros) and therefore produce bit-identical
+how span-restricted passes are built; ``mask=None`` adds the scalar 0.0 and
+an all-true mask adds a zeros array, so the two produce bit-identical
 output.  Sinusoidal absolute positions are added once at layer 0, so a pass
 over a subset of positions keeps each token's original position simply by
 slicing layer-0 states.
@@ -281,7 +281,7 @@ class TransformerModel:
     def _ln(self, x: Tensor, prefix: str) -> Tensor:
         return layer_norm(x, self._p(f"{prefix}.g"), self._p(f"{prefix}.b"))
 
-    def _attention(self, prefix: str, xq: Tensor, xkv: Tensor, additive: Array) -> Tensor:
+    def _attention(self, prefix: str, xq: Tensor, xkv: Tensor, additive: Array | float) -> Tensor:
         """Multi-head attention; ``additive`` broadcasts to (B, h, nq, nk)."""
         cfg = self.config
         h, dh = cfg.heads, cfg.d_model // cfg.heads
@@ -303,7 +303,7 @@ class TransformerModel:
         hidden = relu(self._affine(x, f"{prefix}.w1", f"{prefix}.b1"))
         return self._affine(hidden, f"{prefix}.w2", f"{prefix}.b2")
 
-    def encoder_block(self, i: int, x: Tensor, additive: Array) -> Tensor:
+    def encoder_block(self, i: int, x: Tensor, additive: Array | float) -> Tensor:
         h = self._ln(x, f"enc.{i}.ln1")
         x = add(x, self._attention(f"enc.{i}.attn", h, h, additive))
         x = add(x, self._ff(f"enc.{i}.ff", self._ln(x, f"enc.{i}.ln2")))
@@ -311,21 +311,12 @@ class TransformerModel:
 
     # -- encoder -----------------------------------------------------------
 
-    def _check_ids(self, ids: Array) -> None:
-        flat = np.asarray(ids).ravel()
-        bad = np.flatnonzero((flat < 0) | (flat >= self.config.vocab_size))
-        if bad.size:
-            raise ContractViolation(
-                f"token id {int(flat[bad[0]])} out of vocabulary at position {int(bad[0])}"
-            )
-
     def embed_source(self, ids: Array, layer0_delta: Array | None = None) -> Tensor:
         """Layer-0 states: scaled embeddings plus absolute positions."""
         ids = np.asarray(ids)
         n = ids.shape[-1]
         if n > self.config.max_len:
             raise ContractViolation(f"sequence length {n} exceeds max_len")
-        self._check_ids(ids)
         x = scale(embedding(self._p("enc.emb"), ids), math.sqrt(self.config.d_model))
         pos = self.positions[:n]
         if layer0_delta is not None:
@@ -341,9 +332,11 @@ class TransformerModel:
     ) -> list[Tensor]:
         """Tape-backed per-layer states for a (B, n) id batch.
 
-        ``additives[i]`` is the additive attention mask of block i (zeros when
-        None).  ``upto=t`` stops after block t-1 and skips the final norm;
-        the full run applies the final layer norm to the last entry.
+        ``additives[i]`` is the additive attention mask of block i, built by
+        ``LayerMask.additive`` or ``memory`` so that every row keeps a
+        permitted key; None adds the scalar 0.0 (unrestricted).  ``upto=t``
+        stops after block t-1 and skips the final norm; the full run applies
+        the final layer norm to the last entry.
         """
         cfg = self.config
         if self.task == "probe":
@@ -355,9 +348,8 @@ class TransformerModel:
         n_blocks = cfg.enc_layers if upto is None else upto
         if not 0 <= n_blocks <= cfg.enc_layers:
             raise ContractViolation(f"upto must lie in [0, {cfg.enc_layers}]")
-        zeros = np.zeros((1, 1, ids.shape[1], ids.shape[1]))
         for i in range(n_blocks):
-            additive = zeros if additives is None else additives[i]
+            additive = 0.0 if additives is None else additives[i]
             states.append(self.encoder_block(i, states[-1], additive))
         if upto is None:
             states[-1] = self._ln(states[-1], "enc.ln_f")
@@ -365,9 +357,12 @@ class TransformerModel:
 
     def memory(self, ids: Array) -> tuple[Tensor, Array]:
         """Final encoder states of a padded (B, n) id batch, plus the additive
-        (B, 1, 1, n) mask that hides its pad positions from attention."""
-        ids = np.asarray(ids)
-        additive = np.where(ids == self.vocab.pad, NEG_MASK, 0.0)[:, None, None, :]
+        (B, 1, 1, n) mask that hides its pad positions from attention.  A row
+        that is all padding would leave attention no key, so it is rejected."""
+        pad = np.asarray(ids) == self.vocab.pad
+        if pad.all(axis=-1).any():
+            raise ContractViolation("memory: a batch row is all padding")
+        additive = np.where(pad, NEG_MASK, 0.0)[:, None, None, :]
         return self.encoder_states_t(ids, [additive] * self.config.enc_layers)[-1], additive
 
     def final_norm(self, x: Tensor) -> Tensor:
@@ -405,12 +400,17 @@ class TransformerModel:
     # -- decoder -----------------------------------------------------------
 
     def decoder_logits(self, tgt_ids: Array, memory: Tensor, cross_additive: Array) -> Tensor:
+        """Next-token logits (B, nt, V) for a (B, nt) target-id batch.
+
+        ``memory`` and ``cross_additive`` are what ``TransformerModel.memory``
+        returns, whose pad mask keeps a permitted key in every row; causal
+        self-attention always permits the diagonal.
+        """
         cfg = self.config
         tgt_ids = np.asarray(tgt_ids)
         bsz, nt = tgt_ids.shape
         if nt > cfg.max_len:
             raise ContractViolation(f"target length {nt} exceeds max_len")
-        self._check_ids(tgt_ids)
         x = scale(embedding(self._p("dec.emb"), tgt_ids), math.sqrt(cfg.d_model))
         x = add(x, Tensor(self.positions[:nt]))
         causal = np.triu(np.full((nt, nt), NEG_MASK), k=1)[None, None]
@@ -482,26 +482,16 @@ class TransformerModel:
     def decode_with_memory(
         self, memory: Tensor, cross_additive: Array, max_new: int
     ) -> list[list[int]]:
-        bsz = memory.value.shape[0]
-        bos, eos = self.vocab.bos, self.vocab.eos
-        ys = np.full((bsz, 1), bos, dtype=np.int64)
-        done = np.zeros(bsz, dtype=bool)
-        outs: list[list[int]] = [[] for _ in range(bsz)]
-        limit = min(max_new, self.config.max_len - 1)
-        for _ in range(limit):
+        """Argmax decoding from BOS; each row's tokens before its first EOS."""
+        eos = self.vocab.eos
+        ys = np.full((memory.value.shape[0], 1), self.vocab.bos, dtype=np.int64)
+        for _ in range(min(max_new, self.config.max_len - 1)):
             logits = self.decoder_logits(ys, memory, cross_additive)
-            nxt = logits.value[:, -1, :].argmax(axis=-1)
-            for b in range(bsz):
-                if done[b]:
-                    continue
-                if int(nxt[b]) == eos:
-                    done[b] = True
-                else:
-                    outs[b].append(int(nxt[b]))
-            if done.all():
+            ys = np.concatenate([ys, logits.value[:, -1:, :].argmax(axis=-1)], axis=1)
+            if (ys == eos).any(axis=1).all():
                 break
-            ys = np.concatenate([ys, nxt[:, None]], axis=1)
-        return outs
+        rows = ys[:, 1:].tolist()
+        return [row[: row.index(eos)] if eos in row else row for row in rows]
 
 
 # ---------------------------------------------------------------------------

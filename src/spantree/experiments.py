@@ -173,6 +173,8 @@ def perturbation_analysis(
         raise ContractViolation("sentences and trees differ in length")
     if sigma2 < 0:
         raise ContractViolation("sigma2 must be >= 0")
+    if pairs < 2:
+        raise ContractViolation(f"pairs must be >= 2 for a t-test, got {pairs}")
     if masks is None:
         masks = [None] * len(sentences)
     elif len(masks) != len(sentences):
@@ -252,6 +254,10 @@ def cumulative_cosine(vectors: list[Array], u: Array) -> float:
     return float(sum(cosine_distance(v, u) for v in vectors))
 
 
+# Shortest span the gap study samples.
+GAP_MIN_LEN = 2
+
+
 def bare_span_vector(model: TransformerModel, span_ids: list[int]) -> Array:
     """The span encoded alone, mean-pooled: its canonical context-free vector.
 
@@ -267,27 +273,26 @@ def assumption_gap(
     sentences: list[list[str]],
     span_samples: int = 50,
     seed: int = 0,
-    min_len: int = 2,
-    max_len: int | None = None,
 ) -> GapReport:
     """Distance between the best single span vector and the bare-span vector.
 
-    For each sampled token span occurring in >= 2 sentences: collect the
-    contextual span vector of every occurrence, form the closed-form optimum
-    v* (mean of normalized vectors), and report cosine_distance(v*, bare-span
-    vector), alongside a control distance from a random other span's
-    contextual vector to the same bare-span vector.  Spans seen only once are
-    skipped and counted.
+    For each sampled token span of at least GAP_MIN_LEN tokens occurring in
+    >= 2 sentences: collect the contextual span vector of every occurrence,
+    form the closed-form optimum v* (mean of normalized vectors), and report
+    cosine_distance(v*, bare-span vector), alongside a control distance from
+    a random other span's contextual vector to the same bare-span vector.
+    Spans seen only once are skipped and counted.
     """
     if not sentences:
         raise ContractViolation("assumption_gap: no sentences")
+    if span_samples < 1:
+        raise ContractViolation(f"span_samples must be >= 1, got {span_samples}")
     vocab = model.vocab
     encoded = [vocab.encode(toks) for toks in sentences]
     occurrences: dict[tuple, list[tuple[int, int]]] = {}
     for s_idx, toks in enumerate(sentences):
         n = len(toks)
-        top = n if max_len is None else min(n, max_len)
-        for length in range(min_len, top + 1):
+        for length in range(GAP_MIN_LEN, n + 1):
             for start in range(0, n - length + 1):
                 key = tuple(toks[start : start + length])
                 occurrences.setdefault(key, []).append((s_idx, start))
@@ -484,6 +489,10 @@ def dynamics_report(
         raise ContractViolation("dynamics_report needs >= 3 checkpoints")
     if threshold_mode not in THRESHOLD_MODES:
         raise ContractViolation(f"unknown threshold mode {threshold_mode!r}")
+    if eval_sentences < 1 or tune_sentences < 1:
+        raise ContractViolation(
+            f"eval and tune sentence counts must be >= 1, got {eval_sentences}, {tune_sentences}"
+        )
     vocab = corpus.vocab
     eval_examples = corpus.iid_val[:eval_sentences]
     if not eval_examples:

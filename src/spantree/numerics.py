@@ -32,6 +32,12 @@ NEG_MASK = -1.0e30
 # Norms below this are treated as degenerate by cosine_distance.
 DEGENERATE_NORM = 1e-12
 
+# Variance floor of layer_norm; AdamW moment decay rates and denominator floor.
+LN_EPS = 1e-5
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def _f64(x) -> Array:
     return np.asarray(x, dtype=np.float64)
@@ -216,12 +222,12 @@ def total_sum(a: Tensor) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     mu = x.value.mean(axis=-1, keepdims=True)
     xc = x.value - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     y = xc * inv
     out = Tensor(y * gain.value + bias.value, (x, gain, bias))
 
@@ -240,18 +246,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return out
 
 
-def masked_softmax(scores: Tensor, additive: Array) -> Tensor:
+def masked_softmax(scores: Tensor, additive: Array | float) -> Tensor:
     """Row-wise softmax over the last axis after adding a mask.
 
     ``additive`` holds 0.0 at permitted positions and NEG_MASK at forbidden
-    ones (broadcastable to ``scores``).  Every row must keep at least one
-    permitted position; a fully masked row is a contract violation.  Forbidden
-    positions come out with exactly zero probability.
+    ones (broadcastable to ``scores``); the scalar 0.0 permits everything.
+    Forbidden positions come out with exactly zero probability.  Every row
+    must keep a permitted position; the mask builders guarantee it, so it is
+    not re-checked here: ``LayerMask`` rejects a fully masked row,
+    ``TransformerModel.memory`` an all-pad row, and a causal mask always
+    permits the diagonal.
     """
-    additive = _f64(additive)
-    permitted = np.broadcast_to(additive, scores.value.shape) > (NEG_MASK / 2)
-    if not permitted.any(axis=-1).all():
-        raise ContractViolation("masked_softmax: a row has no permitted positions")
     z = scores.value + additive
     z = z - z.max(axis=-1, keepdims=True)
     p = np.exp(z)
@@ -272,7 +277,7 @@ def embedding(table: Tensor, ids: Array) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= table.value.shape[0]):
         bad = int(np.flatnonzero((ids < 0) | (ids >= table.value.shape[0]))[0])
         raise ContractViolation(
-            f"embedding: id out of range at flat position {bad}"
+            f"embedding: id {int(ids.flat[bad])} out of range at flat position {bad}"
         )
     out = Tensor(table.value[ids], (table,))
 
@@ -376,9 +381,6 @@ class OptimizerState:
     base_lr: float = 1e-4
     warmup_steps: int = 5000
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict[str, Array] = field(default_factory=dict)
     v: dict[str, Array] = field(default_factory=dict)
@@ -408,11 +410,11 @@ def optimizer_step(params: dict[str, Tensor], state: OptimizerState) -> None:
         if m is None:
             m = np.zeros_like(p.value)
             v = np.zeros_like(p.value)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
         state.m[name] = m
         state.v[name] = v
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p.value -= lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * p.value)
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p.value -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + state.weight_decay * p.value)
     state.step_count += 1

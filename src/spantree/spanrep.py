@@ -97,16 +97,10 @@ def _span_tail(
 ) -> Array:
     """Run layers t..L-1 on the span's slice of the cached layer-t states."""
     x = Tensor(prefix[:, span.start : span.end + 1, :])
-    zeros = np.zeros((1, 1, span.length, span.length))
     for layer in range(t, model.config.enc_layers):
-        x = model.encoder_block(layer, x, zeros)
+        x = model.encoder_block(layer, x, 0.0)
     x = model.final_norm(x)
     return _pool(x.value[0], pooling)
-
-
-def _unmasked_prefix(model: TransformerModel, tokens, t: int) -> Array:
-    ids = np.asarray(list(tokens), dtype=np.int64)[None, :]
-    return model.encoder_states_t(ids, None, upto=t)[-1].value
 
 
 def context_free_vector(
@@ -126,7 +120,8 @@ def context_free_vector(
     span = _as_span(span, n)
     if not 0 <= t <= model.config.enc_layers:
         raise ContractViolation(f"threshold {t} outside [0, {model.config.enc_layers}]")
-    prefix = _unmasked_prefix(model, tokens, t)
+    ids = np.asarray(tokens, dtype=np.int64)[None, :]
+    prefix = model.encoder_states_t(ids, None, upto=t)[-1].value
     return _span_tail(model, prefix, span, t, pooling)
 
 
@@ -202,19 +197,12 @@ def build_sci_chart(
     if not 0 <= t <= layers:
         raise ContractViolation(f"threshold {t} outside [0, {layers}]")
     ids = np.asarray(tokens, dtype=np.int64)[None, :]
+    raw = model.encoder_states_t(ids, None, upto=layers)
+    prefix = raw[t].value
     if contextual_mask is None:
-        raw = model.encoder_states_t(ids, None, upto=layers)
         final = model.final_norm(raw[layers]).value[0]
-        prefix = raw[t].value
     else:
-        if contextual_mask.n != n or contextual_mask.layers != layers:
-            raise ContractViolation(
-                f"contextual mask shape ({contextual_mask.n}, {contextual_mask.layers} "
-                f"layers) does not fit sentence n={n}, {layers} layers"
-            )
-        additives = [contextual_mask.additive(i)[None, None] for i in range(layers)]
-        final = model.encoder_states_t(ids, additives)[-1].value[0]
-        prefix = _unmasked_prefix(model, tokens, t)
+        final = model.encode(tokens, contextual_mask)[-1]
     values = np.zeros((n, n))
     for i in range(n):
         for j in range(i, n):

@@ -1,12 +1,13 @@
 """Training loops: sequence transduction, masked-token pretraining, probing.
 
-One generator, ``_updates``, runs every AdamW update (linear warmup, float64
-tape) and aborts with ``TrainingDiverged`` on a non-finite loss.
-``train_seq2seq`` and ``train_mlm`` hand it their model, batch draw and
-checkpoint evaluator through ``_train_series``, which collects deep copies
-(and optionally on-disk directories) at step 0, every ``checkpoint_every``
-updates and the final step; a divergence carries every checkpoint collected
-before it.  ``train_probe`` drains the same loop without checkpoints.
+One generator, ``_updates``, draws every batch's indices, runs every AdamW
+update (linear warmup, float64 tape) and aborts with ``TrainingDiverged`` on a
+non-finite loss.  ``train_seq2seq`` and ``train_mlm`` hand it their model,
+batch loss and checkpoint evaluator through ``_train_series``, which collects
+deep copies (and optionally on-disk directories) at step 0, every
+``checkpoint_every`` updates and the final step; a divergence carries every
+checkpoint collected before it.  ``train_probe`` drains the same loop without
+checkpoints.
 
 The probe is a 1-layer decoder trained to emit a sentence's bracketed parse
 (``( ( A1 B1 ) C1 )`` as a token stream) while cross-attending to the frozen
@@ -58,21 +59,27 @@ class CheckpointInfo:
     path: str | None = None
 
 
-def _updates(model: TransformerModel, state: OptimizerState, batch_loss, steps: int,
-             series: list[CheckpointInfo]):
+def _updates(model: TransformerModel, state: OptimizerState, batch_loss, batches,
+             steps: int, series: list[CheckpointInfo]):
     """Yield (0, None) for the initial model, then run ``steps`` AdamW updates
     of it, yielding (step, loss value) after each.
 
-    ``batch_loss()`` draws a batch and returns its loss on the tape.  A
-    non-finite loss raises TrainingDiverged carrying ``series``, the
-    checkpoints kept so far.
+    ``batches`` is (batch_rng, pool, batch_size): each update draws
+    ``batch_size`` indices below ``pool`` from ``batch_rng``, and
+    ``batch_loss(idx)`` returns their loss on the tape.  A non-finite loss
+    raises TrainingDiverged carrying ``series``, the checkpoints kept so far.
     """
+    batch_rng, pool, batch_size = batches
     if steps < 0:
         raise ContractViolation(f"steps must be >= 0, got {steps}")
+    if batch_size < 1:
+        raise ContractViolation(f"batch_size must be >= 1, got {batch_size}")
+    if not state.base_lr >= 0:
+        raise ContractViolation(f"learning rate must be >= 0, got {state.base_lr}")
     yield 0, None
     params = list(model.params.values())
     for step in range(1, steps + 1):
-        loss = batch_loss()
+        loss = batch_loss(batch_rng.integers(0, pool, size=batch_size))
         value = float(loss.value)
         if not np.isfinite(value):
             raise TrainingDiverged(
@@ -89,6 +96,7 @@ def _train_series(
     model: TransformerModel,
     state: OptimizerState,
     batch_loss,
+    batches: tuple[np.random.Generator, int, int],
     evaluate,
     steps: int,
     checkpoint_every: int,
@@ -104,7 +112,7 @@ def _train_series(
         raise ContractViolation(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     series: list[CheckpointInfo] = []
     running: list[float] = []
-    for step, loss in _updates(model, state, batch_loss, steps, series):
+    for step, loss in _updates(model, state, batch_loss, batches, steps, series):
         if loss is not None:
             running.append(loss)
         if step % checkpoint_every == 0 or step == steps:
@@ -124,8 +132,11 @@ def _train_series(
 def exact_match_accuracy(
     model: TransformerModel, examples: list[TransductionExample], limit: int | None = None
 ) -> float:
-    """Fraction of examples whose greedy decode equals the target exactly."""
-    subset = examples[: limit] if limit else list(examples)
+    """Fraction of examples whose greedy decode equals the target exactly;
+    ``limit`` (None or >= 1) scores only the first ``limit`` examples."""
+    if limit is not None and limit < 1:
+        raise ContractViolation(f"evaluation limit must be None or >= 1, got {limit}")
+    subset = list(examples[:limit])
     if not subset:
         raise ContractViolation("exact_match_accuracy: empty evaluation split")
     vocab = model.vocab
@@ -167,8 +178,7 @@ def train_seq2seq(
     pairs = [(vocab.encode(ex.source), vocab.encode(ex.target)) for ex in corpus.train]
     batch_rng = np.random.default_rng([seed, 1])
 
-    def batch_loss():
-        idx = batch_rng.integers(0, len(pairs), size=batch_size)
+    def batch_loss(idx):
         return model.seq2seq_loss([pairs[i] for i in idx])
 
     def evaluate(snap: TransformerModel):
@@ -178,7 +188,8 @@ def train_seq2seq(
         )
 
     state = OptimizerState(base_lr=base_lr, warmup_steps=warmup_steps, weight_decay=weight_decay)
-    return _train_series(model, state, batch_loss, evaluate, steps, checkpoint_every, out_dir)
+    return _train_series(model, state, batch_loss, (batch_rng, len(pairs), batch_size),
+                         evaluate, steps, checkpoint_every, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +268,8 @@ def train_mlm(
     fields hold masked-token prediction accuracy on the iid-val and cg-test
     sources (there is no decoder to exact-match with).
     """
+    if not 0 < mask_frac <= 1:
+        raise ContractViolation(f"mask_frac must lie in (0, 1], got {mask_frac}")
     vocab = corpus.vocab
     sentences = [vocab.encode(ex.source) for ex in corpus.train if len(ex.source) >= 2]
     if not sentences:
@@ -267,8 +280,7 @@ def train_mlm(
     iid_sents = [vocab.encode(ex.source) for ex in corpus.iid_val]
     cg_sents = [vocab.encode(ex.source) for ex in corpus.cg_test]
 
-    def batch_loss():
-        idx = batch_rng.integers(0, len(sentences), size=batch_size)
+    def batch_loss(idx):
         batch = make_mlm_batch(batch_rng, [sentences[i] for i in idx], vocab, mask_frac)
         return model.mlm_loss(*batch)
 
@@ -280,7 +292,8 @@ def train_mlm(
         )
 
     state = OptimizerState(base_lr=base_lr, warmup_steps=warmup_steps, weight_decay=weight_decay)
-    return _train_series(model, state, batch_loss, evaluate, steps, checkpoint_every, out_dir)
+    return _train_series(model, state, batch_loss, (batch_rng, len(sentences), batch_size),
+                         evaluate, steps, checkpoint_every, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +402,7 @@ def train_probe(
     ]
     batch_rng = np.random.default_rng([seed, 3])
 
-    def batch_loss():
-        idx = batch_rng.integers(0, len(usable), size=batch_size)
+    def batch_loss(idx):
         memory, additive = _frozen_memory(encoder, [sources[i] for i in idx])
         tgt_in, tgt_out, weights = probe._pad_targets([targets[i] for i in idx])
         return cross_entropy(probe.decoder_logits(tgt_in, memory, additive), tgt_out, weights)
@@ -398,7 +410,7 @@ def train_probe(
     state = OptimizerState(
         base_lr=base_lr, warmup_steps=warmup_steps, weight_decay=PROBE_WEIGHT_DECAY
     )
-    for _ in _updates(probe, state, batch_loss, steps, []):
+    for _ in _updates(probe, state, batch_loss, (batch_rng, len(usable), batch_size), steps, []):
         pass
     precision, recall, f1, repaired, coerced = evaluate_probe(
         probe, encoder, heldout_examples

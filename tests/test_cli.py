@@ -399,6 +399,25 @@ def _train(pipeline, tmp_path, command="train"):
             "--steps", "2", "--d-model", "16", "--heads", "2", "--d-ff", "32"]
 
 
+def _probe(pipeline, tmp_path):
+    return ["probe", "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
+            "--run-dir", str(tmp_path / "run"), "--probe-steps", "2"]
+
+
+def _gen_data(tmp_path):
+    return ["gen-data", "--out", str(tmp_path / "d"), "--count", "20"]
+
+
+def _analysis(pipeline, tmp_path, command):
+    return [command, "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
+            "--out", str(tmp_path / f"{command}.csv")]
+
+
+def _dynamics(pipeline):
+    # the run directory is shared, but every case fails before writing to it
+    return ["dynamics", "--run-dir", pipeline["run"], "--data", pipeline["data"]]
+
+
 # Each case: (pipeline, tmp_path) -> argv that must fail cleanly.
 BAD_INPUTS = {
     "train --checkpoint-every 0": lambda p, t: _train(p, t) + ["--checkpoint-every", "0"],
@@ -417,6 +436,25 @@ BAD_INPUTS = {
         "eval-trees", "--pred", _not_utf8(t, "pred.sexpr"), "--gold", _not_utf8(t, "gold.sexpr")],
     "--config not UTF-8": lambda p, t: [
         "gen-data", "--config", _not_utf8(t, "bad.cfg"), "--out", str(t / "d")],
+    # numeric flags out of range: each used to end in a traceback or to run
+    # on a silently misread value
+    "train --batch-size -2": lambda p, t: _train(p, t) + ["--batch-size", "-2"],
+    "train-mlm --batch-size -2": lambda p, t: _train(p, t, "train-mlm") + ["--batch-size", "-2"],
+    "probe --batch-size -2": lambda p, t: _probe(p, t) + ["--batch-size", "-2"],
+    "train --eval-limit -1": lambda p, t: _train(p, t) + ["--eval-limit", "-1"],
+    "train --lr -1": lambda p, t: _train(p, t) + ["--lr", "-1"],
+    "train-mlm --mask-frac 0": lambda p, t: _train(p, t, "train-mlm") + ["--mask-frac", "0"],
+    "train-mlm --mask-frac 2": lambda p, t: _train(p, t, "train-mlm") + ["--mask-frac", "2"],
+    "gen-data --alphabet 0": lambda p, t: _gen_data(t) + ["--alphabet", "0"],
+    "gen-data --val-frac -0.5": lambda p, t: _gen_data(t) + ["--val-frac", "-0.5"],
+    "perturb --pairs -1": lambda p, t: _analysis(p, t, "perturb") + ["--pairs", "-1"],
+    "perturb --sentences -1": lambda p, t: _analysis(p, t, "perturb") + ["--sentences", "-1"],
+    "gap --span-samples -1": lambda p, t: _analysis(p, t, "gap") + ["--span-samples", "-1"],
+    "gap --sentences -2": lambda p, t: _analysis(p, t, "gap") + ["--sentences", "-2"],
+    "dynamics --eval-limit -1": lambda p, t: _dynamics(p) + ["--eval-limit", "-1"],
+    "dynamics --eval-limit 0": lambda p, t: _dynamics(p) + ["--eval-limit", "0"],
+    "dynamics --eval-sentences -1": lambda p, t: _dynamics(p) + ["--eval-sentences", "-1"],
+    "dynamics --tune-sentences -1": lambda p, t: _dynamics(p) + ["--tune-sentences", "-1"],
 }
 
 

@@ -1,9 +1,11 @@
-"""The demos stay runnable: their imports resolve, the fast one runs, and the
-command-line walkthrough parses."""
+"""The demos stay runnable: their imports resolve, all three Python demos run
+(the two training ones on a short schedule), and the command-line walkthrough
+parses."""
 
 import ast
 import importlib
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import spantree
+from spantree import training
 from spantree.cli import build_parser
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -45,6 +48,23 @@ def test_oracle_demo_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "splits on the seam" in proc.stdout and "welch t" in proc.stdout
+
+
+# Each training demo and a line its last stage prints.
+TRAINING_DEMOS = {"chart_anatomy.py": "exact tree", "training_dynamics.py": "spearman(t_score"}
+
+
+@pytest.mark.parametrize("name", sorted(TRAINING_DEMOS))
+def test_training_demo_runs(monkeypatch, capsys, name):
+    # 60 steps with a checkpoint every 20 instead of the demo's schedule
+    train = training.train_seq2seq
+
+    def short(*args, **kwargs):
+        return train(*args, **dict(kwargs, steps=60, checkpoint_every=20))
+
+    monkeypatch.setattr(training, "train_seq2seq", short)
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert TRAINING_DEMOS[name] in capsys.readouterr().out
 
 
 def test_cli_walkthrough_commands_parse():

@@ -162,7 +162,7 @@ def test_encode_contracts():
     m = small_model()
     with pytest.raises(ContractViolation):
         m.encode([])
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match="id 99 out of range at flat position 1"):
         m.encode([0, 99])  # out of vocab
     with pytest.raises(ContractViolation):
         m.encode(list(range(5)), mask=LayerMask.all_true(4, 2))  # wrong n
@@ -259,6 +259,31 @@ def test_greedy_decode_is_deterministic_and_stops():
     assert all(len(o) <= 6 for o in outs)
     eos = m.vocab.eos
     assert all(eos not in o for o in outs)
+
+
+# Decodes of a seeded model whose rows stop at EOS after 1, 2 and 4 tokens or
+# run to max_new, recorded from a decoder that tracked per-row done flags.
+FROZEN_SOURCES = [[5, 6, 7], [8, 9], [10, 11, 12, 5], [6], [7, 7, 9, 12, 11], [12, 10]]
+FROZEN_DECODES = [
+    [7], [0, 8, 0, 8, 0, 4, 8, 3], [7, 8, 0, 8], [7, 8], [7, 8, 0, 8, 0, 8, 0, 8],
+    [0, 8, 0, 8, 0, 4, 3, 3],
+]
+
+
+def test_greedy_decode_frozen_values():
+    m = small_model(seed=3)
+    m.params["out.b"].value[0, m.vocab.eos] += 0.5
+    assert m.greedy_decode(FROZEN_SOURCES, max_new=8) == FROZEN_DECODES
+
+
+def test_memory_rejects_all_pad_row():
+    # an all-pad row would leave cross-attention no permitted key
+    m = small_model()
+    pad = m.vocab.pad
+    with pytest.raises(ContractViolation):
+        m.memory(np.array([[5, 6], [pad, pad]]))
+    _, additive = m.memory(np.array([[5, 6], [7, pad]]))
+    assert additive[1, 0, 0].tolist() == [0.0, enc.NEG_MASK]
 
 
 def test_decode_respects_max_len_budget():
