@@ -36,6 +36,7 @@ from .numerics import (
     layer_norm,
     masked_softmax,
     matmul,
+    no_tape,
     parameter,
     permute,
     relu,
@@ -330,7 +331,8 @@ class TransformerModel:
         layer0_delta: Array | None = None,
         upto: int | None = None,
     ) -> list[Tensor]:
-        """Tape-backed per-layer states for a (B, n) id batch.
+        """Per-layer states for a (B, n) id batch, on the tape unless built
+        under ``no_tape``.
 
         ``additives[i]`` is the additive attention mask of block i, built by
         ``LayerMask.additive`` or ``memory`` so that every row keeps a
@@ -394,7 +396,8 @@ class TransformerModel:
             additives = [mask.additive(i)[None, None] for i in range(mask.layers)]
         ids = np.asarray(tokens, dtype=np.int64)[None, :]
         delta = None if layer0_delta is None else np.asarray(layer0_delta)[None]
-        states = self.encoder_states_t(ids, additives, delta)
+        with no_tape():
+            states = self.encoder_states_t(ids, additives, delta)
         return [s.value[0] for s in states]
 
     # -- decoder -----------------------------------------------------------
@@ -476,20 +479,23 @@ class TransformerModel:
 
     def greedy_decode(self, sources: list[list[int]], max_new: int) -> list[list[int]]:
         """Batched argmax decoding until EOS (ties take the lowest id)."""
-        memory, src_additive = self.memory(self._pad_sources(sources))
+        with no_tape():
+            memory, src_additive = self.memory(self._pad_sources(sources))
         return self.decode_with_memory(memory, src_additive, max_new)
 
     def decode_with_memory(
         self, memory: Tensor, cross_additive: Array, max_new: int
     ) -> list[list[int]]:
-        """Argmax decoding from BOS; each row's tokens before its first EOS."""
+        """Argmax decoding from BOS, off the tape; each row's tokens before
+        its first EOS."""
         eos = self.vocab.eos
         ys = np.full((memory.value.shape[0], 1), self.vocab.bos, dtype=np.int64)
-        for _ in range(min(max_new, self.config.max_len - 1)):
-            logits = self.decoder_logits(ys, memory, cross_additive)
-            ys = np.concatenate([ys, logits.value[:, -1:, :].argmax(axis=-1)], axis=1)
-            if (ys == eos).any(axis=1).all():
-                break
+        with no_tape():
+            for _ in range(min(max_new, self.config.max_len - 1)):
+                logits = self.decoder_logits(ys, memory, cross_additive)
+                ys = np.concatenate([ys, logits.value[:, -1:, :].argmax(axis=-1)], axis=1)
+                if (ys == eos).any(axis=1).all():
+                    break
         rows = ys[:, 1:].tolist()
         return [row[: row.index(eos)] if eos in row else row for row in rows]
 

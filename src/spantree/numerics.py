@@ -6,6 +6,12 @@ form a tape: each op records its parents and a vector-Jacobian closure, and
 ``backward`` replays the tape in reverse topological order.  A tape is pure
 given its inputs and is meant to be used from a single thread.
 
+Inference runs inside ``no_tape()``: ops there compute their values from the
+same numpy expressions but keep neither parents nor VJP closures, so no
+graph outlives the op that built it.  Chart building (``spanrep``),
+``TransformerModel.encode``, greedy decoding, masked-token accuracy and the
+probe's frozen encoder memory use it; the training loop records as usual.
+
 Attention masking is additive: forbidden logits receive ``NEG_MASK`` before
 normalization, which is negative enough that ``exp`` underflows to exactly
 0.0, so forbidden positions carry exactly zero probability and contribute
@@ -15,6 +21,8 @@ exact zeros downstream.
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,20 +56,39 @@ def _f64(x) -> Array:
 # ---------------------------------------------------------------------------
 
 
+# Whether new tensors record their parents and VJP; per thread and task.
+_taping: ContextVar[bool] = ContextVar("taping", default=True)
+
+
+@contextmanager
+def no_tape():
+    """Build tensors without recording them: inside the block every new
+    Tensor keeps only its value (no parents, no VJP) and cannot be passed to
+    ``backward``.  The previous mode is restored on exit, also on error."""
+    token = _taping.set(False)
+    try:
+        yield
+    finally:
+        _taping.reset(token)
+
+
 class Tensor:
     """One tape node: a float64 ndarray plus provenance for backprop.
 
     Leaf tensors (parameters, constants) have no parents.  ``grad`` is
-    populated by ``backward`` and mirrors ``value``'s shape.
+    populated by ``backward`` and mirrors ``value``'s shape.  A tensor built
+    under ``no_tape`` drops its parents and VJP and has ``taped`` False.
     """
 
-    __slots__ = ("value", "grad", "parents", "vjp", "name")
+    __slots__ = ("value", "grad", "parents", "vjp", "name", "taped")
 
     def __init__(self, value, parents=(), vjp=None, name: str = ""):
         self.value = _f64(value)
         self.grad: Array | None = None
-        self.parents: tuple[Tensor, ...] = tuple(parents)
-        self.vjp = vjp  # callable(grad_out) -> per-parent grads (None = no flow)
+        self.taped = taped = _taping.get()
+        self.parents: tuple[Tensor, ...] = tuple(parents) if taped else ()
+        # callable(grad_out) -> per-parent grads (None = no flow)
+        self.vjp = vjp if taped else None
         self.name = name
 
     @property
@@ -113,6 +140,8 @@ def backward(loss: Tensor, params=None) -> None:
     loss receive an explicit zero gradient so optimizers can iterate
     uniformly.
     """
+    if not loss.taped:
+        raise ContractViolation("backward: the loss was built under no_tape")
     if loss.value.size != 1:
         raise ContractViolation(
             f"backward requires a scalar loss, got shape {loss.value.shape}"
@@ -158,68 +187,64 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.value + b.value, (a, b))
-    out.vjp = lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape))
-    return out
+    return Tensor(
+        a.value + b.value,
+        (a, b),
+        lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)),
+    )
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.value - b.value, (a, b))
-    out.vjp = lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape))
-    return out
+    return Tensor(
+        a.value - b.value,
+        (a, b),
+        lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)),
+    )
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.value * b.value, (a, b))
-    out.vjp = lambda g: (
-        _unbroadcast(g * b.value, a.value.shape),
-        _unbroadcast(g * a.value, b.value.shape),
+    return Tensor(
+        a.value * b.value,
+        (a, b),
+        lambda g: (
+            _unbroadcast(g * b.value, a.value.shape),
+            _unbroadcast(g * a.value, b.value.shape),
+        ),
     )
-    return out
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.value * c, (a,))
-    out.vjp = lambda g: (g * c,)
-    return out
+    return Tensor(a.value * c, (a,), lambda g: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product: (..., m, k) @ (..., k, n)."""
-    out = Tensor(np.matmul(a.value, b.value), (a, b))
 
     def vjp(g):
         ga = np.matmul(g, b.value.swapaxes(-1, -2))
         gb = np.matmul(a.value.swapaxes(-1, -2), g)
         return _unbroadcast(ga, a.value.shape), _unbroadcast(gb, b.value.shape)
 
-    out.vjp = vjp
-    return out
+    return Tensor(np.matmul(a.value, b.value), (a, b), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.value, 0.0), (a,))
-    out.vjp = lambda g: (g * (a.value > 0.0),)
-    return out
+    return Tensor(np.maximum(a.value, 0.0), (a,), lambda g: (g * (a.value > 0.0),))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(a.value.reshape(shape), (a,))
-    out.vjp = lambda g: (g.reshape(a.value.shape),)
-    return out
+    return Tensor(a.value.reshape(shape), (a,), lambda g: (g.reshape(a.value.shape),))
 
 
 def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     inverse = tuple(np.argsort(axes))
-    out = Tensor(np.transpose(a.value, axes), (a,))
-    out.vjp = lambda g: (np.transpose(g, inverse),)
-    return out
+    return Tensor(np.transpose(a.value, axes), (a,), lambda g: (np.transpose(g, inverse),))
 
 
 def total_sum(a: Tensor) -> Tensor:
-    out = Tensor(a.value.sum(), (a,))
-    out.vjp = lambda g: (np.broadcast_to(g, a.value.shape).copy(),)
-    return out
+    return Tensor(
+        a.value.sum(), (a,), lambda g: (np.broadcast_to(g, a.value.shape).copy(),)
+    )
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -229,7 +254,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     y = xc * inv
-    out = Tensor(y * gain.value + bias.value, (x, gain, bias))
 
     def vjp(g):
         dgain = _unbroadcast(g * y, gain.value.shape)
@@ -242,8 +266,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         )
         return dx, dgain, dbias
 
-    out.vjp = vjp
-    return out
+    return Tensor(y * gain.value + bias.value, (x, gain, bias), vjp)
 
 
 def masked_softmax(scores: Tensor, additive: Array | float) -> Tensor:
@@ -261,14 +284,12 @@ def masked_softmax(scores: Tensor, additive: Array | float) -> Tensor:
     z = z - z.max(axis=-1, keepdims=True)
     p = np.exp(z)
     p = p / p.sum(axis=-1, keepdims=True)
-    out = Tensor(p, (scores,))
 
     def vjp(g):
         inner = (g * p).sum(axis=-1, keepdims=True)
         return (p * (g - inner),)
 
-    out.vjp = vjp
-    return out
+    return Tensor(p, (scores,), vjp)
 
 
 def embedding(table: Tensor, ids: Array) -> Tensor:
@@ -279,15 +300,13 @@ def embedding(table: Tensor, ids: Array) -> Tensor:
         raise ContractViolation(
             f"embedding: id {int(ids.flat[bad])} out of range at flat position {bad}"
         )
-    out = Tensor(table.value[ids], (table,))
 
     def vjp(g):
         gt = np.zeros_like(table.value)
         np.add.at(gt, ids, g)
         return (gt,)
 
-    out.vjp = vjp
-    return out
+    return Tensor(table.value[ids], (table,), vjp)
 
 
 def cross_entropy(logits: Tensor, targets: Array, weights: Array | None = None) -> Tensor:
@@ -307,7 +326,6 @@ def cross_entropy(logits: Tensor, targets: Array, weights: Array | None = None) 
     lse = np.log(np.exp(z).sum(axis=-1))
     picked = np.take_along_axis(z, targets[..., None], axis=-1)[..., 0]
     nll = lse - picked
-    out = Tensor((weights * nll).sum() / wsum, (logits,))
 
     def vjp(g):
         p = np.exp(z - lse[..., None])
@@ -315,8 +333,7 @@ def cross_entropy(logits: Tensor, targets: Array, weights: Array | None = None) 
         np.put_along_axis(p, targets[..., None], p_target - 1.0, axis=-1)
         return (p * (weights * (g / wsum))[..., None],)
 
-    out.vjp = vjp
-    return out
+    return Tensor((weights * nll).sum() / wsum, (logits,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +392,8 @@ class OptimizerState:
 
     The effective learning rate is base_lr * min(1, step_count / warmup_steps)
     <= base_lr: warmup runs linearly from zero, and the very first step (count
-    0) applies a zero learning rate.
+    0) applies a zero learning rate; ``warmup_steps`` 0 means no warmup.  The
+    learning rate, warmup and weight decay must all be >= 0.
     """
 
     base_lr: float = 1e-4
@@ -385,10 +403,17 @@ class OptimizerState:
     m: dict[str, Array] = field(default_factory=dict)
     v: dict[str, Array] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for label, value in (("learning rate", self.base_lr),
+                             ("warmup", self.warmup_steps),
+                             ("weight decay", self.weight_decay)):
+            if not value >= 0:
+                raise ContractViolation(f"{label} must be >= 0, got {value}")
+
     def effective_lr(self) -> float:
-        if self.warmup_steps <= 0:
+        if self.step_count >= self.warmup_steps:
             return self.base_lr
-        return self.base_lr * min(1.0, self.step_count / self.warmup_steps)
+        return self.base_lr * (self.step_count / self.warmup_steps)
 
 
 def optimizer_step(params: dict[str, Tensor], state: OptimizerState) -> None:

@@ -10,10 +10,12 @@ span's representation.
 
 Because the restricted part of the computation touches only span positions,
 a sentence's whole chart shares one unrestricted prefix: the full per-layer
-states are computed once and every span's tail is run from the cached layer-t
-states.  ``context_free_vector`` recomputes that prefix on every call through
-the same code path, so the cached chart and a naive per-span rebuild agree
-bit-for-bit.
+states are computed once, and the spans of each length k are gathered from
+the cached layer-t states into one (n-k+1, k, d) stack whose tails run in a
+single pass, n passes per chart rather than one per span.
+``context_free_vector`` recomputes that prefix on every call and runs the
+same tail function on a stack of one, so the chart and a naive per-span
+rebuild agree bit-for-bit.  Both run under ``no_tape``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .encoder import LayerMask, TransformerModel
 from .errors import ContractViolation
-from .numerics import Tensor, cosine_distance
+from .numerics import Tensor, cosine_distance, no_tape
 
 Array = np.ndarray
 
@@ -58,10 +60,12 @@ def _as_span(span, n: int) -> Span:
 
 
 def _pool(vectors: Array, pooling: str) -> Array:
+    """Pool over the token axis, the second to last: (k, d) -> (d,), or
+    (spans, k, d) -> (spans, d) with each row pooled as on its own."""
     if pooling == "mean":
-        return vectors.mean(axis=0)
+        return vectors.mean(axis=-2)
     if pooling == "sum":
-        return vectors.sum(axis=0)
+        return vectors.sum(axis=-2)
     raise ContractViolation(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
 
 
@@ -92,15 +96,14 @@ def contextual_span_vector(states, span, pooling: str = "mean") -> Array:
     return _pool(final[span.start : span.end + 1], pooling)
 
 
-def _span_tail(
-    model: TransformerModel, prefix: Array, span: Span, t: int, pooling: str
-) -> Array:
-    """Run layers t..L-1 on the span's slice of the cached layer-t states."""
-    x = Tensor(prefix[:, span.start : span.end + 1, :])
+def _span_tails(model: TransformerModel, stack: Array, t: int) -> Array:
+    """Final states of a (spans, k, d) stack of equal-length spans' layer-t
+    states after layers t..L-1 and the final norm, each span attending only
+    within itself."""
+    x = Tensor(stack)
     for layer in range(t, model.config.enc_layers):
         x = model.encoder_block(layer, x, 0.0)
-    x = model.final_norm(x)
-    return _pool(x.value[0], pooling)
+    return model.final_norm(x).value
 
 
 def context_free_vector(
@@ -121,8 +124,10 @@ def context_free_vector(
     if not 0 <= t <= model.config.enc_layers:
         raise ContractViolation(f"threshold {t} outside [0, {model.config.enc_layers}]")
     ids = np.asarray(tokens, dtype=np.int64)[None, :]
-    prefix = model.encoder_states_t(ids, None, upto=t)[-1].value
-    return _span_tail(model, prefix, span, t, pooling)
+    with no_tape():
+        prefix = model.encoder_states_t(ids, None, upto=t)[-1].value
+        tail = _span_tails(model, prefix[:, span.start : span.end + 1], t)
+    return _pool(tail, pooling)[0]
 
 
 @dataclass
@@ -182,11 +187,12 @@ def build_sci_chart(
 ) -> SciChart:
     """SCI for every span of one sentence, sharing the unrestricted prefix.
 
-    The full per-layer states are computed once; each span's context-free
-    tail runs on its slice of the cached layer-t states, so per-span work is
-    O((L-t) * |span|^2 * d) rather than a full re-encode.  ``contextual_mask``
-    optionally restricts the *contextual* side's encode (used by the
-    synthetic two-segment analyses); the context-free side always uses the
+    The full per-layer states are computed once; for each length k the
+    context-free tails of all n-k+1 spans run as one stack gathered from the
+    cached layer-t states, so per-span work is O((L-t) * |span|^2 * d) rather
+    than a full re-encode, in n tail passes.  ``contextual_mask`` optionally
+    restricts the *contextual* side's encode (used by the synthetic
+    two-segment analyses); the context-free side always uses the
     unrestricted prefix.
     """
     tokens = list(tokens)
@@ -197,19 +203,20 @@ def build_sci_chart(
     if not 0 <= t <= layers:
         raise ContractViolation(f"threshold {t} outside [0, {layers}]")
     ids = np.asarray(tokens, dtype=np.int64)[None, :]
-    raw = model.encoder_states_t(ids, None, upto=layers)
-    prefix = raw[t].value
-    if contextual_mask is None:
-        final = model.final_norm(raw[layers]).value[0]
-    else:
-        final = model.encode(tokens, contextual_mask)[-1]
     values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            span = Span(i, j)
-            contextual = _pool(final[i : j + 1], pooling)
-            context_free = _span_tail(model, prefix, span, t, pooling)
-            values[i, j] = cosine_distance(contextual, context_free)
+    with no_tape():
+        raw = model.encoder_states_t(ids, None, upto=layers)
+        prefix = raw[t].value[0]
+        if contextual_mask is None:
+            final = model.final_norm(raw[layers]).value[0]
+        else:
+            final = model.encode(tokens, contextual_mask)[-1]
+        for k in range(1, n + 1):
+            windows = np.arange(n - k + 1)[:, None] + np.arange(k)
+            contextual = _pool(final[windows], pooling)
+            context_free = _pool(_span_tails(model, prefix[windows], t), pooling)
+            for i in range(n - k + 1):
+                values[i, i + k - 1] = cosine_distance(contextual[i], context_free[i])
     return SciChart(
         n=n,
         threshold=t,

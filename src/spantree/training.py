@@ -29,9 +29,9 @@ from .encoder import EncoderConfig, TransformerModel, save_checkpoint
 from .errors import ContractViolation, TrainingDiverged
 from .numerics import (
     OptimizerState,
-    Tensor,
     backward,
     cross_entropy,
+    no_tape,
     optimizer_step,
 )
 
@@ -74,8 +74,6 @@ def _updates(model: TransformerModel, state: OptimizerState, batch_loss, batches
         raise ContractViolation(f"steps must be >= 0, got {steps}")
     if batch_size < 1:
         raise ContractViolation(f"batch_size must be >= 1, got {batch_size}")
-    if not state.base_lr >= 0:
-        raise ContractViolation(f"learning rate must be >= 0, got {state.base_lr}")
     yield 0, None
     params = list(model.params.values())
     for step in range(1, steps + 1):
@@ -241,7 +239,8 @@ def masked_prediction_accuracy(
         masked, original, loss_mask = make_mlm_batch(
             rng, usable[lo : lo + EVAL_CHUNK], model.vocab, EVAL_MASK_FRAC
         )
-        final, _ = model.memory(masked)
+        with no_tape():
+            final, _ = model.memory(masked)
         logits = final.value @ model.params["mlm.w"].value + model.params["mlm.b"].value
         pred = logits.argmax(axis=-1)
         hit += int(((pred == original) & (loss_mask > 0)).sum())
@@ -318,9 +317,10 @@ def probe_vocab_for(vocab: Vocab) -> Vocab:
 
 
 def _frozen_memory(encoder: TransformerModel, sources: list[list[int]]):
-    """Final encoder states with gradients cut, plus the cross-attention mask."""
-    memory, additive = encoder.memory(encoder._pad_sources(sources))
-    return Tensor(memory.value), additive
+    """Final encoder states built off the tape, so no gradient reaches the
+    encoder, plus the cross-attention mask."""
+    with no_tape():
+        return encoder.memory(encoder._pad_sources(sources))
 
 
 def predicted_tree(decoded_tokens: list[str], n_leaves: int):

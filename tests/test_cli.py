@@ -358,14 +358,15 @@ MANIFEST_CORRUPTIONS = {
 }
 
 
-def assert_clean_error(argv):
-    """``python -m spantree argv`` exits 1 with an error line and no traceback."""
+def assert_clean_error(argv, code=1, prefix="error:"):
+    """``python -m spantree argv`` exits ``code`` with a line starting with
+    ``prefix`` and no traceback."""
     proc = subprocess.run(
         [sys.executable, "-m", "spantree", *argv],
         capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 1, proc.stderr
-    assert any(line.startswith("error:") for line in proc.stderr.splitlines()), proc.stderr
+    assert proc.returncode == code, proc.stderr
+    assert any(line.startswith(prefix) for line in proc.stderr.splitlines()), proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -443,6 +444,8 @@ BAD_INPUTS = {
     "probe --batch-size -2": lambda p, t: _probe(p, t) + ["--batch-size", "-2"],
     "train --eval-limit -1": lambda p, t: _train(p, t) + ["--eval-limit", "-1"],
     "train --lr -1": lambda p, t: _train(p, t) + ["--lr", "-1"],
+    "train --warmup -5": lambda p, t: _train(p, t) + ["--warmup", "-5"],
+    "train --weight-decay -5": lambda p, t: _train(p, t) + ["--weight-decay", "-5"],
     "train-mlm --mask-frac 0": lambda p, t: _train(p, t, "train-mlm") + ["--mask-frac", "0"],
     "train-mlm --mask-frac 2": lambda p, t: _train(p, t, "train-mlm") + ["--mask-frac", "2"],
     "gen-data --alphabet 0": lambda p, t: _gen_data(t) + ["--alphabet", "0"],
@@ -461,6 +464,42 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_a_clean_error(pipeline, tmp_path, case):
     assert_clean_error(BAD_INPUTS[case](pipeline, tmp_path))
+
+
+def _chart_with_blob(edit):
+    """``chart`` on a copy of the pipeline checkpoint whose data.bin ``edit`` changed."""
+
+    def argv(pipeline, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(pipeline["ckpt"], ckpt)
+        edit(ckpt / "data.bin")
+        return ["chart", "--checkpoint", str(ckpt), "--sentence", "A1 B1"]
+
+    return argv
+
+
+def _four_column_tsv(pipeline, tmp_path):
+    path = tmp_path / "in.tsv"
+    path.write_text("A1 B1\tA1 B1\t(A1 B1)\textra\n", encoding="utf-8")
+    return ["chart", "--checkpoint", pipeline["ckpt"], "--input", str(path)]
+
+
+# Each case: (argv builder, exit code, first word of the error line).
+CORRUPT_FILES = {
+    "data.bin missing": (_chart_with_blob(lambda blob: blob.unlink()), 2, "io error:"),
+    "data.bin truncated": (
+        _chart_with_blob(lambda blob: blob.write_bytes(blob.read_bytes()[:-8])), 1, "error:"),
+    "data.bin oversized": (
+        _chart_with_blob(lambda blob: blob.write_bytes(blob.read_bytes() + bytes(8))), 1,
+        "error:"),
+    "--input TSV with 4 columns": (_four_column_tsv, 1, "error:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_FILES))
+def test_corrupt_file_is_a_clean_error(pipeline, tmp_path, case):
+    build, code, prefix = CORRUPT_FILES[case]
+    assert_clean_error(build(pipeline, tmp_path), code, prefix)
 
 
 def test_module_entry_point():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spantree import encoder as enc
+from spantree import numerics as nm
 from spantree.datasets import RESERVED, Vocab
 from spantree.encoder import (
     EncoderConfig,
@@ -15,6 +16,8 @@ from spantree.encoder import (
     save_checkpoint,
 )
 from spantree.errors import CheckpointError, ContractViolation
+from spantree.spanrep import build_sci_chart
+from spantree.training import masked_prediction_accuracy
 
 
 def small_vocab(extra=8):
@@ -284,6 +287,27 @@ def test_memory_rejects_all_pad_row():
         m.memory(np.array([[5, 6], [pad, pad]]))
     _, additive = m.memory(np.array([[5, 6], [7, pad]]))
     assert additive[1, 0, 0].tolist() == [0.0, enc.NEG_MASK]
+
+
+def test_inference_records_no_tape(monkeypatch):
+    # encode, decoding, charts and masked-token accuracy run under no_tape, so
+    # no tensor they build keeps a parent; a training loss still records
+    has_parents = []
+    init = nm.Tensor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        has_parents.append(bool(self.parents))
+
+    monkeypatch.setattr(nm.Tensor, "__init__", recording_init)
+    m = small_model()
+    m.encode([5, 6, 7])
+    m.greedy_decode([[5, 6, 7], [8, 9]], max_new=4)
+    build_sci_chart(m, [5, 6, 7, 8], t=1)
+    masked_prediction_accuracy(small_model("mlm"), [[5, 6, 7], [8, 9, 10]])
+    assert has_parents and not any(has_parents)
+    m.seq2seq_loss([([5, 6], [7])])
+    assert any(has_parents)
 
 
 def test_decode_respects_max_len_budget():

@@ -202,6 +202,55 @@ def test_backward_accumulates_fanout():
 
 
 # ---------------------------------------------------------------------------
+# tape-free mode
+# ---------------------------------------------------------------------------
+
+
+def composite(a, b):
+    h = nm.layer_norm(nm.relu(nm.matmul(a, b)), nm.constant(np.ones(3)), nm.constant(np.zeros(3)))
+    p = nm.masked_softmax(nm.scale(h, 0.5), 0.0)
+    return nm.permute(nm.reshape(nm.add(p, h), (3, 3)), (1, 0))
+
+
+def test_no_tape_keeps_values_only():
+    rng = np.random.default_rng(3)
+    a = nm.parameter(rng.standard_normal((3, 4)))
+    b = nm.parameter(rng.standard_normal((4, 3)))
+    recorded = composite(a, b)
+    with nm.no_tape():
+        bare = composite(a, b)
+        loss = nm.cross_entropy(bare, np.array([0, 1, 2]))
+    assert np.array_equal(bare.value, recorded.value)
+    assert recorded.parents and recorded.vjp is not None and recorded.taped
+    for out in (bare, loss):
+        assert out.parents == () and out.vjp is None and not out.taped
+
+
+def test_backward_rejects_tensor_built_without_tape():
+    a = nm.parameter(np.ones(3))
+    with nm.no_tape():
+        loss = nm.total_sum(a)
+    with pytest.raises(ContractViolation, match="no_tape"):
+        nm.backward(loss, [a])
+    assert a.grad is None
+
+
+def test_no_tape_restores_recording_on_exit_and_on_error():
+    a = nm.parameter(np.ones(3))
+    with nm.no_tape():
+        with nm.no_tape():
+            pass
+        assert not nm.total_sum(a).taped  # a nested block leaves the outer one off
+    assert nm.total_sum(a).parents == (a,)
+    with pytest.raises(RuntimeError):
+        with nm.no_tape():
+            raise RuntimeError("boom")
+    loss = nm.total_sum(a)
+    nm.backward(loss, [a])
+    assert loss.taped and np.array_equal(a.grad, np.ones(3))
+
+
+# ---------------------------------------------------------------------------
 # masked softmax semantics
 # ---------------------------------------------------------------------------
 

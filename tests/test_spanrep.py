@@ -21,10 +21,10 @@ from spantree.spanrep import (
 )
 
 
-def make_model(layers=2, d=8, seed=0, max_len=16):
+def make_model(layers=2, d=8, seed=0, max_len=16, heads=2, d_ff=16):
     vocab = Vocab([f"t{i}" for i in range(10)])
     config = EncoderConfig(
-        enc_layers=layers, dec_layers=1, heads=2, d_model=d, d_ff=16,
+        enc_layers=layers, dec_layers=1, heads=heads, d_model=d, d_ff=d_ff,
         vocab_size=len(vocab), max_len=max_len,
     )
     return TransformerModel(config, vocab, task="seq2seq", rng=seed)
@@ -194,6 +194,16 @@ def test_chart_matches_naive_rebuild_bit_exact():
             chart = build_sci_chart(m, tokens, t)
             oracle = naive_chart(m, tokens, t)
             assert np.array_equal(chart.values, oracle)
+    # the chart stacks up to n-k+1 spans per tail pass; at the benchmark's
+    # architecture and sentence lengths that must still give per-span bits
+    bench = make_model(layers=2, d=32, max_len=40, heads=4, d_ff=128)
+    for n in (17, 33, 40):
+        tokens = rng.integers(5, 15, size=n).tolist()
+        for t in range(0, 3):
+            for pooling in spanrep.POOLINGS:
+                chart = build_sci_chart(bench, tokens, t, pooling=pooling)
+                oracle = naive_chart(bench, tokens, t, pooling)
+                assert np.array_equal(chart.values, oracle)
 
 
 def test_chart_t_equals_l_is_all_zero():
