@@ -11,6 +11,16 @@ slicing layer-0 states.
 plus positions, index L is the last block's output after the final layer
 norm.  All analysis code reads span vectors off these states.
 
+Greedy decoding is incremental.  Each step feeds only the newest token of
+each live row (a row leaves the live set once it emits EOS), and a
+``DecoderCache`` holds per decoder layer the cross-attention keys and values,
+projected once per decode from the memory, and the self-attention keys and
+values of every position fed so far.  Retiring rows keeps the remaining
+rows' bits; computing one query row at a time instead of the whole prefix
+moves logits by rounding only (about 1e-15 relative), and decoded tokens
+match a full-prefix decode.  Teacher-forced training runs the full prefix
+without a cache.
+
 Checkpoints are directories holding ``manifest.json`` (config, vocab, step,
 tensor names and shapes) and ``data.bin`` (the tensors' raw little-endian
 float64 bytes concatenated in manifest order), reloading bit-exactly.
@@ -282,18 +292,28 @@ class TransformerModel:
     def _ln(self, x: Tensor, prefix: str) -> Tensor:
         return layer_norm(x, self._p(f"{prefix}.g"), self._p(f"{prefix}.b"))
 
-    def _attention(self, prefix: str, xq: Tensor, xkv: Tensor, additive: Array | float) -> Tensor:
-        """Multi-head attention; ``additive`` broadcasts to (B, h, nq, nk)."""
+    def _heads(self, x: Tensor) -> Tensor:
+        """(B, n, d) -> (B, h, n, d / h)."""
         cfg = self.config
-        h, dh = cfg.heads, cfg.d_model // cfg.heads
-        bq, nq = xq.value.shape[0], xq.value.shape[1]
-        nk = xkv.value.shape[1]
-        q = self._affine(xq, f"{prefix}.wq", f"{prefix}.bq")
+        bsz, n = x.value.shape[0], x.value.shape[1]
+        return permute(reshape(x, (bsz, n, cfg.heads, cfg.d_model // cfg.heads)), (0, 2, 1, 3))
+
+    def _keys_values(self, prefix: str, xkv: Tensor) -> tuple[Tensor, Tensor]:
+        """Head-split attention keys and values (B, h, nk, dh) of ``xkv``."""
         k = self._affine(xkv, f"{prefix}.wk", f"{prefix}.bk")
         v = self._affine(xkv, f"{prefix}.wv", f"{prefix}.bv")
-        q = permute(reshape(q, (bq, nq, h, dh)), (0, 2, 1, 3))
-        k = permute(reshape(k, (bq, nk, h, dh)), (0, 2, 1, 3))
-        v = permute(reshape(v, (bq, nk, h, dh)), (0, 2, 1, 3))
+        return self._heads(k), self._heads(v)
+
+    def _attention(
+        self, prefix: str, xq: Tensor, kv: tuple[Tensor, Tensor], additive: Array | float
+    ) -> Tensor:
+        """Multi-head attention of ``xq`` over keys and values from
+        ``_keys_values``; ``additive`` broadcasts to (B, h, nq, nk)."""
+        cfg = self.config
+        bq, nq = xq.value.shape[0], xq.value.shape[1]
+        dh = cfg.d_model // cfg.heads
+        q = self._heads(self._affine(xq, f"{prefix}.wq", f"{prefix}.bq"))
+        k, v = kv
         scores = scale(matmul(q, permute(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
         probs = masked_softmax(scores, additive)
         ctx = matmul(probs, v)
@@ -306,7 +326,8 @@ class TransformerModel:
 
     def encoder_block(self, i: int, x: Tensor, additive: Array | float) -> Tensor:
         h = self._ln(x, f"enc.{i}.ln1")
-        x = add(x, self._attention(f"enc.{i}.attn", h, h, additive))
+        kv = self._keys_values(f"enc.{i}.attn", h)
+        x = add(x, self._attention(f"enc.{i}.attn", h, kv, additive))
         x = add(x, self._ff(f"enc.{i}.ff", self._ln(x, f"enc.{i}.ln2")))
         return x
 
@@ -402,27 +423,59 @@ class TransformerModel:
 
     # -- decoder -----------------------------------------------------------
 
-    def decoder_logits(self, tgt_ids: Array, memory: Tensor, cross_additive: Array) -> Tensor:
+    def decoder_logits(
+        self,
+        tgt_ids: Array,
+        memory: Tensor,
+        cross_additive: Array,
+        cache: DecoderCache | None = None,
+    ) -> Tensor:
         """Next-token logits (B, nt, V) for a (B, nt) target-id batch.
 
         ``memory`` and ``cross_additive`` are what ``TransformerModel.memory``
         returns, whose pad mask keeps a permitted key in every row; causal
         self-attention always permits the diagonal.
+
+        Without ``cache`` the ids are a whole prefix from position 0, as in
+        teacher-forced training.  With a ``DecoderCache`` they are the tokens
+        at positions ``cache.offset`` onward (one per live row while
+        decoding): each layer's cross-attention reads the keys and values the
+        cache projected from ``memory`` on its first call, and self-attention
+        attends over the cached keys and values plus the new ones, which are
+        appended.  Only the new positions are computed.  A product over fewer
+        query rows may round differently in BLAS, so cached logits can differ
+        from the full-prefix ones by rounding (about 1e-15 relative).
         """
         cfg = self.config
         tgt_ids = np.asarray(tgt_ids)
         bsz, nt = tgt_ids.shape
-        if nt > cfg.max_len:
-            raise ContractViolation(f"target length {nt} exceeds max_len")
+        offset = 0 if cache is None else cache.offset
+        if offset + nt > cfg.max_len:
+            raise ContractViolation(f"target length {offset + nt} exceeds max_len")
         x = scale(embedding(self._p("dec.emb"), tgt_ids), math.sqrt(cfg.d_model))
-        x = add(x, Tensor(self.positions[:nt]))
-        causal = np.triu(np.full((nt, nt), NEG_MASK), k=1)[None, None]
+        if cache is not None and x.taped:
+            raise ContractViolation("decoder_logits: a cache holds values only; use no_tape")
+        x = add(x, Tensor(self.positions[offset : offset + nt]))
+        # a single query row may see every key so far; no mask needed
+        causal = (0.0 if nt == 1 else
+                  np.triu(np.full((nt, offset + nt), NEG_MASK), k=offset + 1)[None, None])
+        if cache is not None and not cache.cross:
+            cache.cross = [
+                self._keys_values(f"dec.{i}.cross", memory) for i in range(cfg.dec_layers)
+            ]
         for i in range(cfg.dec_layers):
             h = self._ln(x, f"dec.{i}.ln1")
-            x = add(x, self._attention(f"dec.{i}.self", h, h, causal))
+            kv = self._keys_values(f"dec.{i}.self", h)
+            if cache is not None:
+                kv = cache.extend(i, kv)
+            x = add(x, self._attention(f"dec.{i}.self", h, kv, causal))
+            cross = (self._keys_values(f"dec.{i}.cross", memory) if cache is None
+                     else cache.cross[i])
             x = add(x, self._attention(f"dec.{i}.cross", self._ln(x, f"dec.{i}.ln2"),
-                                       memory, cross_additive))
+                                       cross, cross_additive))
             x = add(x, self._ff(f"dec.{i}.ff", self._ln(x, f"dec.{i}.ln3")))
+        if cache is not None:
+            cache.offset += nt
         x = self._ln(x, "dec.ln_f")
         return self._affine(x, "out.w", "out.b")
 
@@ -487,17 +540,70 @@ class TransformerModel:
         self, memory: Tensor, cross_additive: Array, max_new: int
     ) -> list[list[int]]:
         """Argmax decoding from BOS, off the tape; each row's tokens before
-        its first EOS."""
+        its first EOS.
+
+        Each step feeds only the newest token of each live row through
+        ``decoder_logits`` with a ``DecoderCache``.  A row that emits EOS
+        leaves the live set: its memory, mask and cache rows are dropped, and
+        since a stacked matmul computes each batch item on its own, the rows
+        that remain keep their exact bits.
+        """
         eos = self.vocab.eos
-        ys = np.full((memory.value.shape[0], 1), self.vocab.bos, dtype=np.int64)
+        steps = min(max_new, self.config.max_len - 1)
+        tokens = np.full((memory.value.shape[0], steps), eos, dtype=np.int64)
+        live = np.arange(memory.value.shape[0])
+        last = np.full((live.size, 1), self.vocab.bos, dtype=np.int64)
+        cache = DecoderCache()
         with no_tape():
-            for _ in range(min(max_new, self.config.max_len - 1)):
-                logits = self.decoder_logits(ys, memory, cross_additive)
-                ys = np.concatenate([ys, logits.value[:, -1:, :].argmax(axis=-1)], axis=1)
-                if (ys == eos).any(axis=1).all():
-                    break
-        rows = ys[:, 1:].tolist()
+            for step in range(steps):
+                logits = self.decoder_logits(last, memory, cross_additive, cache)
+                last = logits.value[:, -1:, :].argmax(axis=-1)
+                tokens[live, step] = last[:, 0]
+                going = last[:, 0] != eos
+                if not going.all():
+                    if not going.any():
+                        break
+                    keep = np.flatnonzero(going)
+                    live, last = live[keep], last[keep]
+                    memory, cross_additive = Tensor(memory.value[keep]), cross_additive[keep]
+                    cache.keep(keep)
+        rows = tokens.tolist()
         return [row[: row.index(eos)] if eos in row else row for row in rows]
+
+
+class DecoderCache:
+    """What an incremental decode has computed so far, per decoder layer:
+    cross-attention keys and values projected once from the memory, and
+    self-attention keys and values of the ``offset`` positions fed so far.
+    Every array is (B, h, n, dh) over the decode's live rows; values only,
+    since decoding runs under ``no_tape``."""
+
+    def __init__(self):
+        self.offset = 0
+        self.cross: list[tuple[Tensor, Tensor]] = []
+        self.past: list[tuple[Tensor, Tensor]] = []
+
+    def extend(self, layer: int, kv: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
+        """Append one layer's new self-attention keys and values along the
+        position axis and return the whole cached run."""
+        if layer < len(self.past):
+            kv = tuple(
+                Tensor(np.concatenate([old.value, new.value], axis=2))
+                for old, new in zip(self.past[layer], kv)
+            )
+            self.past[layer] = kv
+        else:
+            self.past.append(kv)
+        return kv
+
+    def keep(self, rows: Array) -> None:
+        """Drop every row not listed in ``rows``."""
+
+        def pick(kv):
+            return tuple(Tensor(t.value[rows]) for t in kv)
+
+        self.cross = [pick(kv) for kv in self.cross]
+        self.past = [pick(kv) for kv in self.past]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ sentences, how far the model's bare-span ("context-free") vector sits from
 the analytic best single vector for that span's contextual occurrences.  The
 dynamics report sweeps a checkpoint series, projecting trees from SCI charts
 at each checkpoint and correlating tree-structuredness with training step
-and generalization accuracy.
+and generalization accuracy.  Those correlations (``rho_cg_*``) compare
+checkpoints of one training run; they are not the paper's comparison of
+tree-structuredness across separately trained models.
 
 Every sampling decision draws from generators seeded by the run seed only,
 never by the checkpoint step, so identical weights always produce identical
@@ -171,8 +173,8 @@ def perturbation_analysis(
     """
     if len(sentences) != len(sentence_trees):
         raise ContractViolation("sentences and trees differ in length")
-    if sigma2 < 0:
-        raise ContractViolation("sigma2 must be >= 0")
+    if not (math.isfinite(sigma2) and sigma2 >= 0):
+        raise ContractViolation(f"sigma2 must be finite and >= 0, got {sigma2}")
     if pairs < 2:
         raise ContractViolation(f"pairs must be >= 2 for a t-test, got {pairs}")
     if masks is None:
@@ -483,7 +485,9 @@ def dynamics_report(
     t per checkpoint on a train-split slice.  ``probe_steps`` > 0 trains a
     fresh bracketing probe per checkpoint for p_parseval (expensive, off by
     default).  Correlations: each metric against step, and against cg
-    accuracy (the generalization comparison).
+    accuracy.  ``rho_cg_*`` ranks the checkpoints of this one run against
+    each other; it is not the paper's comparison across separately trained
+    models.
     """
     if len(series) < 3:
         raise ContractViolation("dynamics_report needs >= 3 checkpoints")

@@ -21,6 +21,7 @@ exact zeros downstream.
 from __future__ import annotations
 
 import logging
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -352,7 +353,7 @@ def reset_degenerate_warning() -> None:
 
 
 def cosine_distance(x: Array, y: Array) -> float:
-    """1 - x.y / (|x||y|), clamped to [0, 2].
+    """1 - x.y / (|x||y|) of two 1-d vectors of one length, clamped to [0, 2].
 
     Identical inputs return exactly 0.0.  If either norm falls below 1e-12
     the distance is 1.0 by convention (logged once per process).  A NaN or
@@ -360,24 +361,25 @@ def cosine_distance(x: Array, y: Array) -> float:
     ContractViolation rather than yielding a plausible distance.
     """
     global _degenerate_warned
-    x = _f64(x).ravel()
-    y = _f64(y).ravel()
-    if x.shape != y.shape:
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or x.shape != y.shape:
         raise ContractViolation(
-            f"cosine_distance: length mismatch {x.shape} vs {y.shape}"
+            f"cosine_distance: needs two vectors of one length, got {x.shape} and {y.shape}"
         )
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if not (np.isfinite(nx) and np.isfinite(ny)):
+    # the same bits as np.linalg.norm, without its wrapper's per-call cost
+    nx = math.sqrt(x.dot(x))
+    ny = math.sqrt(y.dot(y))
+    if not (math.isfinite(nx) and math.isfinite(ny)):
         raise ContractViolation(f"cosine_distance: non-finite input (norms {nx}, {ny})")
     if nx < DEGENERATE_NORM or ny < DEGENERATE_NORM:
         if not _degenerate_warned:
             log.warning("cosine_distance: near-zero norm, returning 1.0 by convention")
             _degenerate_warned = True
         return 1.0
-    if np.array_equal(x, y):
+    if (x == y).all():
         return 0.0
-    d = 1.0 - float(np.dot(x, y)) / (nx * ny)
+    d = 1.0 - float(x.dot(y)) / (nx * ny)
     return min(2.0, max(0.0, d))
 
 

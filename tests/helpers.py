@@ -1,8 +1,11 @@
-"""Shared test utilities: finite-difference gradient checking.
+"""Shared test utilities: finite-difference gradient checking and a
+full-prefix greedy decoder.
 
 The FD harness is deliberately independent of the autodiff engine: it only
 calls forward passes on fresh graphs, so agreement with backward() is a real
-two-route check, not a tautology.
+two-route check, not a tautology.  The decoder is the oracle for the
+package's incremental one: it recomputes every row's whole prefix at every
+step, finished rows included, and shares no cache with it.
 """
 
 import numpy as np
@@ -65,3 +68,19 @@ def kink_free(rng, shape, low=0.3, high=1.0):
     mag = rng.uniform(low, high, size=shape)
     sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
     return mag * sign
+
+
+def full_prefix_greedy(model, memory, cross_additive, max_new):
+    """Argmax decoding from BOS that reruns ``decoder_logits`` over the whole
+    (B, step + 1) prefix of every row at each step, until every row has
+    emitted EOS; each row's tokens before its first EOS."""
+    eos = model.vocab.eos
+    ys = np.full((memory.value.shape[0], 1), model.vocab.bos, dtype=np.int64)
+    with nm.no_tape():
+        for _ in range(min(max_new, model.config.max_len - 1)):
+            logits = model.decoder_logits(ys, memory, cross_additive)
+            ys = np.concatenate([ys, logits.value[:, -1:, :].argmax(axis=-1)], axis=1)
+            if (ys == eos).any(axis=1).all():
+                break
+    rows = ys[:, 1:].tolist()
+    return [row[: row.index(eos)] if eos in row else row for row in rows]

@@ -452,6 +452,9 @@ BAD_INPUTS = {
     "gen-data --val-frac -0.5": lambda p, t: _gen_data(t) + ["--val-frac", "-0.5"],
     "perturb --pairs -1": lambda p, t: _analysis(p, t, "perturb") + ["--pairs", "-1"],
     "perturb --sentences -1": lambda p, t: _analysis(p, t, "perturb") + ["--sentences", "-1"],
+    # NaN passed a plain `< 0` check and wrote zero deltas; inf wrote NaN
+    "perturb --sigma2 nan": lambda p, t: _analysis(p, t, "perturb") + ["--sigma2", "nan"],
+    "perturb --sigma2 inf": lambda p, t: _analysis(p, t, "perturb") + ["--sigma2", "inf"],
     "gap --span-samples -1": lambda p, t: _analysis(p, t, "gap") + ["--span-samples", "-1"],
     "gap --sentences -2": lambda p, t: _analysis(p, t, "gap") + ["--sentences", "-2"],
     "dynamics --eval-limit -1": lambda p, t: _dynamics(p) + ["--eval-limit", "-1"],

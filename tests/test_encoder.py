@@ -17,7 +17,9 @@ from spantree.encoder import (
 )
 from spantree.errors import CheckpointError, ContractViolation
 from spantree.spanrep import build_sci_chart
-from spantree.training import masked_prediction_accuracy
+from spantree.training import _frozen_memory, masked_prediction_accuracy
+
+from helpers import full_prefix_greedy
 
 
 def small_vocab(extra=8):
@@ -277,6 +279,97 @@ def test_greedy_decode_frozen_values():
     m = small_model(seed=3)
     m.params["out.b"].value[0, m.vocab.eos] += 0.5
     assert m.greedy_decode(FROZEN_SOURCES, max_new=8) == FROZEN_DECODES
+
+
+# The small test architecture with two decoder layers, and the benchmark's.
+DECODE_ARCHS = {
+    "small": dict(heads=2, d_model=8, d_ff=16, dec_layers=2),
+    "bench": dict(heads=4, d_model=32, d_ff=128, dec_layers=1),
+}
+
+
+def decode_model(arch, seed, eos_bias, task="seq2seq", vocab=None):
+    """A seeded model with max_len 12 whose EOS logit is raised by
+    ``eos_bias``, which varies how soon rows stop."""
+    vocab = vocab or small_vocab()
+    config = EncoderConfig(enc_layers=2, vocab_size=len(vocab), max_len=12,
+                           **DECODE_ARCHS[arch])
+    m = TransformerModel(config, vocab, task=task, rng=seed)
+    m.params["out.b"].value[0, vocab.eos] += eos_bias
+    return m
+
+
+def mixed_sources(seed, count=12):
+    # lengths 1-8 in one batch, so every batch is padded
+    rng = np.random.default_rng(seed)
+    return [rng.integers(5, 12, size=int(rng.integers(1, 9))).tolist() for _ in range(count)]
+
+
+@pytest.mark.parametrize("arch", sorted(DECODE_ARCHS))
+def test_greedy_decode_matches_full_prefix_oracle(arch):
+    # max_new 6 stops rows at max_new, max_new 50 at the max_len - 1 budget
+    lengths = {6: set(), 50: set()}
+    for seed in range(4):
+        for eos_bias in (0.0, 0.5, 1.0, 1.5, 2.0):
+            m = decode_model(arch, seed, eos_bias)
+            sources = mixed_sources(seed)
+            with nm.no_tape():
+                memory, additive = m.memory(m._pad_sources(sources))
+            for max_new in lengths:
+                outs = m.greedy_decode(sources, max_new)
+                assert outs == full_prefix_greedy(m, memory, additive, max_new)
+                lengths[max_new].update(len(o) for o in outs)
+    budget = m.config.max_len - 1
+    # rows that stop at step 1, rows that stop midway, rows that hit the limit
+    for limit, seen in ((6, lengths[6]), (budget, lengths[50])):
+        assert {0, limit} <= seen and seen & set(range(1, limit)), (limit, seen)
+
+
+@pytest.mark.parametrize("arch", sorted(DECODE_ARCHS))
+def test_probe_decode_matches_full_prefix_oracle(arch):
+    # a probe decodes from an encoder's frozen memory, as evaluate_probe does
+    lengths = set()
+    for seed in range(4):
+        encoder = decode_model(arch, seed, 0.0)
+        for eos_bias in (0.0, 1.0, 2.0):
+            probe = decode_model(arch, seed + 10, eos_bias, task="probe",
+                                 vocab=encoder.vocab)
+            memory, additive = _frozen_memory(encoder, mixed_sources(seed))
+            outs = probe.decode_with_memory(memory, additive, 50)
+            assert outs == full_prefix_greedy(probe, memory, additive, 50)
+            lengths.update(len(o) for o in outs)
+    assert len(lengths) > 2, lengths
+
+
+@pytest.mark.parametrize("arch", sorted(DECODE_ARCHS))
+def test_cached_step_logits_match_full_prefix(arch):
+    # each cached step computes one position per row; its logits equal the
+    # last row of a full-prefix call up to rounding, also after rows retire
+    m = decode_model(arch, 0, 0.0)
+    with nm.no_tape():
+        memory, additive = m.memory(m._pad_sources(mixed_sources(0, count=6)))
+        ys = np.full((6, 1), m.vocab.bos, dtype=np.int64)
+        cache = enc.DecoderCache()
+        for step in range(m.config.max_len):
+            if step == 4:
+                keep = np.array([0, 2, 5])
+                ys, additive = ys[keep], additive[keep]
+                memory = nm.Tensor(memory.value[keep])
+                cache.keep(keep)
+            cached = m.decoder_logits(ys[:, -1:], memory, additive, cache)
+            full = m.decoder_logits(ys, memory, additive)
+            assert cached.value.shape == (ys.shape[0], 1, len(m.vocab))
+            assert not cached.taped and cache.offset == step + 1
+            last = full.value[:, -1]
+            assert np.abs(cached.value[:, 0] - last).max() <= 1e-12 * np.abs(last).max()
+            ys = np.concatenate([ys, last.argmax(axis=-1)[:, None]], axis=1)
+        # the cache has used every position max_len allows
+        with pytest.raises(ContractViolation):
+            m.decoder_logits(ys[:, -1:], memory, additive, cache)
+    # a cache keeps values only, so it is refused while the tape records
+    with pytest.raises(ContractViolation, match="no_tape"):
+        m.decoder_logits(ys[:, :1], memory, additive, enc.DecoderCache())
+    assert m.seq2seq_loss([([5, 6], [7])]).taped
 
 
 def test_memory_rejects_all_pad_row():

@@ -343,6 +343,8 @@ def test_cosine_distance_degenerate_norm_convention(caplog):
 def test_cosine_distance_shape_mismatch():
     with pytest.raises(ContractViolation):
         nm.cosine_distance(np.ones(3), np.ones(4))
+    with pytest.raises(ContractViolation):
+        nm.cosine_distance(np.ones((2, 2)), np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
