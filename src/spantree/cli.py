@@ -6,8 +6,9 @@ train the bracketing probe, and run the perturbation / span-gap / dynamics
 analyses.  Settings resolve in three layers: built-in defaults, then a flat
 ``key = value`` config file (unknown keys rejected), then command-line flags.
 The single top-level seed (flag > SPANTREE_SEED env > config > default) is
-expanded per component through sha256, and every run directory receives the
-fully resolved settings it ran with.
+expanded per component through sha256.  ``gen-data``, ``train``,
+``train-mlm``, ``project`` and ``probe`` write the fully resolved settings
+they ran with to ``resolved-config.txt`` in their output directory.
 
 Exit codes: 0 success, 1 contract violation (bad inputs, malformed files,
 diverged training), 2 I/O failure.
@@ -20,6 +21,7 @@ import contextlib
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 
@@ -36,7 +38,7 @@ from .experiments import (
     write_gap_csv,
     write_perturb_csv,
 )
-from .projector import exact_project, greedy_project, t_score
+from .projector import exact_project, greedy_project
 from .spanrep import build_sci_chart
 from .training import CheckpointInfo, train_mlm, train_probe, train_seq2seq
 from .trees import to_sexpr
@@ -149,10 +151,23 @@ def write_resolved(run_dir: str, settings: dict) -> None:
     log.info("resolved settings: %s", settings)
 
 
+def _finite(value):
+    """``value`` with every non-finite float inside it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
 def _write_json(payload: dict, path: str | None = None) -> None:
-    """Indented, key-sorted JSON to ``path``, or to stdout without one."""
+    """Indented, key-sorted JSON to ``path``, or to stdout without one.
+    Non-finite floats (a rank correlation of a constant series, say) are
+    written as null, since JSON has no NaN or Infinity."""
     with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump(_finite(payload), fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -301,11 +316,12 @@ def cmd_project(args) -> int:
     sentences = _input_sentences(args, model.vocab)
     os.makedirs(args.out_dir, exist_ok=True)
     write_resolved(args.out_dir, s)
-    rng = np.random.default_rng(component_seed(s["seed"], "project"))
-    rows, lines, charts = [], [], []
+    # every row draws, in sentence order, from the one stream t_score uses,
+    # so t_score is exactly the rows' mean
+    rng = np.random.default_rng(component_seed(s["seed"], "t_score"))
+    rows, lines = [], []
     for idx, (tokens, ids) in enumerate(sentences):
         chart = build_sci_chart(model, ids, s["threshold"])
-        charts.append(chart)
         if s["mode"] == "greedy":
             result = greedy_project(chart, rng, samples_per_node=s["samples_per_node"])
             tree = result.tree
@@ -325,11 +341,7 @@ def cmd_project(args) -> int:
         fh.write("\n".join(lines) + "\n")
     scores = {"mode": s["mode"], "threshold": s["threshold"], "sentences": rows}
     if s["mode"] == "greedy":
-        scores["t_score"] = t_score(
-            charts,
-            s["samples_per_node"],
-            rng=np.random.default_rng(component_seed(s["seed"], "t_score")),
-        )
+        scores["t_score"] = float(np.mean([row["normalized_score"] for row in rows]))
     _write_json(scores, os.path.join(args.out_dir, "scores.json"))
     _write_json(
         {"out_dir": args.out_dir, "sentences": len(rows), "mode": s["mode"],

@@ -11,15 +11,16 @@ slicing layer-0 states.
 plus positions, index L is the last block's output after the final layer
 norm.  All analysis code reads span vectors off these states.
 
-Greedy decoding is incremental.  Each step feeds only the newest token of
-each live row (a row leaves the live set once it emits EOS), and a
-``DecoderCache`` holds per decoder layer the cross-attention keys and values,
-projected once per decode from the memory, and the self-attention keys and
-values of every position fed so far.  Retiring rows keeps the remaining
-rows' bits; computing one query row at a time instead of the whole prefix
-moves logits by rounding only (about 1e-15 relative), and decoded tokens
-match a full-prefix decode.  Teacher-forced training runs the full prefix
-without a cache.
+The decoder has one path: ``decoder_logits(ids, cache)`` on a
+``DecoderCache``, which projects every layer's cross-attention keys and
+values from the memory when it is built, holds the memory's pad mask, and
+collects the self-attention keys and values of every position fed so far.
+Teacher forcing (``target_loss``) feeds the whole target prefix to a fresh
+cache on the tape.  Greedy decoding feeds only the newest token of each live
+row (a row leaves the live set once it emits EOS) under ``no_tape``.
+Retiring rows keeps the remaining rows' bits; computing one query row at a
+time instead of the whole prefix moves logits by rounding only (about 1e-15
+relative), and decoded tokens match a full-prefix decode.
 
 Checkpoints are directories holding ``manifest.json`` (config, vocab, step,
 tensor names and shapes) and ``data.bin`` (the tensors' raw little-endian
@@ -423,59 +424,46 @@ class TransformerModel:
 
     # -- decoder -----------------------------------------------------------
 
-    def decoder_logits(
-        self,
-        tgt_ids: Array,
-        memory: Tensor,
-        cross_additive: Array,
-        cache: DecoderCache | None = None,
-    ) -> Tensor:
-        """Next-token logits (B, nt, V) for a (B, nt) target-id batch.
+    def decoder_logits(self, tgt_ids: Array, cache: DecoderCache) -> Tensor:
+        """Next-token logits (B, nt, V) for the target ids (B, nt) at
+        positions ``cache.offset`` onward.
 
-        ``memory`` and ``cross_additive`` are what ``TransformerModel.memory``
-        returns, whose pad mask keeps a permitted key in every row; causal
-        self-attention always permits the diagonal.
+        Each layer's cross-attention reads the keys, values and pad mask the
+        ``DecoderCache`` holds; causal self-attention attends over the cached
+        keys and values plus the new ones, which are appended, and the offset
+        advances by nt.  Teacher forcing feeds a whole prefix to a fresh
+        cache; greedy decoding feeds one token per live row and step.  A
+        product over fewer query rows may round differently in BLAS, so
+        step-wise logits can differ from the whole-prefix ones by rounding
+        (about 1e-15 relative).
 
-        Without ``cache`` the ids are a whole prefix from position 0, as in
-        teacher-forced training.  With a ``DecoderCache`` they are the tokens
-        at positions ``cache.offset`` onward (one per live row while
-        decoding): each layer's cross-attention reads the keys and values the
-        cache projected from ``memory`` on its first call, and self-attention
-        attends over the cached keys and values plus the new ones, which are
-        appended.  Only the new positions are computed.  A product over fewer
-        query rows may round differently in BLAS, so cached logits can differ
-        from the full-prefix ones by rounding (about 1e-15 relative).
+        On the tape the cache must be fresh and built on the tape: a fed
+        cache holds earlier keys and values as values only, and a cache built
+        under ``no_tape`` holds cross-attention keys no gradient reaches.
         """
         cfg = self.config
         tgt_ids = np.asarray(tgt_ids)
         bsz, nt = tgt_ids.shape
-        offset = 0 if cache is None else cache.offset
+        offset = cache.offset
         if offset + nt > cfg.max_len:
             raise ContractViolation(f"target length {offset + nt} exceeds max_len")
         x = scale(embedding(self._p("dec.emb"), tgt_ids), math.sqrt(cfg.d_model))
-        if cache is not None and x.taped:
-            raise ContractViolation("decoder_logits: a cache holds values only; use no_tape")
+        if x.taped and (offset or not cache.cross[0][0].taped):
+            raise ContractViolation(
+                "decoder_logits: on the tape, use a fresh cache built on the tape"
+            )
         x = add(x, Tensor(self.positions[offset : offset + nt]))
         # a single query row may see every key so far; no mask needed
         causal = (0.0 if nt == 1 else
                   np.triu(np.full((nt, offset + nt), NEG_MASK), k=offset + 1)[None, None])
-        if cache is not None and not cache.cross:
-            cache.cross = [
-                self._keys_values(f"dec.{i}.cross", memory) for i in range(cfg.dec_layers)
-            ]
         for i in range(cfg.dec_layers):
             h = self._ln(x, f"dec.{i}.ln1")
-            kv = self._keys_values(f"dec.{i}.self", h)
-            if cache is not None:
-                kv = cache.extend(i, kv)
+            kv = cache.extend(i, self._keys_values(f"dec.{i}.self", h))
             x = add(x, self._attention(f"dec.{i}.self", h, kv, causal))
-            cross = (self._keys_values(f"dec.{i}.cross", memory) if cache is None
-                     else cache.cross[i])
             x = add(x, self._attention(f"dec.{i}.cross", self._ln(x, f"dec.{i}.ln2"),
-                                       cross, cross_additive))
+                                       cache.cross[i], cache.cross_additive))
             x = add(x, self._ff(f"dec.{i}.ff", self._ln(x, f"dec.{i}.ln3")))
-        if cache is not None:
-            cache.offset += nt
+        cache.offset += nt
         x = self._ln(x, "dec.ln_f")
         return self._affine(x, "out.w", "out.b")
 
@@ -484,15 +472,12 @@ class TransformerModel:
     def seq2seq_loss(self, pairs: list[tuple[list[int], list[int]]]) -> Tensor:
         """Teacher-forced mean cross-entropy over non-pad target positions.
 
-        Pairs are (source ids, target ids) without sentinels; BOS/EOS are
-        added here and padding is excluded from the loss.
+        Pairs are (source ids, target ids) without sentinels.
         """
         if not pairs:
             raise ContractViolation("seq2seq_loss: empty batch")
         memory, src_additive = self.memory(self._pad_sources([s for s, _ in pairs]))
-        tgt_in, tgt_out, weights = self._pad_targets([t for _, t in pairs])
-        logits = self.decoder_logits(tgt_in, memory, src_additive)
-        return cross_entropy(logits, tgt_out, weights)
+        return self.target_loss(memory, src_additive, [t for _, t in pairs])
 
     def _pad_sources(self, sources: list[list[int]]) -> Array:
         if any(len(s) == 0 for s in sources):
@@ -503,7 +488,13 @@ class TransformerModel:
             src[b, : len(s)] = s
         return src
 
-    def _pad_targets(self, targets: list[list[int]]):
+    def target_loss(
+        self, memory: Tensor, cross_additive: Array, targets: list[list[int]]
+    ) -> Tensor:
+        """Teacher-forced mean cross-entropy of ``targets`` (ids without
+        sentinels) given the memory and mask ``TransformerModel.memory``
+        returns.  BOS/EOS are added here, padding is excluded from the loss,
+        and the whole prefix runs on a fresh ``DecoderCache``."""
         pad, bos, eos = self.vocab.pad, self.vocab.bos, self.vocab.eos
         nt = max(len(t) for t in targets) + 1
         tgt_in = np.full((len(targets), nt), pad, dtype=np.int64)
@@ -514,7 +505,8 @@ class TransformerModel:
             tgt_out[b, : len(t)] = t
             tgt_out[b, len(t)] = eos
         weights = (tgt_out != pad).astype(np.float64)
-        return tgt_in, tgt_out, weights
+        logits = self.decoder_logits(tgt_in, DecoderCache(self, memory, cross_additive))
+        return cross_entropy(logits, tgt_out, weights)
 
     def mlm_loss(self, masked_ids: Array, original_ids: Array, loss_mask: Array) -> Tensor:
         """Cross-entropy of the vocabulary head at masked positions only.
@@ -543,20 +535,19 @@ class TransformerModel:
         its first EOS.
 
         Each step feeds only the newest token of each live row through
-        ``decoder_logits`` with a ``DecoderCache``.  A row that emits EOS
-        leaves the live set: its memory, mask and cache rows are dropped, and
-        since a stacked matmul computes each batch item on its own, the rows
-        that remain keep their exact bits.
+        ``decoder_logits``.  A row that emits EOS leaves the live set: its
+        cache rows are dropped, and since a stacked matmul computes each
+        batch item on its own, the rows that remain keep their exact bits.
         """
         eos = self.vocab.eos
         steps = min(max_new, self.config.max_len - 1)
         tokens = np.full((memory.value.shape[0], steps), eos, dtype=np.int64)
         live = np.arange(memory.value.shape[0])
         last = np.full((live.size, 1), self.vocab.bos, dtype=np.int64)
-        cache = DecoderCache()
         with no_tape():
+            cache = DecoderCache(self, memory, cross_additive)
             for step in range(steps):
-                logits = self.decoder_logits(last, memory, cross_additive, cache)
+                logits = self.decoder_logits(last, cache)
                 last = logits.value[:, -1:, :].argmax(axis=-1)
                 tokens[live, step] = last[:, 0]
                 going = last[:, 0] != eos
@@ -565,22 +556,26 @@ class TransformerModel:
                         break
                     keep = np.flatnonzero(going)
                     live, last = live[keep], last[keep]
-                    memory, cross_additive = Tensor(memory.value[keep]), cross_additive[keep]
                     cache.keep(keep)
         rows = tokens.tolist()
         return [row[: row.index(eos)] if eos in row else row for row in rows]
 
 
 class DecoderCache:
-    """What an incremental decode has computed so far, per decoder layer:
-    cross-attention keys and values projected once from the memory, and
+    """The memory side of a decode and what it has computed so far, per
+    decoder layer: cross-attention keys and values projected from the memory
+    when the cache is built, the memory's additive pad mask, and
     self-attention keys and values of the ``offset`` positions fed so far.
-    Every array is (B, h, n, dh) over the decode's live rows; values only,
-    since decoding runs under ``no_tape``."""
+    Every key and value is (B, h, n, dh) over the same rows, and every
+    ``decoder_logits`` call runs on one."""
 
-    def __init__(self):
+    def __init__(self, model: TransformerModel, memory: Tensor, cross_additive: Array):
         self.offset = 0
-        self.cross: list[tuple[Tensor, Tensor]] = []
+        self.cross_additive = cross_additive
+        self.cross = [
+            model._keys_values(f"dec.{i}.cross", memory)
+            for i in range(model.config.dec_layers)
+        ]
         self.past: list[tuple[Tensor, Tensor]] = []
 
     def extend(self, layer: int, kv: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
@@ -602,6 +597,7 @@ class DecoderCache:
         def pick(kv):
             return tuple(Tensor(t.value[rows]) for t in kv)
 
+        self.cross_additive = self.cross_additive[rows]
         self.cross = [pick(kv) for kv in self.cross]
         self.past = [pick(kv) for kv in self.past]
 

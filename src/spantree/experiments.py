@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import treeval, trees
-from .datasets import Corpus, Vocab
+from .datasets import Corpus
 from .encoder import LayerMask, TransformerModel
 from .errors import ContractViolation
 from .numerics import cosine_distance
@@ -389,10 +389,10 @@ class DynamicsResult:
 THRESHOLD_MODES = ("fixed", "parseval", "score")
 
 
-def _charts_for(model, examples, vocab, t, limit):
+def _charts_for(model, examples, t, limit):
     subset = examples[:limit]
     return subset, [
-        build_sci_chart(model, vocab.encode(ex.source), t) for ex in subset
+        build_sci_chart(model, model.vocab.encode(ex.source), t) for ex in subset
     ]
 
 
@@ -413,7 +413,6 @@ def _t_parseval(charts, subset) -> float | None:
 def tune_threshold(
     model: TransformerModel,
     examples,
-    vocab: Vocab,
     mode: str,
     samples_per_node: int = 4,
     seed: int = 0,
@@ -424,7 +423,7 @@ def tune_threshold(
         raise ContractViolation(f"tune_threshold: bad mode {mode!r}")
     best_t, best_val = 0, -math.inf
     for t in range(model.config.enc_layers + 1):
-        subset, charts = _charts_for(model, examples, vocab, t, limit)
+        subset, charts = _charts_for(model, examples, t, limit)
         if mode == "parseval":
             val = _t_parseval(charts, subset)
             if val is None:
@@ -443,25 +442,24 @@ def tune_threshold(
 def evaluate_checkpoint(
     model: TransformerModel,
     eval_examples,
-    vocab: Vocab,
     t: int,
     samples_per_node: int = 4,
     seed: int = 0,
 ) -> tuple[float, float | None]:
     """(t_score, t_parseval) on the evaluation sentences at threshold t."""
-    subset, charts = _charts_for(model, eval_examples, vocab, t, len(eval_examples))
+    subset, charts = _charts_for(model, eval_examples, t, len(eval_examples))
     score = t_score(
         charts, samples_per_node, rng=np.random.default_rng([seed, 32])
     )
     return score, _t_parseval(charts, subset)
 
 
-def _accuracy(model, examples, vocab, limit, seed) -> float:
+def _accuracy(model, examples, limit, seed) -> float:
     if model.task == "seq2seq":
         return exact_match_accuracy(model, examples, limit=limit)
     if model.task == "mlm":
         return masked_prediction_accuracy(
-            model, [vocab.encode(ex.source) for ex in examples], seed=seed
+            model, [model.vocab.encode(ex.source) for ex in examples], seed=seed
         )
     raise ContractViolation(f"no accuracy measure for task {model.task!r}")
 
@@ -480,7 +478,8 @@ def dynamics_report(
 ) -> DynamicsResult:
     """Per-checkpoint structure metrics plus rank correlations.
 
-    Charts are built on a fixed slice of the iid-validation split; threshold
+    Charts are built on a fixed slice of the iid-validation split, whose
+    sentences each checkpoint encodes with its own vocabulary; threshold
     modes: "fixed" uses ``fixed_t`` everywhere, "parseval" / "score" re-tune
     t per checkpoint on a train-split slice.  ``probe_steps`` > 0 trains a
     fresh bracketing probe per checkpoint for p_parseval (expensive, off by
@@ -497,7 +496,6 @@ def dynamics_report(
         raise ContractViolation(
             f"eval and tune sentence counts must be >= 1, got {eval_sentences}, {tune_sentences}"
         )
-    vocab = corpus.vocab
     eval_examples = corpus.iid_val[:eval_sentences]
     if not eval_examples:
         raise ContractViolation("dynamics_report: empty iid-val split")
@@ -514,14 +512,13 @@ def dynamics_report(
             t = tune_threshold(
                 model,
                 corpus.train,
-                vocab,
                 threshold_mode,
                 samples_per_node,
                 seed,
                 tune_sentences,
             )
         score, tpars = evaluate_checkpoint(
-            model, eval_examples, vocab, t, samples_per_node, seed
+            model, eval_examples, t, samples_per_node, seed
         )
         ppars = None
         if probe_steps > 0:
@@ -535,10 +532,10 @@ def dynamics_report(
             ppars = result.p_parseval
         iid = info.iid_acc
         if iid is None:
-            iid = _accuracy(model, corpus.iid_val, vocab, eval_limit, seed)
+            iid = _accuracy(model, corpus.iid_val, eval_limit, seed)
         cg = info.cg_acc
         if cg is None:
-            cg = _accuracy(model, corpus.cg_test, vocab, eval_limit, seed)
+            cg = _accuracy(model, corpus.cg_test, eval_limit, seed)
         records.append(
             DynamicsRecord(
                 step=info.step,

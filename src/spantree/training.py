@@ -27,13 +27,7 @@ from . import treeval, trees
 from .datasets import RESERVED, Corpus, TransductionExample, Vocab
 from .encoder import EncoderConfig, TransformerModel, save_checkpoint
 from .errors import ContractViolation, TrainingDiverged
-from .numerics import (
-    OptimizerState,
-    backward,
-    cross_entropy,
-    no_tape,
-    optimizer_step,
-)
+from .numerics import OptimizerState, backward, no_tape, optimizer_step
 
 log = logging.getLogger("spantree.training")
 
@@ -404,8 +398,7 @@ def train_probe(
 
     def batch_loss(idx):
         memory, additive = _frozen_memory(encoder, [sources[i] for i in idx])
-        tgt_in, tgt_out, weights = probe._pad_targets([targets[i] for i in idx])
-        return cross_entropy(probe.decoder_logits(tgt_in, memory, additive), tgt_out, weights)
+        return probe.target_loss(memory, additive, [targets[i] for i in idx])
 
     state = OptimizerState(
         base_lr=base_lr, warmup_steps=warmup_steps, weight_decay=PROBE_WEIGHT_DECAY

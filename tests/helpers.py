@@ -5,12 +5,13 @@ The FD harness is deliberately independent of the autodiff engine: it only
 calls forward passes on fresh graphs, so agreement with backward() is a real
 two-route check, not a tautology.  The decoder is the oracle for the
 package's incremental one: it recomputes every row's whole prefix at every
-step, finished rows included, and shares no cache with it.
+step, finished rows included, on a cache of its own each time.
 """
 
 import numpy as np
 
 from spantree import numerics as nm
+from spantree.encoder import DecoderCache
 
 
 def fd_grad(f, x, h=1e-5):
@@ -72,13 +73,13 @@ def kink_free(rng, shape, low=0.3, high=1.0):
 
 def full_prefix_greedy(model, memory, cross_additive, max_new):
     """Argmax decoding from BOS that reruns ``decoder_logits`` over the whole
-    (B, step + 1) prefix of every row at each step, until every row has
-    emitted EOS; each row's tokens before its first EOS."""
+    (B, step + 1) prefix of every row on a fresh cache at each step, until
+    every row has emitted EOS; each row's tokens before its first EOS."""
     eos = model.vocab.eos
     ys = np.full((memory.value.shape[0], 1), model.vocab.bos, dtype=np.int64)
     with nm.no_tape():
         for _ in range(min(max_new, model.config.max_len - 1)):
-            logits = model.decoder_logits(ys, memory, cross_additive)
+            logits = model.decoder_logits(ys, DecoderCache(model, memory, cross_additive))
             ys = np.concatenate([ys, logits.value[:, -1:, :].argmax(axis=-1)], axis=1)
             if (ys == eos).any(axis=1).all():
                 break

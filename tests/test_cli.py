@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from spantree import datasets, treeval
@@ -23,10 +24,19 @@ def run_cli(argv):
     return rc, out.getvalue()
 
 
+def strict_json(text):
+    """``json.loads`` that rejects the NaN and Infinity tokens JSON lacks."""
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_json(argv):
     rc, out = run_cli(argv)
     assert rc == 0, out
-    return json.loads(out)
+    return strict_json(out)
 
 
 @pytest.fixture(scope="module")
@@ -132,9 +142,12 @@ def test_project_greedy_deterministic_and_exact_no_worse(pipeline, tmp_path):
         "project", "--checkpoint", pipeline["ckpt"], "--input", src,
         "--out-dir", dirs["ex"], "--threshold", "0", "--mode", "exact", "--seed", "7",
     ])
-    greedy = json.loads(read(dirs["g1"], "scores.json"))
-    exact = json.loads(read(dirs["ex"], "scores.json"))
+    greedy = strict_json(read(dirs["g1"], "scores.json"))
+    exact = strict_json(read(dirs["ex"], "scores.json"))
     assert "t_score" in greedy and "t_score" not in exact
+    # each chart is projected once, and t_score summarizes those rows
+    rows = [row["normalized_score"] for row in greedy["sentences"]]
+    assert greedy["t_score"] == float(np.mean(rows))
     for g, e in zip(greedy["sentences"], exact["sentences"]):
         assert e["cumulative_sci"] <= g["cumulative_sci"] + 1e-12
     trees_out = treeval.load_trees(os.path.join(dirs["ex"], "trees.sexpr"))
@@ -219,6 +232,9 @@ def test_dynamics_command_byte_identical_reruns(pipeline):
     ]
     payload = run_json(argv)
     assert payload["checkpoints"] == 3
+    # four training steps leave some series constant, whose rank correlation
+    # is undefined and written as null
+    assert any(rho is None for rho, _ in payload["correlations"].values())
     csv_path = os.path.join(pipeline["run"], "reports", "dynamics.csv")
     first = open(csv_path, "rb").read()
     run_json(argv)

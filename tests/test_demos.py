@@ -1,6 +1,6 @@
 """The demos stay runnable: their imports resolve, all three Python demos run
-(the two training ones on a short schedule), and the command-line walkthrough
-parses."""
+(the two training ones on a short schedule), and the ``spantree`` commands of
+the command-line walkthrough and the README's fenced blocks parse."""
 
 import ast
 import importlib
@@ -18,6 +18,7 @@ from spantree import training
 from spantree.cli import build_parser
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+README = DEMOS.parent / "README.md"
 PYTHON_DEMOS = sorted(DEMOS.glob("*.py"))
 
 
@@ -68,11 +69,14 @@ def test_training_demo_runs(monkeypatch, capsys, name):
 
 
 def test_cli_walkthrough_commands_parse():
+    # the walkthrough script, and the fenced blocks of the README's quick start
     script = (DEMOS / "cli_walkthrough.sh").read_text(encoding="utf-8")
-    lines = script.replace("\\\n", " ").splitlines()
-    commands = [shlex.split(line) for line in lines if line.startswith("spantree ")]
-    assert len(commands) == 7
+    fenced = "\n".join(README.read_text(encoding="utf-8").split("```")[1::2])
     parser = build_parser()
-    for argv in commands:
-        args = parser.parse_args(argv[1:])
-        assert args.command == argv[1]
+    for text, count in ((script, 7), (fenced, 3)):
+        lines = text.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line) for line in lines if line.startswith("spantree ")]
+        assert len(commands) == count
+        for argv in commands:
+            args = parser.parse_args(argv[1:])
+            assert args.command == argv[1]

@@ -344,20 +344,21 @@ def test_probe_decode_matches_full_prefix_oracle(arch):
 @pytest.mark.parametrize("arch", sorted(DECODE_ARCHS))
 def test_cached_step_logits_match_full_prefix(arch):
     # each cached step computes one position per row; its logits equal the
-    # last row of a full-prefix call up to rounding, also after rows retire
+    # last row of a full-prefix call on a fresh cache up to rounding, also
+    # after rows retire
     m = decode_model(arch, 0, 0.0)
     with nm.no_tape():
         memory, additive = m.memory(m._pad_sources(mixed_sources(0, count=6)))
         ys = np.full((6, 1), m.vocab.bos, dtype=np.int64)
-        cache = enc.DecoderCache()
+        cache = enc.DecoderCache(m, memory, additive)
         for step in range(m.config.max_len):
             if step == 4:
                 keep = np.array([0, 2, 5])
                 ys, additive = ys[keep], additive[keep]
                 memory = nm.Tensor(memory.value[keep])
                 cache.keep(keep)
-            cached = m.decoder_logits(ys[:, -1:], memory, additive, cache)
-            full = m.decoder_logits(ys, memory, additive)
+            cached = m.decoder_logits(ys[:, -1:], cache)
+            full = m.decoder_logits(ys, enc.DecoderCache(m, memory, additive))
             assert cached.value.shape == (ys.shape[0], 1, len(m.vocab))
             assert not cached.taped and cache.offset == step + 1
             last = full.value[:, -1]
@@ -365,10 +366,16 @@ def test_cached_step_logits_match_full_prefix(arch):
             ys = np.concatenate([ys, last.argmax(axis=-1)[:, None]], axis=1)
         # the cache has used every position max_len allows
         with pytest.raises(ContractViolation):
-            m.decoder_logits(ys[:, -1:], memory, additive, cache)
-    # a cache keeps values only, so it is refused while the tape records
-    with pytest.raises(ContractViolation, match="no_tape"):
-        m.decoder_logits(ys[:, :1], memory, additive, enc.DecoderCache())
+            m.decoder_logits(ys[:, -1:], cache)
+        untaped = enc.DecoderCache(m, memory, additive)
+    # on the tape a cache must be fresh and built on the tape: a fed cache
+    # and one built under no_tape are refused, a fresh taped one is not
+    fed = enc.DecoderCache(m, memory, additive)
+    m.decoder_logits(ys[:, :1], fed)
+    for cache in (fed, untaped):
+        with pytest.raises(ContractViolation, match="fresh cache built on the tape"):
+            m.decoder_logits(ys[:, :1], cache)
+    assert m.decoder_logits(ys[:, :2], enc.DecoderCache(m, memory, additive)).taped
     assert m.seq2seq_loss([([5, 6], [7])]).taped
 
 

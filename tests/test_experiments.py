@@ -329,7 +329,27 @@ def test_parseval_tuning_requires_gold_trees():
         dynamics_report(series, corpus, threshold_mode="parseval",
                         eval_sentences=2, samples_per_node=2, seed=0)
     with pytest.raises(ContractViolation):
-        tune_threshold(model, corpus.train, corpus.vocab, "bogus")
+        tune_threshold(model, corpus.train, "bogus")
+
+
+@pytest.mark.parametrize("task", ["seq2seq", "mlm"])
+def test_dynamics_encodes_with_the_checkpoint_vocab(task):
+    # a data directory may number its tokens differently from the checkpoint;
+    # every chart and accuracy must read the sentences in the model's ids
+    model, corpus, _ = dynamics_fixture()
+    if task == "mlm":
+        model = TransformerModel(model.config, model.vocab, "mlm", rng=3)
+    series = [CheckpointInfo(step=200 * i, model=model.clone()) for i in range(3)]
+    permuted = Corpus(train=corpus.train, iid_val=corpus.iid_val, cg_test=corpus.cg_test,
+                      vocab=Vocab(["w5", "w3", "w1", "w4", "w2"]))
+    assert permuted.vocab.encode(["w1"]) != model.vocab.encode(["w1"])
+    for mode in ("fixed", "score"):
+        own, other = (
+            dynamics_report(series, c, threshold_mode=mode, fixed_t=1, eval_sentences=2,
+                            tune_sentences=3, samples_per_node=2, seed=0).records
+            for c in (corpus, permuted)
+        )
+        assert own == other
 
 
 def test_tuned_thresholds_stay_in_range():

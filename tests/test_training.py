@@ -7,7 +7,7 @@ from spantree import training, treeval, trees
 from spantree.datasets import Corpus, TransductionExample, Vocab
 from spantree.encoder import EncoderConfig, TransformerModel, load_checkpoint
 from spantree.errors import ContractViolation, TrainingDiverged
-from spantree.numerics import OptimizerState, backward, cross_entropy, optimizer_step
+from spantree.numerics import OptimizerState, backward, optimizer_step
 from spantree.training import (
     ProbeResult,
     exact_match_accuracy,
@@ -301,9 +301,7 @@ def test_probe_reads_gold_brackets_from_encoder_states():
     targets = [probe_vocab.encode(ex.source) for ex in examples]
     for _ in range(400):
         memory, additive = training._frozen_memory(encoder, sources)
-        tgt_in, tgt_out, weights = probe._pad_targets(targets)
-        logits = probe.decoder_logits(tgt_in, memory, additive)
-        loss = cross_entropy(logits, tgt_out, weights)
+        loss = probe.target_loss(memory, additive, targets)
         backward(loss, probe.params)
         optimizer_step(probe.params, state)
 
