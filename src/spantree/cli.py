@@ -41,7 +41,6 @@ from .experiments import (
 from .projector import exact_project, greedy_project
 from .spanrep import build_sci_chart
 from .training import CheckpointInfo, train_mlm, train_probe, train_seq2seq
-from .trees import to_sexpr
 
 log = logging.getLogger("spantree.cli")
 
@@ -289,6 +288,8 @@ def _input_sentences(args, vocab) -> list[tuple[list[str], list[int]]]:
     if not getattr(args, "input", None):
         raise ContractViolation("need --input FILE or --sentence \"tok tok ...\"")
     examples = datasets.load_tsv(args.input)
+    if not examples:
+        raise ContractViolation(f"{args.input} holds no sentences")
     return [(ex.source, vocab.encode(ex.source)) for ex in examples]
 
 
@@ -300,11 +301,13 @@ def cmd_chart(args) -> int:
         raise ContractViolation(f"--index {s['index']} outside input of {len(sentences)}")
     _, ids = sentences[s["index"]]
     chart = build_sci_chart(model, ids, s["threshold"])
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            chart.dump_json(fh)
-    else:
-        chart.dump_json(sys.stdout)
+    payload = {
+        "n": chart.n,
+        "t": chart.threshold,
+        "checkpoint": chart.provenance["checkpoint"],
+        "entries": [[i, j, float(chart.values[i, j])] for i, j in chart.spans()],
+    }
+    _write_json(payload, args.out)
     return 0
 
 
@@ -319,8 +322,8 @@ def cmd_project(args) -> int:
     # every row draws, in sentence order, from the one stream t_score uses,
     # so t_score is exactly the rows' mean
     rng = np.random.default_rng(component_seed(s["seed"], "t_score"))
-    rows, lines = [], []
-    for idx, (tokens, ids) in enumerate(sentences):
+    rows, projected = [], []
+    for idx, (_, ids) in enumerate(sentences):
         chart = build_sci_chart(model, ids, s["threshold"])
         if s["mode"] == "greedy":
             result = greedy_project(chart, rng, samples_per_node=s["samples_per_node"])
@@ -336,9 +339,9 @@ def cmd_project(args) -> int:
         else:
             tree, best = exact_project(chart)
             rows.append({"index": idx, "n": chart.n, "cumulative_sci": best})
-        lines.append(to_sexpr(tree, tokens))
-    with open(os.path.join(args.out_dir, "trees.sexpr"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        projected.append(tree)
+    treeval.save_trees(os.path.join(args.out_dir, "trees.sexpr"), projected,
+                       [tokens for tokens, _ in sentences])
     scores = {"mode": s["mode"], "threshold": s["threshold"], "sentences": rows}
     if s["mode"] == "greedy":
         scores["t_score"] = float(np.mean([row["normalized_score"] for row in rows]))
@@ -353,6 +356,8 @@ def cmd_project(args) -> int:
 def cmd_eval_trees(args) -> int:
     pred = treeval.load_trees(args.pred)
     gold = treeval.load_trees(args.gold)
+    if not gold:
+        raise ContractViolation(f"{args.gold} holds no trees")
     if len(pred) != len(gold):
         raise ContractViolation(
             f"{len(pred)} predicted trees vs {len(gold)} gold trees"

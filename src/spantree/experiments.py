@@ -20,7 +20,7 @@ reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -204,13 +204,32 @@ def perturbation_analysis(
     )
 
 
+def _write_csv(path: str, header, rows) -> None:
+    """The one CSV rule of the analysis reports: None is an empty cell, a
+    float its ``repr`` (so files are byte-stable per seed), anything else
+    ``str``; UTF-8 with ``\\n`` line ends."""
+
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        return repr(value) if isinstance(value, float) else str(value)
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for row in (header, *rows):
+            fh.write(",".join(cell(v) for v in row) + "\n")
+
+
 def write_perturb_csv(report: PerturbationReport, path: str) -> None:
     """Pair-level samples; `control` marks the random-tree arm."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sentence,k,delta_ic,delta_oc,control\n")
-        for is_control, arm in ((0, report.main), (1, report.control)):
-            for s_idx, k, dic, doc in arm.samples:
-                fh.write(f"{s_idx},{k},{dic!r},{doc!r},{is_control}\n")
+    _write_csv(
+        path,
+        ("sentence", "k", "delta_ic", "delta_oc", "control"),
+        (
+            (*sample, is_control)
+            for is_control, arm in ((0, report.main), (1, report.control))
+            for sample in arm.samples
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +376,15 @@ def assumption_gap(
 
 
 def write_gap_csv(report: GapReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("span,occurrences,gap,control_gap\n")
-        for rec in report.records:
-            span = " ".join(str(t) for t in rec.tokens)
-            fh.write(f"{span},{rec.occurrences},{rec.gap!r},{rec.control_gap!r}\n")
+    _write_csv(
+        path,
+        ("span", "occurrences", "gap", "control_gap"),
+        (
+            (" ".join(str(t) for t in rec.tokens), rec.occurrences, rec.gap,
+             rec.control_gap)
+            for rec in report.records
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +441,17 @@ def tune_threshold(
     seed: int = 0,
     limit: int = 16,
 ) -> int:
-    """Grid-search t in [0, L] maximizing train t_parseval or t_score."""
+    """Grid-search t in [0, L-1] maximizing train t_parseval or t_score.
+
+    t = L is left out: its chart is all zeros by construction, so every split
+    ties and the projected tree is whatever the tie rule picks, which
+    right-branching gold trees reward with a high t_parseval.  Its t_score is
+    exactly 0, never above another t's, so score mode loses nothing.
+    """
     if mode not in ("parseval", "score"):
         raise ContractViolation(f"tune_threshold: bad mode {mode!r}")
     best_t, best_val = 0, -math.inf
-    for t in range(model.config.enc_layers + 1):
+    for t in range(model.config.enc_layers):
         subset, charts = _charts_for(model, examples, t, limit)
         if mode == "parseval":
             val = _t_parseval(charts, subset)
@@ -480,8 +509,9 @@ def dynamics_report(
 
     Charts are built on a fixed slice of the iid-validation split, whose
     sentences each checkpoint encodes with its own vocabulary; threshold
-    modes: "fixed" uses ``fixed_t`` everywhere, "parseval" / "score" re-tune
-    t per checkpoint on a train-split slice.  ``probe_steps`` > 0 trains a
+    modes: "fixed" uses ``fixed_t`` everywhere (``fixed_t`` = L gives
+    all-zero charts), "parseval" / "score" re-tune t in [0, L-1] per
+    checkpoint on a train-split slice.  ``probe_steps`` > 0 trains a
     fresh bracketing probe per checkpoint for p_parseval (expensive, off by
     default).  Correlations: each metric against step, and against cg
     accuracy.  ``rho_cg_*`` ranks the checkpoints of this one run against
@@ -573,42 +603,9 @@ def _correlations(records: list[DynamicsRecord]) -> dict[str, tuple[float, float
     return out
 
 
-DYNAMICS_COLUMNS = (
-    "step",
-    "t_score",
-    "t_parseval",
-    "p_parseval",
-    "iid_acc",
-    "cg_acc",
-    "threshold",
-)
+DYNAMICS_COLUMNS = tuple(f.name for f in fields(DynamicsRecord))
 
 
 def write_dynamics_csv(records: list[DynamicsRecord], path: str) -> None:
-    """Fixed-schema CSV; floats via repr so files are byte-stable per seed."""
-
-    def cell(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(DYNAMICS_COLUMNS) + "\n")
-        for r in records:
-            fh.write(
-                ",".join(
-                    cell(v)
-                    for v in (
-                        r.step,
-                        r.t_score,
-                        r.t_parseval,
-                        r.p_parseval,
-                        r.iid_acc,
-                        r.cg_acc,
-                        r.threshold,
-                    )
-                )
-                + "\n"
-            )
+    """One row per checkpoint, one column per ``DynamicsRecord`` field."""
+    _write_csv(path, DYNAMICS_COLUMNS, (astuple(r) for r in records))

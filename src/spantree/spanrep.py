@@ -20,7 +20,6 @@ rebuild agree bit-for-bit.  Both run under ``no_tape``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -147,35 +146,6 @@ class SciChart:
         for i in range(self.n):
             for j in range(i, self.n):
                 yield Span(i, j)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.threshold,
-            "checkpoint": self.provenance.get("checkpoint", ""),
-            "entries": [
-                [i, j, float(self.values[i, j])]
-                for i in range(self.n)
-                for j in range(i, self.n)
-            ],
-        }
-
-    def dump_json(self, fh) -> None:
-        json.dump(self.to_json_dict(), fh, indent=1)
-        fh.write("\n")
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "SciChart":
-        n = int(payload["n"])
-        values = np.zeros((n, n))
-        for i, j, sci in payload["entries"]:
-            values[int(i), int(j)] = float(sci)
-        return cls(
-            n=n,
-            threshold=int(payload["t"]),
-            values=values,
-            provenance={"checkpoint": payload.get("checkpoint", "")},
-        )
 
 
 def build_sci_chart(

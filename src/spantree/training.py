@@ -369,7 +369,7 @@ def train_probe(
     seed: int = 0,
     batch_size: int = 32,
     base_lr: float = 3e-4,
-    warmup_steps: int = 150,
+    warmup_steps: int = 300,
 ) -> ProbeResult:
     """Fit a small decoder to emit bracketed parses off frozen encoder states.
 

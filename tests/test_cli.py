@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline plus settings-resolution rules."""
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -12,9 +13,11 @@ import numpy as np
 import pytest
 
 from spantree import datasets, treeval
-from spantree.cli import build_parser, component_seed, main, resolve_settings
+from spantree.cli import DEFAULTS, build_parser, component_seed, main, resolve_settings
 from spantree.encoder import load_checkpoint
 from spantree.errors import ContractViolation
+from spantree.spanrep import build_sci_chart
+from spantree.training import train_probe
 
 
 def run_cli(argv):
@@ -108,7 +111,12 @@ def test_chart_command_json(pipeline, tmp_path):
         "--threshold", "1", "--out", str(out),
     ])
     assert rc == 0
-    assert json.loads(out.read_text())["n"] == n
+    # the file holds the chart itself: floats round-trip through repr
+    model = load_checkpoint(pipeline["ckpt"])
+    chart = build_sci_chart(model, model.vocab.encode(first.source), 1)
+    expected = [[i, j, float(chart.values[i, j])] for i, j in chart.spans()]
+    written = strict_json(out.read_text())
+    assert written["n"] == n and written["entries"] == expected
 
 
 def test_chart_rejects_out_of_range_threshold(pipeline):
@@ -197,6 +205,15 @@ def test_probe_command(pipeline, tmp_path):
     assert payload["heldout"] == pipeline["gen"]["iid_val"]
     probe = load_checkpoint(os.path.join(run_dir, "checkpoints", "probe"))
     assert probe.task == "probe"
+
+
+def test_probe_defaults_match_the_cli():
+    # `dynamics --probe` relies on train_probe's defaults, `probe` on the
+    # CLI's; both must train the same schedule
+    params = inspect.signature(train_probe).parameters
+    for param, key in (("steps", "probe_steps"), ("batch_size", "batch_size"),
+                       ("base_lr", "lr"), ("warmup_steps", "warmup")):
+        assert params[param].default == DEFAULTS[key], param
 
 
 def test_perturb_command(pipeline, tmp_path):
@@ -404,6 +421,12 @@ def _not_utf8(tmp_path, name):
     return str(path)
 
 
+def _blank(tmp_path, name):
+    path = tmp_path / name
+    path.write_text("\n\n", encoding="utf-8")
+    return str(path)
+
+
 def _data_with_bad_split(pipeline, tmp_path):
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)
@@ -451,6 +474,12 @@ BAD_INPUTS = {
         "--out", str(t / "perturb.csv")],
     "eval-trees file not UTF-8": lambda p, t: [
         "eval-trees", "--pred", _not_utf8(t, "pred.sexpr"), "--gold", _not_utf8(t, "gold.sexpr")],
+    # an input with nothing in it used to exit 0 with a made-up result
+    "project --input of blank lines": lambda p, t: [
+        "project", "--checkpoint", p["ckpt"], "--input", _blank(t, "in.tsv"),
+        "--out-dir", str(t / "proj")],
+    "eval-trees on empty files": lambda p, t: [
+        "eval-trees", "--pred", _blank(t, "pred.sexpr"), "--gold", _blank(t, "gold.sexpr")],
     "--config not UTF-8": lambda p, t: [
         "gen-data", "--config", _not_utf8(t, "bad.cfg"), "--out", str(t / "d")],
     # numeric flags out of range: each used to end in a traceback or to run

@@ -352,6 +352,25 @@ def test_dynamics_encodes_with_the_checkpoint_vocab(task):
         assert own == other
 
 
+def test_parseval_tuning_skips_the_all_zero_top_layer():
+    # the t = L chart is all zeros, so its projected tree is the tie rule's
+    # right-branching one, which these right-branching gold trees reward
+    _, corpus, _ = dynamics_fixture()
+    for layers in (1, 2, 3):
+        for seed in range(3):
+            model = make_model(["w1", "w2", "w3", "w4", "w5"], enc_layers=layers, seed=seed)
+            assert tune_threshold(model, corpus.train, "parseval") < layers
+
+
+def test_dynamics_probe_column():
+    _, corpus, series = dynamics_fixture()
+    result = dynamics_report(series, corpus, threshold_mode="fixed", fixed_t=1,
+                             eval_sentences=2, samples_per_node=2, seed=0,
+                             probe_steps=3)
+    assert all(0.0 <= r.p_parseval <= 1.0 for r in result.records)
+    assert "rho_p_parseval_step" in result.correlations
+
+
 def test_tuned_thresholds_stay_in_range():
     model, corpus, series = dynamics_fixture()
     for mode in ("parseval", "score"):
@@ -359,7 +378,7 @@ def test_tuned_thresholds_stay_in_range():
                                  eval_sentences=2, tune_sentences=2,
                                  samples_per_node=2, seed=0)
         for r in result.records:
-            assert 0 <= r.threshold <= model.config.enc_layers
+            assert 0 <= r.threshold < model.config.enc_layers
 
 
 def test_dynamics_contracts():

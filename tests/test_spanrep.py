@@ -1,8 +1,5 @@
 """Span vectors and invariance charts: exactness guarantees and caching."""
 
-import io
-import json
-
 import numpy as np
 import pytest
 
@@ -12,7 +9,6 @@ from spantree.encoder import EncoderConfig, LayerMask, TransformerModel
 from spantree.errors import ContractViolation
 from spantree.numerics import cosine_distance
 from spantree.spanrep import (
-    SciChart,
     Span,
     build_sci_chart,
     build_t_mask,
@@ -284,21 +280,6 @@ def test_chart_provenance_and_spans():
     assert list(chart.spans()) == [
         Span(0, 0), Span(0, 1), Span(0, 2), Span(1, 1), Span(1, 2), Span(2, 2),
     ]
-
-
-def test_chart_json_round_trip():
-    m = make_model(layers=2)
-    chart = build_sci_chart(m, [5, 6, 7, 8], t=1)
-    payload = chart.to_json_dict()
-    assert payload["n"] == 4 and payload["t"] == 1
-    assert len(payload["entries"]) == 10  # n (n + 1) / 2
-    back = SciChart.from_json_dict(payload)
-    assert back.n == chart.n and back.threshold == chart.threshold
-    assert np.array_equal(back.values, chart.values)
-    buf = io.StringIO()
-    chart.dump_json(buf)
-    again = SciChart.from_json_dict(json.loads(buf.getvalue()))
-    assert np.array_equal(again.values, chart.values)
 
 
 def test_chart_from_model_with_nan_parameter_raises():
