@@ -281,16 +281,31 @@ def cmd_train_mlm(args) -> int:
     return 0
 
 
+def _known_ids(tokens: list[str], vocab, where: str) -> list[int]:
+    """Token ids, refusing a word the checkpoint never saw: ``Vocab.encode``
+    would map it to ``<unk>`` without a word.  Positions count from 0, as
+    chart spans and ``--index`` do."""
+    for pos, tok in enumerate(tokens):
+        if tok not in vocab.token_to_id:
+            raise ContractViolation(
+                f"{where}: token {tok!r} at position {pos} is not in the checkpoint's vocabulary"
+            )
+    return vocab.encode(tokens)
+
+
 def _input_sentences(args, vocab) -> list[tuple[list[str], list[int]]]:
     if getattr(args, "sentence", None):
         tokens = args.sentence.split()
-        return [(tokens, vocab.encode(tokens))]
+        return [(tokens, _known_ids(tokens, vocab, "--sentence"))]
     if not getattr(args, "input", None):
         raise ContractViolation("need --input FILE or --sentence \"tok tok ...\"")
     examples = datasets.load_tsv(args.input)
     if not examples:
         raise ContractViolation(f"{args.input} holds no sentences")
-    return [(ex.source, vocab.encode(ex.source)) for ex in examples]
+    return [
+        (ex.source, _known_ids(ex.source, vocab, f"{args.input}, sentence {i}"))
+        for i, ex in enumerate(examples)
+    ]
 
 
 def cmd_chart(args) -> int:

@@ -12,6 +12,14 @@ graph outlives the op that built it.  Chart building (``spanrep``),
 ``TransformerModel.encode``, greedy decoding, masked-token accuracy and the
 probe's frozen encoder memory use it; the training loop records as usual.
 
+Kernels cost little beyond their numpy work, since inference calls them on
+sentences of a few tokens where Python overhead would dominate.  Reductions
+call the ufunc directly (``np.add.reduce``, ``np.maximum.reduce``; a mean
+divides by the axis length), which gives the bits of ``ndarray.sum``,
+``.max`` and ``.mean`` without numpy's Python-level wrappers; ``permute``
+inverts its axes only when backward runs; and a ``Tensor`` keeps a float64
+ndarray as it is.
+
 Attention masking is additive: forbidden logits receive ``NEG_MASK`` before
 normalization, which is negative enough that ``exp`` underflows to exactly
 0.0, so forbidden positions carry exactly zero probability and contribute
@@ -46,6 +54,9 @@ LN_EPS = 1e-5
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+
+_F64 = np.dtype(np.float64)
 
 
 def _f64(x) -> Array:
@@ -84,7 +95,10 @@ class Tensor:
     __slots__ = ("value", "grad", "parents", "vjp", "name", "taped")
 
     def __init__(self, value, parents=(), vjp=None, name: str = ""):
-        self.value = _f64(value)
+        # a float64 ndarray is kept as is, without np.asarray's per-call cost
+        if type(value) is not np.ndarray or value.dtype is not _F64:
+            value = _f64(value)
+        self.value = value
         self.grad: Array | None = None
         self.taped = taped = _taping.get()
         self.parents: tuple[Tensor, ...] = tuple(parents) if taped else ()
@@ -174,11 +188,12 @@ def backward(loss: Tensor, params=None) -> None:
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     """Sum ``g`` down to ``shape``, inverting numpy broadcasting."""
+    # np.add.reduce is what ndarray.sum runs, without its Python wrapper
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = np.add.reduce(g, axis=0)
     for axis, size in enumerate(shape):
         if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
+            g = np.add.reduce(g, axis=axis, keepdims=True)
     return g
 
 
@@ -238,8 +253,8 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inverse = tuple(np.argsort(axes))
-    return Tensor(np.transpose(a.value, axes), (a,), lambda g: (np.transpose(g, inverse),))
+    # the inverse axes are worked out only when backward runs
+    return Tensor(a.value.transpose(axes), (a,), lambda g: (g.transpose(np.argsort(axes)),))
 
 
 def total_sum(a: Tensor) -> Tensor:
@@ -250,9 +265,12 @@ def total_sum(a: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    mu = x.value.mean(axis=-1, keepdims=True)
+    # each mean is np.add.reduce over the last axis divided by its length:
+    # the bits of ndarray.mean, without its Python wrapper
+    d = x.value.shape[-1]
+    mu = np.add.reduce(x.value, axis=-1, keepdims=True) / d
     xc = x.value - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LN_EPS)
     y = xc * inv
 
@@ -262,8 +280,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         dy = g * gain.value
         dx = inv * (
             dy
-            - dy.mean(axis=-1, keepdims=True)
-            - y * (dy * y).mean(axis=-1, keepdims=True)
+            - np.add.reduce(dy, axis=-1, keepdims=True) / d
+            - y * (np.add.reduce(dy * y, axis=-1, keepdims=True) / d)
         )
         return dx, dgain, dbias
 
@@ -281,13 +299,14 @@ def masked_softmax(scores: Tensor, additive: Array | float) -> Tensor:
     ``TransformerModel.memory`` an all-pad row, and a causal mask always
     permits the diagonal.
     """
+    # the ufunc reduces ndarray.max and .sum run, without their Python wrappers
     z = scores.value + additive
-    z = z - z.max(axis=-1, keepdims=True)
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     p = np.exp(z)
-    p = p / p.sum(axis=-1, keepdims=True)
+    p = p / np.add.reduce(p, axis=-1, keepdims=True)
 
     def vjp(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
+        inner = np.add.reduce(g * p, axis=-1, keepdims=True)
         return (p * (g - inner),)
 
     return Tensor(p, (scores,), vjp)
@@ -296,8 +315,10 @@ def masked_softmax(scores: Tensor, additive: Array | float) -> Tensor:
 def embedding(table: Tensor, ids: Array) -> Tensor:
     """Row gather: ids of any shape index the first axis of ``table``."""
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.value.shape[0]):
-        bad = int(np.flatnonzero((ids < 0) | (ids >= table.value.shape[0]))[0])
+    rows = table.value.shape[0]
+    # one reduce checks both ends: a negative id wraps to a huge unsigned one
+    if ids.size and np.maximum.reduce(ids.astype(np.uint64), axis=None) >= rows:
+        bad = int(np.flatnonzero((ids < 0) | (ids >= rows))[0])
         raise ContractViolation(
             f"embedding: id {int(ids.flat[bad])} out of range at flat position {bad}"
         )
@@ -320,11 +341,12 @@ def cross_entropy(logits: Tensor, targets: Array, weights: Array | None = None) 
     if weights is None:
         weights = np.ones(targets.shape, dtype=np.float64)
     weights = _f64(weights)
-    wsum = weights.sum()
+    # the ufunc reduces behind ndarray.sum and .max, without their wrappers
+    wsum = np.add.reduce(weights, axis=None)
     if not wsum > 0:
         raise ContractViolation("cross_entropy: no positions carry weight")
-    z = logits.value - logits.value.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1))
+    z = logits.value - np.maximum.reduce(logits.value, axis=-1, keepdims=True)
+    lse = np.log(np.add.reduce(np.exp(z), axis=-1))
     picked = np.take_along_axis(z, targets[..., None], axis=-1)[..., 0]
     nll = lse - picked
 
@@ -334,7 +356,7 @@ def cross_entropy(logits: Tensor, targets: Array, weights: Array | None = None) 
         np.put_along_axis(p, targets[..., None], p_target - 1.0, axis=-1)
         return (p * (weights * (g / wsum))[..., None],)
 
-    return Tensor((weights * nll).sum() / wsum, (logits,), vjp)
+    return Tensor(np.add.reduce(weights * nll, axis=None) / wsum, (logits,), vjp)
 
 
 # ---------------------------------------------------------------------------

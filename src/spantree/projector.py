@@ -51,7 +51,8 @@ class ProjectionResult:
 def _split_costs(values: np.ndarray, i: int, j: int) -> np.ndarray:
     """values[i, k] + values[k + 1, j] for every split k in [i, j).
 
-    ``np.argmin`` of the result picks the smallest k among equal costs."""
+    The result's ``argmin()`` picks the smallest k among equal costs; the
+    ndarray method skips ``np.argmin``'s Python wrapper."""
     return values[i, i:j] + values[i + 1 : j + 1, j]
 
 
@@ -75,7 +76,7 @@ def greedy_project(chart, rng, samples_per_node: int = 1) -> ProjectionResult:
         if i == j:
             return i, 0.0
         costs = _split_costs(values, i, j)
-        k = int(np.argmin(costs))
+        k = int(costs.argmin())
         cost = float(costs[k])
         draws = rng.integers(i, j, size=samples_per_node)
         baseline = float(np.mean(costs[draws - i]))
@@ -106,7 +107,7 @@ def exact_project(chart) -> tuple[object, float]:
         for i in range(0, n - length + 1):
             j = i + length - 1
             costs = _split_costs(best, i, j)
-            k = int(np.argmin(costs))
+            k = int(costs.argmin())
             best[i, j] = values[i, j] + costs[k]
             split[i, j] = i + k
 

@@ -60,11 +60,13 @@ def _as_span(span, n: int) -> Span:
 
 def _pool(vectors: Array, pooling: str) -> Array:
     """Pool over the token axis, the second to last: (k, d) -> (d,), or
-    (spans, k, d) -> (spans, d) with each row pooled as on its own."""
+    (spans, k, d) -> (spans, d) with each row pooled as on its own.  The
+    ufunc reduce and the divide by k give ndarray.mean's and .sum's bits
+    without their Python wrappers."""
     if pooling == "mean":
-        return vectors.mean(axis=-2)
+        return np.add.reduce(vectors, axis=-2) / vectors.shape[-2]
     if pooling == "sum":
-        return vectors.sum(axis=-2)
+        return np.add.reduce(vectors, axis=-2)
     raise ContractViolation(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
 
 

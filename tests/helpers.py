@@ -1,11 +1,13 @@
-"""Shared test utilities: finite-difference gradient checking and a
-full-prefix greedy decoder.
+"""Shared test utilities: finite-difference gradient checking, a
+full-prefix greedy decoder and the kernels' earlier numpy expressions.
 
 The FD harness is deliberately independent of the autodiff engine: it only
 calls forward passes on fresh graphs, so agreement with backward() is a real
 two-route check, not a tautology.  The decoder is the oracle for the
 package's incremental one: it recomputes every row's whole prefix at every
-step, finished rows included, on a cache of its own each time.
+step, finished rows included, on a cache of its own each time.  The
+``ref_*`` functions keep the kernels' expressions from before they called
+numpy's ufunc reduces directly; the kernels must match them bit for bit.
 """
 
 import numpy as np
@@ -85,3 +87,68 @@ def full_prefix_greedy(model, memory, cross_additive, max_new):
                 break
     rows = ys[:, 1:].tolist()
     return [row[: row.index(eos)] if eos in row else row for row in rows]
+
+
+# ---------------------------------------------------------------------------
+# the kernels' earlier expressions, through numpy's Python-level wrappers
+# ---------------------------------------------------------------------------
+
+
+def ref_unbroadcast(g, shape):
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g
+
+
+def ref_permute(x, axes, g):
+    """Forward value and input gradient of ``permute``."""
+    inverse = tuple(np.argsort(axes))
+    return np.transpose(x, axes), np.transpose(g, inverse)
+
+
+def ref_layer_norm(x, gain, bias, g):
+    """Forward value and the (x, gain, bias) gradients of ``layer_norm``."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + nm.LN_EPS)
+    y = xc * inv
+    dgain = ref_unbroadcast(g * y, gain.shape)
+    dbias = ref_unbroadcast(g, bias.shape)
+    dy = g * gain
+    dx = inv * (
+        dy
+        - dy.mean(axis=-1, keepdims=True)
+        - y * (dy * y).mean(axis=-1, keepdims=True)
+    )
+    return y * gain + bias, (dx, dgain, dbias)
+
+
+def ref_masked_softmax(scores, additive, g):
+    """Forward value and input gradient of ``masked_softmax``."""
+    z = scores + additive
+    z = z - z.max(axis=-1, keepdims=True)
+    p = np.exp(z)
+    p = p / p.sum(axis=-1, keepdims=True)
+    inner = (g * p).sum(axis=-1, keepdims=True)
+    return p, p * (g - inner)
+
+
+def ref_cross_entropy(logits, targets, weights, g):
+    """Loss value and logits gradient of ``cross_entropy``."""
+    wsum = weights.sum()
+    z = logits - logits.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1))
+    picked = np.take_along_axis(z, targets[..., None], axis=-1)[..., 0]
+    nll = lse - picked
+    p = np.exp(z - lse[..., None])
+    p_target = np.take_along_axis(p, targets[..., None], axis=-1)
+    np.put_along_axis(p, targets[..., None], p_target - 1.0, axis=-1)
+    return (weights * nll).sum() / wsum, p * (weights * (g / wsum))[..., None]
+
+
+def ref_pool(vectors, pooling):
+    return vectors.mean(axis=-2) if pooling == "mean" else vectors.sum(axis=-2)

@@ -427,6 +427,12 @@ def _blank(tmp_path, name):
     return str(path)
 
 
+def _unknown_word_tsv(tmp_path):
+    path = tmp_path / "in.tsv"
+    path.write_text("A1 B1\tA1 B1\nA1 zzz B1\tA1 B1\n", encoding="utf-8")
+    return str(path)
+
+
 def _data_with_bad_split(pipeline, tmp_path):
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)
@@ -480,6 +486,12 @@ BAD_INPUTS = {
         "--out-dir", str(t / "proj")],
     "eval-trees on empty files": lambda p, t: [
         "eval-trees", "--pred", _blank(t, "pred.sexpr"), "--gold", _blank(t, "gold.sexpr")],
+    # a word the checkpoint never saw used to be read as <unk> without a word
+    "chart --sentence with an unknown word": lambda p, t: [
+        "chart", "--checkpoint", p["ckpt"], "--sentence", "zzz copy"],
+    "project --input with an unknown word": lambda p, t: [
+        "project", "--checkpoint", p["ckpt"], "--input", _unknown_word_tsv(t),
+        "--out-dir", str(t / "proj")],
     "--config not UTF-8": lambda p, t: [
         "gen-data", "--config", _not_utf8(t, "bad.cfg"), "--out", str(t / "d")],
     # numeric flags out of range: each used to end in a traceback or to run
@@ -512,6 +524,18 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_a_clean_error(pipeline, tmp_path, case):
     assert_clean_error(BAD_INPUTS[case](pipeline, tmp_path))
+
+
+def test_unknown_word_error_names_token_and_position(pipeline, tmp_path, capsys):
+    rc = main(["chart", "--checkpoint", pipeline["ckpt"], "--sentence", "A1 zzz qqq"])
+    assert rc == 1
+    assert "error: --sentence: token 'zzz' at position 1 " in capsys.readouterr().err
+    src = _unknown_word_tsv(tmp_path)
+    rc = main(["project", "--checkpoint", pipeline["ckpt"], "--input", src,
+               "--out-dir", str(tmp_path / "proj")])
+    assert rc == 1
+    assert f"error: {src}, sentence 1: token 'zzz' at position 1 " in capsys.readouterr().err
+    assert not (tmp_path / "proj").exists()
 
 
 def _chart_with_blob(edit):

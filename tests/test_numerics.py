@@ -1,13 +1,26 @@
 """Autodiff kernels against finite differences, plus the optimizer contract."""
 
+import contextlib
 import logging
 
 import numpy as np
 import pytest
 
-from helpers import check_grads, fd_grad, kink_free, rel_err
+from helpers import (
+    check_grads,
+    fd_grad,
+    kink_free,
+    ref_cross_entropy,
+    ref_layer_norm,
+    ref_masked_softmax,
+    ref_permute,
+    ref_pool,
+    ref_unbroadcast,
+    rel_err,
+)
 from spantree import numerics as nm
 from spantree.errors import ContractViolation
+from spantree.spanrep import POOLINGS, _pool
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +264,158 @@ def test_no_tape_restores_recording_on_exit_and_on_error():
 
 
 # ---------------------------------------------------------------------------
+# bit identity with the kernels' earlier numpy expressions
+# ---------------------------------------------------------------------------
+
+# The encoder's shapes at the benchmark's width: batch, heads, tokens, model
+# width, head width.
+B, H, N, D = 3, 4, 7, 32
+DH = D // H
+TAPE_MODES = {"taped": contextlib.nullcontext, "no_tape": nm.no_tape}
+
+
+def draw(rng, shape, layout):
+    """Seeded normals of ``shape``, C-contiguous or as a transposed view (a
+    strided one where a single row would make the transpose contiguous)."""
+    if layout == "contiguous":
+        return rng.standard_normal(shape)
+    if len(shape) >= 2 and min(shape[-2:]) > 1:
+        view = rng.standard_normal(shape[:-2] + shape[:-3:-1]).swapaxes(-1, -2)
+    else:
+        view = rng.standard_normal(shape[:-1] + (2 * shape[-1],))[..., ::2]
+    assert view.shape == shape and not view.flags.c_contiguous
+    return view
+
+
+def run_kernel(mode, kernel, *args):
+    """The kernel's output tensor, built in tape mode ``mode``."""
+    with TAPE_MODES[mode]():
+        out = kernel(*args)
+    assert out.taped == (mode == "taped")
+    return out
+
+
+def assert_same_bits(got, want):
+    # the bytes also tell 0.0 from -0.0, which np.array_equal treats as equal
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "view"])
+@pytest.mark.parametrize("mode", sorted(TAPE_MODES))
+@pytest.mark.parametrize("shape, axes", [
+    ((B, N, H, DH), (0, 2, 1, 3)),  # split heads
+    ((B, H, N, DH), (0, 1, 3, 2)),  # keys for the scores
+    ((B, H, N, DH), (0, 2, 1, 3)),  # merge heads
+])
+def test_permute_matches_earlier_expression(mode, layout, shape, axes):
+    rng = np.random.default_rng(20)
+    x = draw(rng, shape, layout)
+    out = run_kernel(mode, nm.permute, nm.constant(x), axes)
+    g = rng.standard_normal(out.shape)
+    want, want_grad = ref_permute(x, axes, g)
+    assert_same_bits(out.value, want)
+    if out.taped:
+        assert_same_bits(out.vjp(g)[0], want_grad)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "view"])
+@pytest.mark.parametrize("mode", sorted(TAPE_MODES))
+# width 24 too: dividing by 32 and multiplying by 1/32 agree bit for bit
+@pytest.mark.parametrize("shape", [(B, N, D), (N, D), (1, 1, D), (B, N, 24)])
+def test_layer_norm_matches_earlier_expression(mode, layout, shape):
+    rng = np.random.default_rng(21)
+    x = draw(rng, shape, layout)
+    gain = rng.standard_normal((1, shape[-1])) * 0.5 + 1.0
+    bias = rng.standard_normal((1, shape[-1])) * 0.1
+    out = run_kernel(mode, nm.layer_norm, nm.constant(x), nm.constant(gain), nm.constant(bias))
+    g = draw(rng, shape, layout)
+    want, want_grads = ref_layer_norm(x, gain, bias, g)
+    assert_same_bits(out.value, want)
+    if out.taped:
+        for got_grad, want_grad in zip(out.vjp(g), want_grads):
+            assert_same_bits(got_grad, want_grad)
+
+
+def key_pad_mask(rng, nk):
+    """A (B, 1, 1, nk) additive mask forbidding a random tail of keys per row."""
+    additive = np.zeros((B, 1, 1, nk))
+    for row, keep in enumerate(rng.integers(1, nk + 1, size=B)):
+        additive[row, ..., keep:] = nm.NEG_MASK
+    return additive
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "view"])
+@pytest.mark.parametrize("mode", sorted(TAPE_MODES))
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("nq", [N, 1])  # self-attention, one decoding step
+def test_masked_softmax_matches_earlier_expression(mode, layout, masked, nq):
+    rng = np.random.default_rng(22)
+    scores = draw(rng, (B, H, nq, N), layout) * 3.0
+    additive = key_pad_mask(rng, N) if masked else 0.0
+    out = run_kernel(mode, nm.masked_softmax, nm.constant(scores), additive)
+    g = draw(rng, (B, H, nq, N), layout)
+    want, want_grad = ref_masked_softmax(scores, additive, g)
+    assert_same_bits(out.value, want)
+    if out.taped:
+        assert_same_bits(out.vjp(g)[0], want_grad)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "view"])
+@pytest.mark.parametrize("mode", sorted(TAPE_MODES))
+def test_cross_entropy_matches_earlier_expression(mode, layout):
+    rng = np.random.default_rng(23)
+    logits = draw(rng, (B, N, 11), layout)
+    targets = rng.integers(0, 11, size=(B, N))
+    weights = (rng.random((B, N)) < 0.7).astype(np.float64)
+    weights[0, 0] = 1.0
+    out = run_kernel(mode, nm.cross_entropy, nm.constant(logits), targets, weights)
+    want, want_grad = ref_cross_entropy(logits, targets, weights, np.float64(0.75))
+    assert_same_bits(out.value, np.asarray(want))
+    if out.taped:
+        assert_same_bits(out.vjp(np.float64(0.75))[0], want_grad)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "view"])
+@pytest.mark.parametrize("g_shape, shape", [
+    ((B, N, D), (1, D)),  # bias and layer-norm gain
+    ((B, N, D), (D,)),
+    ((B, N, D), (B, 1, D)),
+    ((B, N, D), ()),
+    ((B, H, N, N), (B, 1, 1, N)),  # a key pad mask's shape
+    ((B, N, D), (B, N, D)),
+])
+def test_unbroadcast_matches_earlier_expression(layout, g_shape, shape):
+    g = draw(np.random.default_rng(24), g_shape, layout)
+    assert_same_bits(nm._unbroadcast(g, shape), ref_unbroadcast(g, shape))
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "view"])
+@pytest.mark.parametrize("pooling", POOLINGS)
+@pytest.mark.parametrize("shape", [(1, D), (5, D), (N - 2, 3, D), (1, N, D)])
+def test_pool_matches_earlier_expression(layout, pooling, shape):
+    vectors = draw(np.random.default_rng(25), shape, layout)
+    assert_same_bits(_pool(vectors, pooling), ref_pool(vectors, pooling))
+
+
+def test_tensor_values_are_float64_arrays():
+    for value in (3, [1, 2], np.arange(4, dtype=np.int32), np.ones(2, dtype=np.float32),
+                  np.arange(3, dtype=">f8"), np.float64(2.5)):
+        v = nm.Tensor(value).value
+        assert type(v) is np.ndarray and v.dtype == np.float64 and v.dtype.isnative
+        assert np.array_equal(v, np.asarray(value, dtype=np.float64))
+
+    class Sub(np.ndarray):
+        pass
+
+    assert type(nm.Tensor(np.zeros(3).view(Sub)).value) is np.ndarray
+    # a float64 array, contiguous or a view, is kept as is
+    a = np.arange(6.0).reshape(2, 3)
+    view = a.T
+    assert nm.Tensor(a).value is a and nm.Tensor(view).value is view
+
+
+# ---------------------------------------------------------------------------
 # masked softmax semantics
 # ---------------------------------------------------------------------------
 
@@ -367,6 +532,9 @@ def test_embedding_out_of_range_names_position():
     table = nm.parameter(np.zeros((4, 2)))
     with pytest.raises(ContractViolation, match="flat position 3"):
         nm.embedding(table, np.array([[0, 1], [2, 9]]))
+    with pytest.raises(ContractViolation, match="id -1 out of range at flat position 2"):
+        nm.embedding(table, np.array([0, 3, -1]))
+    assert nm.embedding(table, np.array([], dtype=np.int64)).value.shape == (0, 2)
 
 
 def test_embedding_repeated_ids_accumulate():

@@ -1,5 +1,7 @@
 """Span vectors and invariance charts: exactness guarantees and caching."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -287,3 +289,28 @@ def test_chart_from_model_with_nan_parameter_raises():
     m.params["enc.0.ff.w1"].value[0, 0] = np.nan
     with pytest.raises(ContractViolation, match="non-finite"):
         build_sci_chart(m, [5, 6, 7], t=1)
+
+
+# sha256 of build_sci_chart(...).values.tobytes() on the benchmark's
+# architecture, recorded before the kernels dropped numpy's Python wrappers.
+# Criteria 2 and 3 compare two routes that share every kernel, so only a
+# frozen record catches a kernel edit that moves the bits on both.
+FROZEN_CHART_SHA256 = {
+    (6, 0): "208110c577854ee2ee0e55f50f87ec78e9e346922062a8a435ea7b845a07d917",
+    (6, 1): "2e0b90f98e858a8f7952b5df953efd782736037379d105cd8c071e7cd163af9b",
+    (6, 2): "2d5565fb483d8ea4525a7a9229677d1038ad34b6e22c8d5152e1d7f7b9817597",
+    (17, 0): "82d5b1312fe1cb62e11df1dc65c1870c77430c793362b5a2012180e5ae36f6d2",
+    (17, 1): "016f053ae4aa9c8242b89bd25cdcc4678e73175d8489f76fc4945cc4df3d6e1c",
+    (17, 2): "35956830dc0e1c6938923d39e417eba774c6b059bb38a8a8de026da72f74da51",
+}
+
+
+def test_chart_frozen_bytes():
+    m = make_model(layers=2, d=32, max_len=40, heads=4, d_ff=128, seed=7)
+    rng = np.random.default_rng(7)
+    for n in (6, 17):
+        tokens = rng.integers(5, 15, size=n).tolist()
+        for t in (0, 1, 2):
+            values = build_sci_chart(m, tokens, t).values
+            digest = hashlib.sha256(values.tobytes()).hexdigest()
+            assert digest == FROZEN_CHART_SHA256[n, t], (n, t)
