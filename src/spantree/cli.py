@@ -183,7 +183,6 @@ def _encoder_config(s: dict, dec_layers: int | None = None) -> EncoderConfig:
         heads=s["heads"],
         d_model=s["d_model"],
         d_ff=s["d_ff"],
-        vocab_size=len(datasets.RESERVED) + 1,  # overwritten from the corpus
         max_len=s["max_len"],
     )
 

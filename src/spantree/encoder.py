@@ -7,9 +7,13 @@ output.  Sinusoidal absolute positions are added once at layer 0, so a pass
 over a subset of positions keeps each token's original position simply by
 slicing layer-0 states.
 
-``encode`` returns the full stack of per-layer states: index 0 is embeddings
-plus positions, index L is the last block's output after the final layer
-norm.  All analysis code reads span vectors off these states.
+Token ids enter the model one way: ``pad_ids`` builds every (B, n) id batch,
+targets included, and is the one place an empty batch or sentence is refused.
+``encoder_states_t`` returns raw per-layer states (index 0 is embeddings
+plus positions) and never applies the final layer norm; ``memory``,
+``encode`` and the SCI charts apply it through ``final_norm``.
+``frozen_memory`` is the one no-gradient encode, ``mlm_logits`` the one
+masked-token head.
 
 The decoder has one path: ``decoder_logits(ids, cache)`` on a
 ``DecoderCache``, which projects every layer's cross-attention keys and
@@ -144,6 +148,19 @@ class LayerMask:
         allow[:boundary, :boundary] = True
         allow[boundary:, boundary:] = True
         return cls([allow.copy() for _ in range(layers)])
+
+
+def pad_ids(rows: list[list[int]], pad: int) -> Array:
+    """The (B, n) int64 id batch of ``rows``, each right-padded with ``pad``
+    to the longest; an empty batch or an empty row is refused."""
+    if len(rows) == 0:
+        raise ContractViolation("empty batch: no sentences to encode")
+    if not all(len(row) for row in rows):
+        raise ContractViolation("cannot encode an empty sentence")
+    ids = np.full((len(rows), max(len(row) for row in rows)), pad, dtype=np.int64)
+    for b, row in enumerate(rows):
+        ids[b, : len(row)] = row
+    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +370,15 @@ class TransformerModel:
         layer0_delta: Array | None = None,
         upto: int | None = None,
     ) -> list[Tensor]:
-        """Per-layer states for a (B, n) id batch, on the tape unless built
-        under ``no_tape``.
+        """Raw per-layer states for a (B, n) id batch from ``pad_ids``, on the
+        tape unless built under ``no_tape``.
 
         ``additives[i]`` is the additive attention mask of block i, built by
         ``LayerMask.additive`` or ``memory`` so that every row keeps a
         permitted key; None adds the scalar 0.0 (unrestricted).  ``upto=t``
-        stops after block t-1 and skips the final norm; the full run applies
-        the final layer norm to the last entry.
+        stops after block t-1 (None runs every block).  The final layer norm
+        is never applied here: callers that read final states apply
+        ``final_norm`` to the last entry.
         """
         cfg = self.config
         if self.task == "probe":
@@ -375,22 +393,28 @@ class TransformerModel:
         for i in range(n_blocks):
             additive = 0.0 if additives is None else additives[i]
             states.append(self.encoder_block(i, states[-1], additive))
-        if upto is None:
-            states[-1] = self._ln(states[-1], "enc.ln_f")
         return states
 
+    def final_norm(self, x: Tensor) -> Tensor:
+        return self._ln(x, "enc.ln_f")
+
     def memory(self, ids: Array) -> tuple[Tensor, Array]:
-        """Final encoder states of a padded (B, n) id batch, plus the additive
-        (B, 1, 1, n) mask that hides its pad positions from attention.  A row
-        that is all padding would leave attention no key, so it is rejected."""
+        """Final-normed encoder states of a (B, n) id batch from ``pad_ids``,
+        plus the additive (B, 1, 1, n) mask that hides its pad positions from
+        attention.  A row that is all padding would leave attention no key,
+        so it is rejected."""
         pad = np.asarray(ids) == self.vocab.pad
         if pad.all(axis=-1).any():
             raise ContractViolation("memory: a batch row is all padding")
         additive = np.where(pad, NEG_MASK, 0.0)[:, None, None, :]
-        return self.encoder_states_t(ids, [additive] * self.config.enc_layers)[-1], additive
+        states = self.encoder_states_t(ids, [additive] * self.config.enc_layers)
+        return self.final_norm(states[-1]), additive
 
-    def final_norm(self, x: Tensor) -> Tensor:
-        return self._ln(x, "enc.ln_f")
+    def frozen_memory(self, sources: list[list[int]]) -> tuple[Tensor, Array]:
+        """``memory`` of the padded ``sources``, built off the tape so that no
+        gradient reaches the encoder: the memory decoding and the probe read."""
+        with no_tape():
+            return self.memory(pad_ids(sources, self.vocab.pad))
 
     def encode(
         self,
@@ -398,15 +422,14 @@ class TransformerModel:
         mask: LayerMask | None = None,
         layer0_delta: Array | None = None,
     ) -> list[Array]:
-        """Per-layer hidden states (n, d) for one sentence, layer 0 included.
+        """Per-layer hidden states (n, d) for one sentence, layer 0 included,
+        the final layer norm applied to the last.
 
         ``mask`` restricts encoder self-attention per layer; None means
         unrestricted, and an all-true mask is bit-identical to None.
         """
-        tokens = list(tokens)
-        if not tokens:
-            raise ContractViolation("cannot encode an empty sentence")
-        n = len(tokens)
+        ids = pad_ids([tokens], self.vocab.pad)
+        n = ids.shape[1]
         additives = None
         if mask is not None:
             if mask.n != n:
@@ -416,10 +439,10 @@ class TransformerModel:
                     f"mask has {mask.layers} layers, encoder has {self.config.enc_layers}"
                 )
             additives = [mask.additive(i)[None, None] for i in range(mask.layers)]
-        ids = np.asarray(tokens, dtype=np.int64)[None, :]
         delta = None if layer0_delta is None else np.asarray(layer0_delta)[None]
         with no_tape():
             states = self.encoder_states_t(ids, additives, delta)
+            states[-1] = self.final_norm(states[-1])
         return [s.value[0] for s in states]
 
     # -- decoder -----------------------------------------------------------
@@ -474,19 +497,8 @@ class TransformerModel:
 
         Pairs are (source ids, target ids) without sentinels.
         """
-        if not pairs:
-            raise ContractViolation("seq2seq_loss: empty batch")
-        memory, src_additive = self.memory(self._pad_sources([s for s, _ in pairs]))
+        memory, src_additive = self.memory(pad_ids([s for s, _ in pairs], self.vocab.pad))
         return self.target_loss(memory, src_additive, [t for _, t in pairs])
-
-    def _pad_sources(self, sources: list[list[int]]) -> Array:
-        if any(len(s) == 0 for s in sources):
-            raise ContractViolation("empty source sentence")
-        ns = max(len(s) for s in sources)
-        src = np.full((len(sources), ns), self.vocab.pad, dtype=np.int64)
-        for b, s in enumerate(sources):
-            src[b, : len(s)] = s
-        return src
 
     def target_loss(
         self, memory: Tensor, cross_additive: Array, targets: list[list[int]]
@@ -496,17 +508,17 @@ class TransformerModel:
         returns.  BOS/EOS are added here, padding is excluded from the loss,
         and the whole prefix runs on a fresh ``DecoderCache``."""
         pad, bos, eos = self.vocab.pad, self.vocab.bos, self.vocab.eos
-        nt = max(len(t) for t in targets) + 1
-        tgt_in = np.full((len(targets), nt), pad, dtype=np.int64)
-        tgt_out = np.full((len(targets), nt), pad, dtype=np.int64)
-        for b, t in enumerate(targets):
-            tgt_in[b, 0] = bos
-            tgt_in[b, 1 : len(t) + 1] = t
-            tgt_out[b, : len(t)] = t
-            tgt_out[b, len(t)] = eos
+        tgt_in = pad_ids([[bos, *t] for t in targets], pad)
+        tgt_out = pad_ids([[*t, eos] for t in targets], pad)
         weights = (tgt_out != pad).astype(np.float64)
         logits = self.decoder_logits(tgt_in, DecoderCache(self, memory, cross_additive))
         return cross_entropy(logits, tgt_out, weights)
+
+    def mlm_logits(self, ids: Array) -> Tensor:
+        """Vocabulary-head logits (B, n, V) of a (B, n) id batch from ``pad_ids``."""
+        if self.task != "mlm":
+            raise ContractViolation("the masked-token head requires an mlm model")
+        return self._affine(self.memory(ids)[0], "mlm.w", "mlm.b")
 
     def mlm_loss(self, masked_ids: Array, original_ids: Array, loss_mask: Array) -> Tensor:
         """Cross-entropy of the vocabulary head at masked positions only.
@@ -514,19 +526,14 @@ class TransformerModel:
         Masking replaces real tokens only, so ``masked_ids`` and
         ``original_ids`` share their pad positions.
         """
-        if self.task != "mlm":
-            raise ContractViolation("mlm_loss requires an mlm model")
-        final, _ = self.memory(masked_ids)
-        logits = self._affine(final, "mlm.w", "mlm.b")
+        logits = self.mlm_logits(masked_ids)
         return cross_entropy(logits, np.asarray(original_ids), np.asarray(loss_mask))
 
     # -- decoding ----------------------------------------------------------
 
     def greedy_decode(self, sources: list[list[int]], max_new: int) -> list[list[int]]:
         """Batched argmax decoding until EOS (ties take the lowest id)."""
-        with no_tape():
-            memory, src_additive = self.memory(self._pad_sources(sources))
-        return self.decode_with_memory(memory, src_additive, max_new)
+        return self.decode_with_memory(*self.frozen_memory(sources), max_new)
 
     def decode_with_memory(
         self, memory: Tensor, cross_additive: Array, max_new: int

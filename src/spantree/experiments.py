@@ -398,8 +398,8 @@ class DynamicsRecord:
     t_score: float
     t_parseval: float | None
     p_parseval: float | None
-    iid_acc: float
-    cg_acc: float
+    iid_acc: float | None
+    cg_acc: float | None
     threshold: int
 
 
@@ -483,13 +483,16 @@ def evaluate_checkpoint(
     return score, _t_parseval(charts, subset)
 
 
-def _accuracy(model, examples, limit, seed) -> float:
+def _accuracy(model, examples, limit, seed) -> float | None:
+    """The task's accuracy on the first ``limit`` examples, or None when the
+    split has nothing to score, as the trainers record it."""
     if model.task == "seq2seq":
-        return exact_match_accuracy(model, examples, limit=limit)
+        return exact_match_accuracy(model, examples, limit=limit) if examples else None
     if model.task == "mlm":
-        return masked_prediction_accuracy(
-            model, [model.vocab.encode(ex.source) for ex in examples], seed=seed
-        )
+        sentences = [model.vocab.encode(ex.source) for ex in examples[:limit]]
+        if not any(len(s) >= 2 for s in sentences):
+            return None
+        return masked_prediction_accuracy(model, sentences, seed=seed)
     raise ContractViolation(f"no accuracy measure for task {model.task!r}")
 
 
@@ -526,6 +529,8 @@ def dynamics_report(
         raise ContractViolation(
             f"eval and tune sentence counts must be >= 1, got {eval_sentences}, {tune_sentences}"
         )
+    if eval_limit is not None and eval_limit < 1:
+        raise ContractViolation(f"evaluation limit must be None or >= 1, got {eval_limit}")
     eval_examples = corpus.iid_val[:eval_sentences]
     if not eval_examples:
         raise ContractViolation("dynamics_report: empty iid-val split")

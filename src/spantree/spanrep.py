@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import LayerMask, TransformerModel
+from .encoder import LayerMask, TransformerModel, pad_ids
 from .errors import ContractViolation
 from .numerics import Tensor, cosine_distance, no_tape
 
@@ -117,14 +117,10 @@ def context_free_vector(
     their original absolute positions.  t=0 is fully context-free; t=L equals
     the contextual vector.
     """
-    tokens = list(tokens)
-    n = len(tokens)
-    if n == 0:
-        raise ContractViolation("cannot encode an empty sentence")
-    span = _as_span(span, n)
+    ids = pad_ids([tokens], model.vocab.pad)
+    span = _as_span(span, ids.shape[1])
     if not 0 <= t <= model.config.enc_layers:
         raise ContractViolation(f"threshold {t} outside [0, {model.config.enc_layers}]")
-    ids = np.asarray(tokens, dtype=np.int64)[None, :]
     with no_tape():
         prefix = model.encoder_states_t(ids, None, upto=t)[-1].value
         tail = _span_tails(model, prefix[:, span.start : span.end + 1], t)
@@ -167,17 +163,14 @@ def build_sci_chart(
     two-segment analyses); the context-free side always uses the
     unrestricted prefix.
     """
-    tokens = list(tokens)
-    n = len(tokens)
-    if n == 0:
-        raise ContractViolation("cannot build a chart for an empty sentence")
+    ids = pad_ids([tokens], model.vocab.pad)
+    n = ids.shape[1]
     layers = model.config.enc_layers
     if not 0 <= t <= layers:
         raise ContractViolation(f"threshold {t} outside [0, {layers}]")
-    ids = np.asarray(tokens, dtype=np.int64)[None, :]
     values = np.zeros((n, n))
     with no_tape():
-        raw = model.encoder_states_t(ids, None, upto=layers)
+        raw = model.encoder_states_t(ids, None)
         prefix = raw[t].value[0]
         if contextual_mask is None:
             final = model.final_norm(raw[layers]).value[0]
@@ -193,6 +186,6 @@ def build_sci_chart(
         n=n,
         threshold=t,
         values=values,
-        provenance={"checkpoint": model.tag, "sentence": list(tokens)},
+        provenance={"checkpoint": model.tag, "sentence": ids[0].tolist()},
     )
 

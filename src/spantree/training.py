@@ -11,21 +11,22 @@ checkpoints.
 
 The probe is a 1-layer decoder trained to emit a sentence's bracketed parse
 (``( ( A1 B1 ) C1 )`` as a token stream) while cross-attending to the frozen
-encoder's final states; its predictions are repaired by ``delinearize`` and
-scored with corpus PARSEVAL.
+encoder's states from ``TransformerModel.frozen_memory``; its predictions are
+repaired by ``delinearize`` and scored with corpus PARSEVAL.  Trainers set
+``vocab_size`` on a copy of the caller's config, never on the config itself.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import treeval, trees
 from .datasets import RESERVED, Corpus, TransductionExample, Vocab
-from .encoder import EncoderConfig, TransformerModel, save_checkpoint
+from .encoder import EncoderConfig, TransformerModel, pad_ids, save_checkpoint
 from .errors import ContractViolation, TrainingDiverged
 from .numerics import OptimizerState, backward, no_tape, optimizer_step
 
@@ -165,7 +166,7 @@ def train_seq2seq(
     if not corpus.train:
         raise ContractViolation("train_seq2seq: corpus has no train split")
     vocab = corpus.vocab
-    config.vocab_size = len(vocab)
+    config = replace(config, vocab_size=len(vocab))
     model = TransformerModel(config, vocab, "seq2seq", rng=np.random.default_rng(seed))
     pairs = [(vocab.encode(ex.source), vocab.encode(ex.target)) for ex in corpus.train]
     batch_rng = np.random.default_rng([seed, 1])
@@ -207,10 +208,7 @@ def make_mlm_batch(
     rng: np.random.Generator, sentences: list[list[int]], vocab: Vocab, frac: float = 0.15
 ):
     """Pad a batch and mask a seeded subset of real positions per sentence."""
-    width = max(len(s) for s in sentences)
-    original = np.full((len(sentences), width), vocab.pad, dtype=np.int64)
-    for b, s in enumerate(sentences):
-        original[b, : len(s)] = s
+    original = pad_ids(sentences, vocab.pad)
     masked = original.copy()
     loss_mask = np.zeros_like(original, dtype=np.float64)
     for b, s in enumerate(sentences):
@@ -234,9 +232,7 @@ def masked_prediction_accuracy(
             rng, usable[lo : lo + EVAL_CHUNK], model.vocab, EVAL_MASK_FRAC
         )
         with no_tape():
-            final, _ = model.memory(masked)
-        logits = final.value @ model.params["mlm.w"].value + model.params["mlm.b"].value
-        pred = logits.argmax(axis=-1)
+            pred = model.mlm_logits(masked).value.argmax(axis=-1)
         hit += int(((pred == original) & (loss_mask > 0)).sum())
         total += int(loss_mask.sum())
     return hit / total
@@ -267,7 +263,7 @@ def train_mlm(
     sentences = [vocab.encode(ex.source) for ex in corpus.train if len(ex.source) >= 2]
     if not sentences:
         raise ContractViolation("train_mlm: no trainable sentences")
-    config.vocab_size = len(vocab)
+    config = replace(config, vocab_size=len(vocab))
     model = TransformerModel(config, vocab, "mlm", rng=np.random.default_rng(seed))
     batch_rng = np.random.default_rng([seed, 2])
     iid_sents = [vocab.encode(ex.source) for ex in corpus.iid_val]
@@ -310,13 +306,6 @@ def probe_vocab_for(vocab: Vocab) -> Vocab:
     return Vocab(vocab.id_to_token[len(RESERVED) :] + [OPEN, CLOSE])
 
 
-def _frozen_memory(encoder: TransformerModel, sources: list[list[int]]):
-    """Final encoder states built off the tape, so no gradient reaches the
-    encoder, plus the cross-attention mask."""
-    with no_tape():
-        return encoder.memory(encoder._pad_sources(sources))
-
-
 def predicted_tree(decoded_tokens: list[str], n_leaves: int):
     """Tree from probe output: delinearize, then coerce any leaf-count
     mismatch (or unusable output) to a right-branching fallback."""
@@ -345,8 +334,8 @@ def evaluate_probe(
     repaired_count = coerced_count = 0
     for lo in range(0, len(examples), EVAL_CHUNK):
         batch = examples[lo : lo + EVAL_CHUNK]
-        memory, additive = _frozen_memory(
-            encoder, [encoder.vocab.encode(ex.source) for ex in batch]
+        memory, additive = encoder.frozen_memory(
+            [encoder.vocab.encode(ex.source) for ex in batch]
         )
         decoded = probe.decode_with_memory(memory, additive, max_new)
         for out, ex in zip(decoded, batch):
@@ -397,7 +386,7 @@ def train_probe(
     batch_rng = np.random.default_rng([seed, 3])
 
     def batch_loss(idx):
-        memory, additive = _frozen_memory(encoder, [sources[i] for i in idx])
+        memory, additive = encoder.frozen_memory([sources[i] for i in idx])
         return probe.target_loss(memory, additive, [targets[i] for i in idx])
 
     state = OptimizerState(

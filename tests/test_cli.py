@@ -262,6 +262,24 @@ def test_dynamics_command_byte_identical_reruns(pipeline):
     assert [int(line.split(",")[0]) for line in lines[1:]] == [0, 2, 4]
 
 
+@pytest.mark.parametrize("command", ["train", "train-mlm"])
+def test_dynamics_without_cg_split_leaves_cg_cells_empty(pipeline, tmp_path, command):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    (data / "cg_test.tsv").unlink()
+    run = str(tmp_path / "run")
+    run_json([command, "--data", str(data), "--run-dir", run, "--steps", "2",
+              "--checkpoint-every", "1", "--batch-size", "4", "--d-model", "16",
+              "--heads", "2", "--enc-layers", "1", "--d-ff", "32", "--max-len", "32"])
+    payload = run_json(["dynamics", "--run-dir", run, "--data", str(data),
+                        "--eval-sentences", "2", "--eval-limit", "4", "--fixed-t", "1"])
+    assert payload["checkpoints"] == 3
+    assert not [name for name in payload["correlations"] if name.startswith("rho_cg")]
+    rows = open(payload["csv"]).read().splitlines()[1:]
+    assert [row.split(",")[5] for row in rows] == [""] * 3
+    assert all(row.split(",")[4] for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # settings resolution
 # ---------------------------------------------------------------------------

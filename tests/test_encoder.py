@@ -17,7 +17,7 @@ from spantree.encoder import (
 )
 from spantree.errors import CheckpointError, ContractViolation
 from spantree.spanrep import build_sci_chart
-from spantree.training import _frozen_memory, masked_prediction_accuracy
+from spantree.training import make_mlm_batch, masked_prediction_accuracy
 
 from helpers import full_prefix_greedy
 
@@ -192,16 +192,19 @@ def test_block_diagonal_outside_replacement_invariance():
 def test_encoder_states_t_prefix_semantics():
     m = small_model()
     ids = np.array([[5, 6, 7]])
-    full = m.encoder_states_t(ids, None)
-    raw = m.encoder_states_t(ids, None, upto=2)
+    raw = m.encoder_states_t(ids, None)
+    assert len(raw) == 3
     for t in range(3):
         prefix = m.encoder_states_t(ids, None, upto=t)
         assert len(prefix) == t + 1
-        # prefixes agree with the raw full run bit-exactly
+        # upto only truncates: prefixes agree with the full run bit-exactly
         for a, b in zip(prefix, raw):
             assert np.array_equal(a.value, b.value)
-    # the full run differs from raw only in the final layer norm
-    assert np.array_equal(m.final_norm(raw[-1]).value, full[-1].value)
+    # no run applies the final layer norm; encode and memory apply it
+    final = m.final_norm(raw[-1]).value
+    assert np.array_equal(np.asarray(m.encode([5, 6, 7])[-1]), final[0])
+    with nm.no_tape():
+        assert np.array_equal(m.memory(ids)[0].value, final)
     with pytest.raises(ContractViolation):
         m.encoder_states_t(ids, None, upto=3)
 
@@ -313,8 +316,7 @@ def test_greedy_decode_matches_full_prefix_oracle(arch):
         for eos_bias in (0.0, 0.5, 1.0, 1.5, 2.0):
             m = decode_model(arch, seed, eos_bias)
             sources = mixed_sources(seed)
-            with nm.no_tape():
-                memory, additive = m.memory(m._pad_sources(sources))
+            memory, additive = m.frozen_memory(sources)
             for max_new in lengths:
                 outs = m.greedy_decode(sources, max_new)
                 assert outs == full_prefix_greedy(m, memory, additive, max_new)
@@ -334,7 +336,7 @@ def test_probe_decode_matches_full_prefix_oracle(arch):
         for eos_bias in (0.0, 1.0, 2.0):
             probe = decode_model(arch, seed + 10, eos_bias, task="probe",
                                  vocab=encoder.vocab)
-            memory, additive = _frozen_memory(encoder, mixed_sources(seed))
+            memory, additive = encoder.frozen_memory(mixed_sources(seed))
             outs = probe.decode_with_memory(memory, additive, 50)
             assert outs == full_prefix_greedy(probe, memory, additive, 50)
             lengths.update(len(o) for o in outs)
@@ -348,7 +350,7 @@ def test_cached_step_logits_match_full_prefix(arch):
     # after rows retire
     m = decode_model(arch, 0, 0.0)
     with nm.no_tape():
-        memory, additive = m.memory(m._pad_sources(mixed_sources(0, count=6)))
+        memory, additive = m.frozen_memory(mixed_sources(0, count=6))
         ys = np.full((6, 1), m.vocab.bos, dtype=np.int64)
         cache = enc.DecoderCache(m, memory, additive)
         for step in range(m.config.max_len):
@@ -387,6 +389,38 @@ def test_memory_rejects_all_pad_row():
         m.memory(np.array([[5, 6], [pad, pad]]))
     _, additive = m.memory(np.array([[5, 6], [7, pad]]))
     assert additive[1, 0, 0].tolist() == [0.0, enc.NEG_MASK]
+
+
+def test_pad_ids_is_the_one_padding_rule():
+    ids = enc.pad_ids([[5, 6, 7], [8]], pad=0)
+    assert ids.dtype == np.int64 and ids.tolist() == [[5, 6, 7], [8, 0, 0]]
+    # decoding and MLM batches refuse an empty batch or sentence there too,
+    # as encode, the charts and seq2seq_loss do
+    m = small_model()
+    rng = np.random.default_rng(0)
+    for refused in (
+        lambda: m.greedy_decode([], 4),
+        lambda: m.greedy_decode([[5], []], 4),
+        lambda: m.seq2seq_loss([([], [5])]),
+        lambda: make_mlm_batch(rng, [], m.vocab),
+        lambda: make_mlm_batch(rng, [[5, 6], []], m.vocab),
+    ):
+        with pytest.raises(ContractViolation, match="empty"):
+            refused()
+
+
+def test_mlm_head_is_one_affine_map():
+    m = small_model("mlm")
+    ids = enc.pad_ids([[5, 6, 7], [8, 9]], m.vocab.pad)
+    with nm.no_tape():
+        final, _ = m.memory(ids)
+        logits = m.mlm_logits(ids).value
+    # the loss and masked-token accuracy share this head; it is the affine
+    # map of the final states, bit for bit
+    assert np.array_equal(logits, final.value @ m.params["mlm.w"].value
+                          + m.params["mlm.b"].value)
+    with pytest.raises(ContractViolation, match="mlm model"):
+        small_model().mlm_logits(ids)
 
 
 def test_inference_records_no_tape(monkeypatch):

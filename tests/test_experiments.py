@@ -411,3 +411,53 @@ def test_correlations_need_three_points():
     )
     out = experiments._correlations(records)
     assert out["rho_t_score_step"] == (1.0, 0.0)  # strictly increasing
+
+
+@pytest.mark.parametrize("task", ["seq2seq", "mlm"])
+def test_split_with_nothing_to_score_leaves_accuracy_empty(task, tmp_path):
+    # a corpus without a cg-test split: the cells stay empty, as the
+    # trainers record them, and no rho_cg_* is reported
+    model, corpus, _ = dynamics_fixture()
+    if task == "mlm":
+        model = TransformerModel(model.config, model.vocab, "mlm", rng=3)
+    series = [CheckpointInfo(step=200 * i, model=model.clone()) for i in range(3)]
+    no_cg = Corpus(train=corpus.train, iid_val=corpus.iid_val, cg_test=[],
+                   vocab=corpus.vocab)
+    result = dynamics_report(series, no_cg, threshold_mode="fixed", fixed_t=1,
+                             eval_sentences=2, samples_per_node=2, seed=0)
+    assert all(r.iid_acc is not None and r.cg_acc is None for r in result.records)
+    assert "rho_t_score_step" in result.correlations
+    assert not [name for name in result.correlations if name.startswith("rho_cg")]
+    path = tmp_path / "dyn.csv"
+    write_dynamics_csv(result.records, str(path))
+    assert [line.split(",")[5] for line in path.read_text().splitlines()[1:]] == [""] * 3
+
+
+def test_mlm_accuracy_scores_only_the_first_eval_limit_sentences(monkeypatch):
+    model, corpus, _ = dynamics_fixture()
+    model = TransformerModel(model.config, model.vocab, "mlm", rng=3)
+    series = [CheckpointInfo(step=i, model=model) for i in range(3)]
+    iid = corpus.train + corpus.iid_val
+    wide = Corpus(train=corpus.train, iid_val=iid, cg_test=corpus.cg_test,
+                  vocab=corpus.vocab)
+    scored = []
+    accuracy = experiments.masked_prediction_accuracy
+
+    def recording(m, sentences, seed=0):
+        scored.append(sentences)
+        return accuracy(m, sentences, seed=seed)
+
+    monkeypatch.setattr(experiments, "masked_prediction_accuracy", recording)
+    for k in (1, 3, len(iid)):
+        scored.clear()
+        result = dynamics_report(series, wide, threshold_mode="fixed", fixed_t=1,
+                                 eval_sentences=2, samples_per_node=2, seed=0,
+                                 eval_limit=k)
+        first_k = [model.vocab.encode(ex.source) for ex in iid[:k]]
+        # per checkpoint: the iid-val split, then the cg-test split
+        assert scored[0::2] == [first_k] * 3
+        assert result.records[0].iid_acc == accuracy(model, first_k, seed=0)
+    for bad in (0, -1):
+        with pytest.raises(ContractViolation, match="evaluation limit"):
+            dynamics_report(series, wide, threshold_mode="fixed", fixed_t=1,
+                            eval_limit=bad)

@@ -1,0 +1,70 @@
+"""Module boundary: no ``spantree`` module reads another module's private
+(``_``-prefixed) names.
+
+Every module under ``src/spantree`` is parsed.  A module *defines* the
+private names of its functions, classes, methods and assignment targets
+(``self._x = ...`` included).  Reading ``obj._x`` or importing ``_x`` is
+allowed only where the reading module defines ``_x`` itself, so a class may
+use its own private members from anywhere in its module.
+"""
+
+import ast
+from pathlib import Path
+
+import spantree
+
+SRC = Path(spantree.__file__).parent
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__") and name != "_"
+
+
+def _defined(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            names.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return {name for name in names if _private(name)}
+
+
+def _read(tree: ast.AST) -> list[tuple[int, str]]:
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            reads.extend((node.lineno, alias.name) for alias in node.names)
+    return [(line, name) for line, name in reads if _private(name)]
+
+
+def boundary_violations(src: Path) -> list[str]:
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in src.glob("*.py")}
+    defined = {name: _defined(tree) for name, tree in trees.items()}
+    out = []
+    for name, tree in sorted(trees.items()):
+        for line, attr in _read(tree):
+            owners = sorted(o for o, names in defined.items() if o != name and attr in names)
+            if owners and attr not in defined[name]:
+                out.append(f"{name}:{line} reads {attr} of {', '.join(owners)}")
+    return out
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert boundary_violations(SRC) == []
+
+
+def test_boundary_check_sees_a_cross_module_read(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class A:\n    def _own(self):\n        return self._own\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from a import A, _helper\n\ndef f(x):\n    return x._own()\n"
+    )
+    (tmp_path / "c.py").write_text("def _helper():\n    pass\n")
+    assert boundary_violations(tmp_path) == [
+        "b.py:1 reads _helper of c.py",
+        "b.py:4 reads _own of a.py",
+    ]

@@ -1,11 +1,20 @@
 """Training loops: transduction memorization, masked pretraining, probing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from spantree import training, treeval, trees
-from spantree.datasets import Corpus, TransductionExample, Vocab
-from spantree.encoder import EncoderConfig, TransformerModel, load_checkpoint
+from spantree.datasets import (
+    DEFAULT_UNSEEN,
+    Corpus,
+    TransductionExample,
+    Vocab,
+    generate_expressions,
+    make_cg_split,
+)
+from spantree.encoder import EncoderConfig, TransformerModel, load_checkpoint, save_checkpoint
 from spantree.errors import ContractViolation, TrainingDiverged
 from spantree.numerics import OptimizerState, backward, optimizer_step
 from spantree.training import (
@@ -300,7 +309,7 @@ def test_probe_reads_gold_brackets_from_encoder_states():
     sources = [vocab.encode(ex.source) for ex in examples]
     targets = [probe_vocab.encode(ex.source) for ex in examples]
     for _ in range(400):
-        memory, additive = training._frozen_memory(encoder, sources)
+        memory, additive = encoder.frozen_memory(sources)
         loss = probe.target_loss(memory, additive, targets)
         backward(loss, probe.params)
         optimizer_step(probe.params, state)
@@ -347,3 +356,75 @@ def test_train_probe_requires_gold_trees():
     bare = [TransductionExample(ex.source, ex.target, None) for ex in corpus.train]
     with pytest.raises(ContractViolation):
         train_probe(encoder, bare, corpus.iid_val, steps=1)
+
+
+# ---------------------------------------------------------------------------
+# frozen training bits
+# ---------------------------------------------------------------------------
+
+
+# sha256 over short seeded runs with a checkpoint every step: each
+# checkpoint's (step, train loss, iid accuracy, cg accuracy) reprs, then the
+# final parameters' bytes in name order.  Like test_chart_frozen_bytes in
+# test_spanrep.py, a frozen record catches an edit that moves the bits of
+# the loss, the backward pass, the optimizer or an evaluation, which no
+# two-route check in this suite compares.
+FROZEN_TRAINING_SHA256 = {
+    "seq2seq": "53698dcf64feffc4794882e850ed5b6607be9d4e20488753e74eb866c1ff7d0f",
+    "mlm": "a49843e9323ca254e631a8b6deff545f669ad8f6e50c1592fdfdaf7919ab4c0d",
+    "probe": "d6f0a9883aee958d9dc4eb592adc99032e0e70ea8411d79a702a160db89eece2",
+}
+
+
+def _training_digest(records, params) -> str:
+    h = hashlib.sha256()
+    for record in records:
+        h.update(repr(record).encode())
+    for name in sorted(params):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(params[name].value).tobytes())
+    return h.hexdigest()
+
+
+def test_training_frozen_bytes():
+    examples = generate_expressions(60, depth_range=(1, 2), seed=3, alphabet_size=6)
+    corpus = make_cg_split(examples, DEFAULT_UNSEEN, seed=3, val_frac=0.2)
+    assert corpus.iid_val and corpus.cg_test
+    kw = dict(steps=4, checkpoint_every=1, seed=2, batch_size=8,
+              base_lr=3e-3, warmup_steps=2)
+    digests, models = {}, {}
+    for task, trainer, config in (
+        ("seq2seq", train_seq2seq, tiny_config()),
+        ("mlm", train_mlm, tiny_config(dec_layers=0)),
+    ):
+        series = trainer(config, corpus, **kw)
+        assert [info.step for info in series] == [0, 1, 2, 3, 4]
+        records = [(i.step, i.train_loss, i.iid_acc, i.cg_acc) for i in series]
+        assert all(acc is not None for record in records for acc in record[2:])
+        models[task] = series[-1].model
+        digests[task] = _training_digest(records, models[task].params)
+    result = train_probe(models["seq2seq"], corpus.train, corpus.iid_val,
+                         steps=4, seed=2, batch_size=8, base_lr=3e-3, warmup_steps=2)
+    records = [(result.p_parseval, result.precision, result.recall,
+                result.repaired, result.coerced)]
+    digests["probe"] = _training_digest(records, result.probe.params)
+    assert digests == FROZEN_TRAINING_SHA256
+
+
+def test_one_config_serves_two_corpora(tmp_path):
+    # the trainers size the vocabulary on a copy: the caller's config and
+    # every earlier model keep theirs, so the seq2seq checkpoints reload
+    config = tiny_config()
+    seq = memorization_corpus()
+    words = [f"w{i}" for i in range(len(seq.vocab) + 2)]
+    wide = Corpus(train=[TransductionExample(words, words)], iid_val=[], cg_test=[],
+                  vocab=Vocab(words))
+    kw = dict(steps=2, checkpoint_every=1, batch_size=2, base_lr=1e-3, warmup_steps=1)
+    series = train_seq2seq(config, seq, **kw)
+    mlm = train_mlm(config, wide, **kw)
+    assert config == tiny_config()
+    assert mlm[-1].model.config.vocab_size == len(wide.vocab) > len(seq.vocab)
+    for info in series:
+        assert info.model.config.vocab_size == len(seq.vocab)
+        path = save_checkpoint(info.model, str(tmp_path / f"step-{info.step}"))
+        assert load_checkpoint(path).config == info.model.config
