@@ -8,7 +8,8 @@ over a subset of positions keeps each token's original position simply by
 slicing layer-0 states.
 
 Token ids enter the model one way: ``pad_ids`` builds every (B, n) id batch,
-targets included, and is the one place an empty batch or sentence is refused.
+targets included, and is the one place an empty batch or sentence is refused;
+``key_pad_additive`` is the one rule that turns padding into a key mask.
 ``encoder_states_t`` returns raw per-layer states (index 0 is embeddings
 plus positions) and never applies the final layer norm; ``memory``,
 ``encode`` and the SCI charts apply it through ``final_norm``.
@@ -161,6 +162,12 @@ def pad_ids(rows: list[list[int]], pad: int) -> Array:
     for b, row in enumerate(rows):
         ids[b, : len(row)] = row
     return ids
+
+
+def key_pad_additive(pad: Array) -> Array:
+    """The additive (B, 1, 1, n) attention mask that hides the key positions
+    a (B, n) boolean ``pad`` marks; every row must keep one key."""
+    return np.where(pad, NEG_MASK, 0.0)[:, None, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +413,7 @@ class TransformerModel:
         pad = np.asarray(ids) == self.vocab.pad
         if pad.all(axis=-1).any():
             raise ContractViolation("memory: a batch row is all padding")
-        additive = np.where(pad, NEG_MASK, 0.0)[:, None, None, :]
+        additive = key_pad_additive(pad)
         states = self.encoder_states_t(ids, [additive] * self.config.enc_layers)
         return self.final_norm(states[-1]), additive
 
@@ -493,12 +500,37 @@ class TransformerModel:
     # -- losses ------------------------------------------------------------
 
     def seq2seq_loss(self, pairs: list[tuple[list[int], list[int]]]) -> Tensor:
-        """Teacher-forced mean cross-entropy over non-pad target positions.
+        """Teacher-forced mean cross-entropy over every target token, EOS
+        included, in length-grouped halves.
 
-        Pairs are (source ids, target ids) without sentinels.
+        Pairs are (source ids, target ids) without sentinels.  They are
+        stably sorted by (source length, target length) and split into two
+        halves; a single pair stays one group.  Each half runs ``memory`` and
+        ``target_loss`` padded only to its own longest row, so a random batch
+        computes far fewer pad positions than one padded to its longest
+        pair.  Half g enters as its mean loss times W_g / W, its share of the
+        batch's target tokens, which gives the token-weighted mean of one
+        padded batch up to rounding (about 1e-16 relative).  Two halves, not
+        more: each group pays every kernel's per-call cost again, and at the
+        training batch size a third group cost more than it saved.
         """
-        memory, src_additive = self.memory(pad_ids([s for s, _ in pairs], self.vocab.pad))
-        return self.target_loss(memory, src_additive, [t for _, t in pairs])
+        pad = self.vocab.pad
+
+        def group_loss(group: list[int]) -> Tensor:
+            memory, src_additive = self.memory(pad_ids([pairs[i][0] for i in group], pad))
+            return self.target_loss(memory, src_additive, [pairs[i][1] for i in group])
+
+        order = sorted(range(len(pairs)), key=lambda i: (len(pairs[i][0]), len(pairs[i][1])))
+        half = len(order) // 2
+        if half == 0:
+            return group_loss(order)
+        tokens = [len(t) + 1 for _, t in pairs]
+        total = sum(tokens)
+        parts = [
+            scale(group_loss(group), sum(tokens[i] for i in group) / total)
+            for group in (order[:half], order[half:])
+        ]
+        return add(*parts)
 
     def target_loss(
         self, memory: Tensor, cross_additive: Array, targets: list[list[int]]

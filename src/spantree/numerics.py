@@ -17,8 +17,11 @@ sentences of a few tokens where Python overhead would dominate.  Reductions
 call the ufunc directly (``np.add.reduce``, ``np.maximum.reduce``; a mean
 divides by the axis length), which gives the bits of ``ndarray.sum``,
 ``.max`` and ``.mean`` without numpy's Python-level wrappers; ``permute``
-inverts its axes only when backward runs; and a ``Tensor`` keeps a float64
-ndarray as it is.
+inverts its axes in plain Python and only when backward runs;
+``_unbroadcast`` hands back a gradient whose shape already matches, as a
+residual add's does; and a ``Tensor`` keeps a float64 ndarray as it is.
+``optimizer_step`` runs AdamW once over all parameters concatenated, with
+the per-element expressions of a per-parameter loop and so its bits.
 
 Attention masking is additive: forbidden logits receive ``NEG_MASK`` before
 normalization, which is negative enough that ``exp`` underflows to exactly
@@ -188,6 +191,8 @@ def backward(loss: Tensor, params=None) -> None:
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     """Sum ``g`` down to ``shape``, inverting numpy broadcasting."""
+    if g.shape == shape:  # a residual add: nothing was broadcast
+        return g
     # np.add.reduce is what ndarray.sum runs, without its Python wrapper
     while g.ndim > len(shape):
         g = np.add.reduce(g, axis=0)
@@ -253,8 +258,15 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    # the inverse axes are worked out only when backward runs
-    return Tensor(a.value.transpose(axes), (a,), lambda g: (g.transpose(np.argsort(axes)),))
+    # the inverse axes are worked out only when backward runs, in plain
+    # Python: np.argsort of a few ints costs more in its wrapper than here
+    def vjp(g):
+        inverse = [0] * len(axes)
+        for i, axis in enumerate(axes):
+            inverse[axis] = i
+        return (g.transpose(inverse),)
+
+    return Tensor(a.value.transpose(axes), (a,), vjp)
 
 
 def total_sum(a: Tensor) -> Tensor:
@@ -417,15 +429,17 @@ class OptimizerState:
     The effective learning rate is base_lr * min(1, step_count / warmup_steps)
     <= base_lr: warmup runs linearly from zero, and the very first step (count
     0) applies a zero learning rate; ``warmup_steps`` 0 means no warmup.  The
-    learning rate, warmup and weight decay must all be >= 0.
+    learning rate, warmup and weight decay must all be >= 0.  ``m`` and ``v``
+    are flat: every parameter's moments, raveled and concatenated in the
+    order of the params dict; they are empty until the first step.
     """
 
     base_lr: float = 1e-4
     warmup_steps: int = 5000
     weight_decay: float = 0.01
     step_count: int = 0
-    m: dict[str, Array] = field(default_factory=dict)
-    v: dict[str, Array] = field(default_factory=dict)
+    m: Array = field(default_factory=lambda: np.zeros(0))
+    v: Array = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self) -> None:
         for label, value in (("learning rate", self.base_lr),
@@ -444,26 +458,42 @@ def optimizer_step(params: dict[str, Tensor], state: OptimizerState) -> None:
     """One in-place AdamW update over ``params`` using their ``grad`` fields.
 
     Decoupled weight decay; moment bias correction uses the 1-indexed step.
-    A non-finite gradient aborts, naming the offending parameter.
+    The update runs once over every parameter at the same time: gradients
+    (None counts as zeros) and values are concatenated in dict order, the
+    per-element AdamW expressions run on the flat arrays, and each parameter
+    subtracts its own slice in place.  Elementwise arithmetic does not depend
+    on the layout, so the bits equal a per-parameter loop's.  A non-finite
+    gradient refuses the whole step before anything is written, naming the
+    first offending parameter in dict order.
     """
+    tensors = list(params.values())
+    g = np.concatenate([
+        (np.zeros(p.value.size) if p.grad is None else p.grad.ravel()) for p in tensors
+    ])
+    if not np.isfinite(g).all():
+        bad = next(name for name, p in params.items()
+                   if p.grad is not None and not np.isfinite(p.grad).all())
+        raise ContractViolation(f"optimizer_step: non-finite gradient in {bad!r}")
+    if state.m.size == 0:
+        state.m = np.zeros_like(g)
+        state.v = np.zeros_like(g)
+    elif state.m.size != g.size:
+        raise ContractViolation(
+            f"optimizer_step: {g.size} parameter values, but moments for {state.m.size}"
+        )
+    w = np.concatenate([p.value.ravel() for p in tensors])
     lr = state.effective_lr()
     t = state.step_count + 1
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.value)
-        if not np.isfinite(g).all():
-            raise ContractViolation(f"optimizer_step: non-finite gradient in {name!r}")
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p.value)
-            v = np.zeros_like(p.value)
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        p.value -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + state.weight_decay * p.value)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (g * g)
+    state.m = m
+    state.v = v
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    update = lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + state.weight_decay * w)
+    start = 0
+    for p in tensors:
+        stop = start + p.value.size
+        p.value -= update[start:stop].reshape(p.value.shape)
+        start = stop
     state.step_count += 1

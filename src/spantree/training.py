@@ -11,7 +11,8 @@ checkpoints.
 
 The probe is a 1-layer decoder trained to emit a sentence's bracketed parse
 (``( ( A1 B1 ) C1 )`` as a token stream) while cross-attending to the frozen
-encoder's states from ``TransformerModel.frozen_memory``; its predictions are
+encoder's states from ``TransformerModel.frozen_memory``, computed once per
+training sentence before the first update; its predictions are
 repaired by ``delinearize`` and scored with corpus PARSEVAL.  Trainers set
 ``vocab_size`` on a copy of the caller's config, never on the config itself.
 """
@@ -26,9 +27,15 @@ import numpy as np
 
 from . import treeval, trees
 from .datasets import RESERVED, Corpus, TransductionExample, Vocab
-from .encoder import EncoderConfig, TransformerModel, pad_ids, save_checkpoint
+from .encoder import (
+    EncoderConfig,
+    TransformerModel,
+    key_pad_additive,
+    pad_ids,
+    save_checkpoint,
+)
 from .errors import ContractViolation, TrainingDiverged
-from .numerics import OptimizerState, backward, no_tape, optimizer_step
+from .numerics import OptimizerState, Tensor, backward, constant, no_tape, optimizer_step
 
 log = logging.getLogger("spantree.training")
 
@@ -350,6 +357,35 @@ def evaluate_probe(
     return precision, recall, f1, repaired_count, coerced_count
 
 
+def _frozen_batches(encoder: TransformerModel, sources: list[list[int]]):
+    """The probe's memory side for any batch of ``sources``, encoding each
+    source once.
+
+    Every source runs through ``encoder.frozen_memory`` once, in chunks of
+    ``EVAL_CHUNK`` sources of similar length.  The returned function maps
+    batch indices to (memory, additive mask): the batch's rows, zero-padded
+    to its longest source, with the padding masked.  Masked keys carry
+    exactly zero weight, so the pad rows' values do not matter; a row's
+    states can differ from those of an encode of that batch by rounding,
+    because the encoder ran on another padding.
+    """
+    lengths = np.array([len(s) for s in sources])
+    store = np.zeros((len(sources), lengths.max(), encoder.config.d_model))
+    order = np.argsort(lengths, kind="stable")
+    for lo in range(0, len(order), EVAL_CHUNK):
+        chunk = order[lo : lo + EVAL_CHUNK]
+        memory, _ = encoder.frozen_memory([sources[i] for i in chunk])
+        for row, i in enumerate(chunk):
+            store[i, : lengths[i]] = memory.value[row, : lengths[i]]
+
+    def batch(idx) -> tuple[Tensor, np.ndarray]:
+        n = lengths[idx].max()
+        pad = np.arange(n) >= lengths[idx][:, None]
+        return constant(store[idx, :n]), key_pad_additive(pad)
+
+    return batch
+
+
 def train_probe(
     encoder: TransformerModel,
     train_examples: list[TransductionExample],
@@ -384,10 +420,10 @@ def train_probe(
         probe_vocab.encode(treeval.linearize(ex.tree, ex.source)) for ex in usable
     ]
     batch_rng = np.random.default_rng([seed, 3])
+    frozen = _frozen_batches(encoder, sources)
 
     def batch_loss(idx):
-        memory, additive = encoder.frozen_memory([sources[i] for i in idx])
-        return probe.target_loss(memory, additive, [targets[i] for i in idx])
+        return probe.target_loss(*frozen(idx), [targets[i] for i in idx])
 
     state = OptimizerState(
         base_lr=base_lr, warmup_steps=warmup_steps, weight_decay=PROBE_WEIGHT_DECAY

@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference gradient checking, a
-full-prefix greedy decoder and the kernels' earlier numpy expressions.
+full-prefix greedy decoder, the kernels' earlier numpy expressions and the
+one-group seq2seq loss and per-parameter AdamW loop.
 
 The FD harness is deliberately independent of the autodiff engine: it only
 calls forward passes on fresh graphs, so agreement with backward() is a real
@@ -8,12 +9,14 @@ package's incremental one: it recomputes every row's whole prefix at every
 step, finished rows included, on a cache of its own each time.  The
 ``ref_*`` functions keep the kernels' expressions from before they called
 numpy's ufunc reduces directly; the kernels must match them bit for bit.
+``ref_seq2seq_loss`` pads the whole batch as one group, and
+``ref_optimizer_step`` updates one parameter at a time with per-name moments.
 """
 
 import numpy as np
 
 from spantree import numerics as nm
-from spantree.encoder import DecoderCache
+from spantree.encoder import DecoderCache, pad_ids
 
 
 def fd_grad(f, x, h=1e-5):
@@ -152,3 +155,36 @@ def ref_cross_entropy(logits, targets, weights, g):
 
 def ref_pool(vectors, pooling):
     return vectors.mean(axis=-2) if pooling == "mean" else vectors.sum(axis=-2)
+
+
+# ---------------------------------------------------------------------------
+# the training step's earlier forms
+# ---------------------------------------------------------------------------
+
+
+def ref_seq2seq_loss(model, pairs):
+    """Teacher-forced loss of the whole batch padded as one group."""
+    memory, additive = model.memory(pad_ids([s for s, _ in pairs], model.vocab.pad))
+    return model.target_loss(memory, additive, [t for _, t in pairs])
+
+
+def ref_optimizer_step(params, state, m, v):
+    """AdamW one parameter at a time; ``m`` and ``v`` map names to moments
+    and are updated in place, ``state`` supplies the schedule and its step
+    count is advanced."""
+    lr = state.effective_lr()
+    t = state.step_count + 1
+    for name, p in params.items():
+        g = p.grad
+        if g is None:
+            g = np.zeros_like(p.value)
+        mo = m.get(name, np.zeros_like(p.value))
+        ve = v.get(name, np.zeros_like(p.value))
+        mo = nm.ADAM_BETA1 * mo + (1.0 - nm.ADAM_BETA1) * g
+        ve = nm.ADAM_BETA2 * ve + (1.0 - nm.ADAM_BETA2) * (g * g)
+        m[name] = mo
+        v[name] = ve
+        m_hat = mo / (1.0 - nm.ADAM_BETA1**t)
+        v_hat = ve / (1.0 - nm.ADAM_BETA2**t)
+        p.value -= lr * (m_hat / (np.sqrt(v_hat) + nm.ADAM_EPS) + state.weight_decay * p.value)
+    state.step_count += 1

@@ -13,6 +13,7 @@ from helpers import (
     ref_cross_entropy,
     ref_layer_norm,
     ref_masked_softmax,
+    ref_optimizer_step,
     ref_permute,
     ref_pool,
     ref_unbroadcast,
@@ -307,6 +308,9 @@ def assert_same_bits(got, want):
     ((B, N, H, DH), (0, 2, 1, 3)),  # split heads
     ((B, H, N, DH), (0, 1, 3, 2)),  # keys for the scores
     ((B, H, N, DH), (0, 2, 1, 3)),  # merge heads
+    ((N, H, DH), (1, 2, 0)),  # 3-axis cycles, each the other's inverse
+    ((N, H, DH), (2, 0, 1)),
+    ((B, N, D), (0, 1, 2)),  # identity
 ])
 def test_permute_matches_earlier_expression(mode, layout, shape, axes):
     rng = np.random.default_rng(20)
@@ -383,11 +387,16 @@ def test_cross_entropy_matches_earlier_expression(mode, layout):
     ((B, N, D), (B, 1, D)),
     ((B, N, D), ()),
     ((B, H, N, N), (B, 1, 1, N)),  # a key pad mask's shape
-    ((B, N, D), (B, N, D)),
+    ((B, N, D), (B, N, D)),  # equal shapes: a residual add
+    ((N, 1), (N, 1)),
+    ((1, D), (1, D)),
 ])
 def test_unbroadcast_matches_earlier_expression(layout, g_shape, shape):
     g = draw(np.random.default_rng(24), g_shape, layout)
-    assert_same_bits(nm._unbroadcast(g, shape), ref_unbroadcast(g, shape))
+    got = nm._unbroadcast(g, shape)
+    assert_same_bits(got, ref_unbroadcast(g, shape))
+    if g_shape == shape:  # handed back as it is, with no copy
+        assert got is g
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "view"])
@@ -632,6 +641,63 @@ def test_non_finite_gradient_names_parameter():
     st = nm.OptimizerState()
     with pytest.raises(ContractViolation, match="enc.0.ff.w1"):
         nm.optimizer_step({"enc.0.ff.w1": p}, st)
+
+
+def test_non_finite_gradient_refuses_the_whole_step():
+    # b and c are both non-finite: the error names b, the first in dict order,
+    # and neither a (before it) nor the moments nor the step count move
+    params = {name: nm.parameter(np.array([1.0, 2.0]), name=name) for name in "abcd"}
+    st = nm.OptimizerState(base_lr=0.1, warmup_steps=0, weight_decay=0.01)
+    for p in params.values():
+        p.grad = np.array([0.5, -0.5])
+    nm.optimizer_step(params, st)
+    before = {name: p.value.copy() for name, p in params.items()}
+    m, v = st.m.copy(), st.v.copy()
+    params["b"].grad = np.array([0.5, np.nan])
+    params["c"].grad = np.array([np.inf, 0.5])
+    with pytest.raises(ContractViolation, match="'b'"):
+        nm.optimizer_step(params, st)
+    for name, p in params.items():
+        assert np.array_equal(p.value, before[name])
+    assert np.array_equal(st.m, m) and np.array_equal(st.v, v)
+    assert st.step_count == 1
+
+
+def test_one_pass_adamw_matches_per_parameter_loop():
+    # warmup (the first step has lr 0), decay, a parameter left without a
+    # gradient on alternate steps and one that never gets one
+    rng = np.random.default_rng(27)
+    shapes = {"w": (3, 4), "b": (1, 4), "unused": (2, 2), "emb": (5, 3)}
+    values = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    params = {name: nm.parameter(v, name=name) for name, v in values.items()}
+    ref = {name: nm.parameter(v, name=name) for name, v in values.items()}
+    kw = dict(base_lr=0.05, warmup_steps=3, weight_decay=0.05)
+    st, ref_st = nm.OptimizerState(**kw), nm.OptimizerState(**kw)
+    ref_m, ref_v = {}, {}
+    for step in range(7):
+        for name, shape in shapes.items():
+            g = None
+            if name != "unused" and not (name == "emb" and step % 2):
+                g = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 2)
+            params[name].grad = ref[name].grad = g
+        nm.optimizer_step(params, st)
+        ref_optimizer_step(ref, ref_st, ref_m, ref_v)
+        for name in shapes:
+            assert np.array_equal(params[name].value, ref[name].value)
+        assert np.array_equal(st.m, np.concatenate([ref_m[n].ravel() for n in shapes]))
+        assert np.array_equal(st.v, np.concatenate([ref_v[n].ravel() for n in shapes]))
+        assert st.step_count == ref_st.step_count == step + 1
+
+
+def test_optimizer_refuses_a_changed_parameter_set():
+    st = nm.OptimizerState(base_lr=0.1, warmup_steps=0)
+    p = nm.parameter(np.ones(3), name="w")
+    p.grad = np.ones(3)
+    nm.optimizer_step({"w": p}, st)
+    q = nm.parameter(np.ones(2), name="u")
+    q.grad = np.ones(2)
+    with pytest.raises(ContractViolation, match="moments"):
+        nm.optimizer_step({"w": p, "u": q}, st)
 
 
 def test_missing_grad_treated_as_zero_moves_only_by_decay():

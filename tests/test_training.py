@@ -348,6 +348,75 @@ def test_train_probe_end_to_end_smoke():
     assert result.probe.config.dec_layers == 1
 
 
+def probe_setup(count=160, seed=5):
+    """An untrained encoder, a fresh probe and the probe's sources and
+    targets for ``count`` generated expressions, as ``train_probe`` builds
+    them."""
+    examples = generate_expressions(count, depth_range=(1, 3), seed=seed, alphabet_size=6)
+    vocab = Vocab(t for ex in examples for t in ex.source)
+    encoder = TransformerModel(tiny_config(vocab_size=len(vocab)), vocab, rng=0)
+    probe_vocab = probe_vocab_for(vocab)
+    config = tiny_config(vocab_size=len(probe_vocab),
+                         max_len=training._bracket_length(examples))
+    probe = TransformerModel(config, probe_vocab, task="probe", rng=1)
+    sources = [vocab.encode(ex.source) for ex in examples]
+    targets = [probe_vocab.encode(treeval.linearize(ex.tree, ex.source)) for ex in examples]
+    return encoder, probe, sources, targets
+
+
+# The probe's memory, encoded once per source, may differ from a per-batch
+# encode by rounding, and 60 AdamW steps carry that into the loss.  Measured
+# at most 3.7e-16 relative over the 60 steps below.
+PROBE_LOSS_BOUND = 1e-12
+
+
+def test_probe_memory_encoded_once_tracks_per_batch_encode():
+    encoder, base, sources, targets = probe_setup()
+    frozen = training._frozen_batches(encoder, sources)
+
+    def per_batch(idx):
+        return encoder.frozen_memory([sources[i] for i in idx])
+
+    idx = np.random.default_rng(0).integers(0, len(sources), size=16)
+    (memory, additive), (want, want_additive) = frozen(idx), per_batch(idx)
+    assert np.array_equal(additive, want_additive)
+    real = additive[:, 0, 0, :] == 0.0
+    assert np.abs(memory.value - want.value)[real].max() <= 1e-13
+    assert not memory.value[~real].any()
+    losses = {}
+    for label, memory_of in (("once", frozen), ("per batch", per_batch)):
+        probe = base.clone()
+        state = OptimizerState(base_lr=3e-3, warmup_steps=10, weight_decay=0.01)
+
+        def batch_loss(idx, probe=probe, memory_of=memory_of):
+            return probe.target_loss(*memory_of(idx), [targets[i] for i in idx])
+
+        batches = (np.random.default_rng([0, 3]), len(sources), 16)
+        losses[label] = np.array(
+            [loss for _, loss in training._updates(probe, state, batch_loss, batches, 60, [])][1:]
+        )
+    assert losses["once"][-1] < losses["once"][0]
+    rel = np.abs(losses["once"] - losses["per batch"]) / losses["per batch"]
+    assert rel.max() <= PROBE_LOSS_BOUND
+
+
+def test_train_probe_encodes_each_source_once(monkeypatch):
+    corpus = memorization_corpus()
+    config = tiny_config(vocab_size=len(corpus.vocab))
+    encoder = TransformerModel(config, corpus.vocab, task="seq2seq", rng=0)
+    calls = []
+    original = TransformerModel.frozen_memory
+
+    def counted(self, sources):
+        calls.append(len(sources))
+        return original(self, sources)
+
+    monkeypatch.setattr(TransformerModel, "frozen_memory", counted)
+    train_probe(encoder, corpus.train, corpus.iid_val[:4], steps=20, batch_size=4)
+    # one encode of the 10 training sources, then one of the 4 held out
+    assert calls == [10, 4]
+
+
 def test_train_probe_requires_gold_trees():
     corpus = memorization_corpus()
     config = tiny_config()
@@ -368,11 +437,14 @@ def test_train_probe_requires_gold_trees():
 # final parameters' bytes in name order.  Like test_chart_frozen_bytes in
 # test_spanrep.py, a frozen record catches an edit that moves the bits of
 # the loss, the backward pass, the optimizer or an evaluation, which no
-# two-route check in this suite compares.
+# two-route check in this suite compares.  The seq2seq entry, and the probe
+# entry, whose encoder is that seq2seq model, were re-recorded when the loss
+# began to run each batch as two length-grouped halves (a rounding change);
+# the mlm entry, which that change does not touch, is the first record.
 FROZEN_TRAINING_SHA256 = {
-    "seq2seq": "53698dcf64feffc4794882e850ed5b6607be9d4e20488753e74eb866c1ff7d0f",
+    "seq2seq": "3ae837af9a1f7c9e5b827bfc5684e59af7b0113cdbdfcc9aad6593cd4a93a4c9",
     "mlm": "a49843e9323ca254e631a8b6deff545f669ad8f6e50c1592fdfdaf7919ab4c0d",
-    "probe": "d6f0a9883aee958d9dc4eb592adc99032e0e70ea8411d79a702a160db89eece2",
+    "probe": "7e89ae01ff82072b6b4e7175b65e67e974dc450541997b356a458b919b9ee910",
 }
 
 
@@ -409,6 +481,27 @@ def test_training_frozen_bytes():
                 result.repaired, result.coerced)]
     digests["probe"] = _training_digest(records, result.probe.params)
     assert digests == FROZEN_TRAINING_SHA256
+
+
+def test_train_seq2seq_draws_the_same_batches(monkeypatch):
+    # grouping by length happens inside the loss: the loss still receives
+    # each step's pairs in the order the batch rng drew them
+    corpus = memorization_corpus()
+    seen = []
+    original = TransformerModel.seq2seq_loss
+
+    def recorded(self, pairs):
+        seen.append(list(pairs))
+        return original(self, pairs)
+
+    monkeypatch.setattr(TransformerModel, "seq2seq_loss", recorded)
+    train_seq2seq(tiny_config(), corpus, steps=5, checkpoint_every=5, seed=4, batch_size=6,
+                  base_lr=1e-3, warmup_steps=1)
+    vocab = corpus.vocab
+    pairs = [(vocab.encode(ex.source), vocab.encode(ex.target)) for ex in corpus.train]
+    rng = np.random.default_rng([4, 1])
+    want = [[pairs[i] for i in rng.integers(0, len(pairs), size=6)] for _ in range(5)]
+    assert seen == want
 
 
 def test_one_config_serves_two_corpora(tmp_path):
