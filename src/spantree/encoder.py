@@ -47,6 +47,7 @@ from .numerics import (
     NEG_MASK,
     Tensor,
     add,
+    affine,
     cross_entropy,
     embedding,
     layer_norm,
@@ -312,7 +313,11 @@ class TransformerModel:
         return self.params[name]
 
     def _affine(self, x: Tensor, w: str, b: str) -> Tensor:
-        return add(matmul(x, self._p(w)), self._p(b))
+        """``x @ w + b`` as one ``affine`` tape node.  Every linear layer runs
+        through here: attention projections (the cross-attention keys and
+        values a ``DecoderCache`` projects included), feed-forward layers
+        and the output and MLM heads."""
+        return affine(x, self._p(w), self._p(b))
 
     def _ln(self, x: Tensor, prefix: str) -> Tensor:
         return layer_norm(x, self._p(f"{prefix}.g"), self._p(f"{prefix}.b"))

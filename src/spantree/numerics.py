@@ -23,6 +23,10 @@ residual add's does; and a ``Tensor`` keeps a float64 ndarray as it is.
 ``optimizer_step`` runs AdamW once over all parameters concatenated, with
 the per-element expressions of a per-parameter loop and so its bits.
 
+``affine`` makes each of the model's linear layers one tape node with the
+bits of ``matmul`` then a bias ``add``, except that its weight gradient is
+one GEMM over all leading positions, which moves it by rounding only.
+
 Attention masking is additive: forbidden logits receive ``NEG_MASK`` before
 normalization, which is negative enough that ``exp`` underflows to exactly
 0.0, so forbidden positions carry exactly zero probability and contribute
@@ -247,6 +251,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(ga, a.value.shape), _unbroadcast(gb, b.value.shape)
 
     return Tensor(np.matmul(a.value, b.value), (a, b), vjp)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """A linear layer as one tape node: x (..., k) @ w (k, m) + b (1, m).
+
+    The forward and the input and bias gradients are ``add(matmul(x, w), b)``'s
+    expressions, so they keep its bits.  The weight gradient is one GEMM over
+    every leading position, x (P, k).T @ g (P, m), in place of one product per
+    batch item and a sum over the items: the same sum, rounded in another order.
+    """
+
+    def vjp(g):
+        k, m = w.value.shape
+        gx = np.matmul(g, w.value.swapaxes(-1, -2))
+        gw = x.value.reshape(-1, k).T @ g.reshape(-1, m)
+        return gx, gw, _unbroadcast(g, b.value.shape)
+
+    return Tensor(np.matmul(x.value, w.value) + b.value, (x, w, b), vjp)
 
 
 def relu(a: Tensor) -> Tensor:

@@ -133,7 +133,14 @@ def exact_match_accuracy(
     model: TransformerModel, examples: list[TransductionExample], limit: int | None = None
 ) -> float:
     """Fraction of examples whose greedy decode equals the target exactly;
-    ``limit`` (None or >= 1) scores only the first ``limit`` examples."""
+    ``limit`` (None or >= 1) scores only the first ``limit`` examples.
+
+    ``max_new`` is fixed on the whole subset; the subset is then stably
+    sorted by source length and decoded in chunks of ``EVAL_CHUNK``, so a
+    chunk's memory is padded only to its own longest source.  The count does
+    not depend on the order.  A decode can move by rounding only, since the
+    padding a row's memory shares with its chunk changes.
+    """
     if limit is not None and limit < 1:
         raise ContractViolation(f"evaluation limit must be None or >= 1, got {limit}")
     subset = list(examples[:limit])
@@ -141,6 +148,7 @@ def exact_match_accuracy(
         raise ContractViolation("exact_match_accuracy: empty evaluation split")
     vocab = model.vocab
     max_new = max(len(ex.target) for ex in subset) + 2
+    subset.sort(key=lambda ex: len(ex.source))
     correct = 0
     for lo in range(0, len(subset), EVAL_CHUNK):
         batch = subset[lo : lo + EVAL_CHUNK]

@@ -9,14 +9,17 @@ package's incremental one: it recomputes every row's whole prefix at every
 step, finished rows included, on a cache of its own each time.  The
 ``ref_*`` functions keep the kernels' expressions from before they called
 numpy's ufunc reduces directly; the kernels must match them bit for bit.
-``ref_seq2seq_loss`` pads the whole batch as one group, and
-``ref_optimizer_step`` updates one parameter at a time with per-name moments.
+``ref_affine`` is a linear layer as two tape nodes, ``ref_seq2seq_loss``
+pads the whole batch as one group, ``ref_exact_match`` decodes evaluation
+chunks in the order given, and ``ref_optimizer_step`` updates one parameter
+at a time with per-name moments.
 """
 
 import numpy as np
 
 from spantree import numerics as nm
 from spantree.encoder import DecoderCache, pad_ids
+from spantree.training import EVAL_CHUNK
 
 
 def fd_grad(f, x, h=1e-5):
@@ -153,6 +156,11 @@ def ref_cross_entropy(logits, targets, weights, g):
     return (weights * nll).sum() / wsum, p * (weights * (g / wsum))[..., None]
 
 
+def ref_affine(x, w, b):
+    """A linear layer as the two tape nodes it used to be."""
+    return nm.add(nm.matmul(x, w), b)
+
+
 def ref_pool(vectors, pooling):
     return vectors.mean(axis=-2) if pooling == "mean" else vectors.sum(axis=-2)
 
@@ -166,6 +174,19 @@ def ref_seq2seq_loss(model, pairs):
     """Teacher-forced loss of the whole batch padded as one group."""
     memory, additive = model.memory(pad_ids([s for s, _ in pairs], model.vocab.pad))
     return model.target_loss(memory, additive, [t for _, t in pairs])
+
+
+def ref_exact_match(model, examples):
+    """Exact-match accuracy and every example's greedy decode, decoding
+    chunks of ``EVAL_CHUNK`` examples in the order given."""
+    vocab = model.vocab
+    max_new = max(len(ex.target) for ex in examples) + 2
+    decodes = []
+    for lo in range(0, len(examples), EVAL_CHUNK):
+        batch = examples[lo : lo + EVAL_CHUNK]
+        decodes += model.greedy_decode([vocab.encode(ex.source) for ex in batch], max_new)
+    correct = sum(out == vocab.encode(ex.target) for out, ex in zip(decodes, examples))
+    return correct / len(examples), decodes
 
 
 def ref_optimizer_step(params, state, m, v):
