@@ -504,7 +504,8 @@ def _load_series(run_dir: str) -> list[CheckpointInfo]:
         series.append(CheckpointInfo(step=model.step, model=model, path=path))
     if not series:
         raise ContractViolation(f"{root} contains no step-* checkpoints")
-    return series
+    # by step, not by name: "step-100000" sorts before "step-20000"
+    return sorted(series, key=lambda info: info.step)
 
 
 def cmd_dynamics(args) -> int:

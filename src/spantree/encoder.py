@@ -27,9 +27,10 @@ Retiring rows keeps the remaining rows' bits; computing one query row at a
 time instead of the whole prefix moves logits by rounding only (about 1e-15
 relative), and decoded tokens match a full-prefix decode.
 
-Checkpoints are directories holding ``manifest.json`` (config, vocab, step,
-tensor names and shapes) and ``data.bin`` (the tensors' raw little-endian
-float64 bytes concatenated in manifest order), reloading bit-exactly.
+Checkpoints (format v2) are directories holding ``manifest.json`` (config,
+vocab, step, tensor names and shapes; every field and config key required)
+and ``data.bin`` (the tensors' raw little-endian float64 bytes concatenated
+in manifest order), reloading bit-exactly.  v1, with key biases, is refused.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .numerics import (
 
 Array = np.ndarray
 
-CHECKPOINT_FORMAT = "spantree-checkpoint-v1"
+CHECKPOINT_FORMAT = "spantree-checkpoint-v2"
 MANIFEST_FILE = "manifest.json"
 DATA_FILE = "data.bin"
 
@@ -81,7 +82,6 @@ class EncoderConfig:
     d_ff: int = 256
     vocab_size: int = 0
     max_len: int = 64
-    positional: str = "sinusoidal"
 
     def validate(self) -> None:
         if self.enc_layers < 1:
@@ -96,8 +96,6 @@ class EncoderConfig:
             raise ContractViolation("d_ff and max_len must be positive")
         if self.vocab_size < len(RESERVED) + 1:
             raise ContractViolation("vocab_size must cover reserved tokens")
-        if self.positional != "sinusoidal":
-            raise ContractViolation(f"unknown positional scheme {self.positional!r}")
 
 
 def sinusoidal_positions(max_len: int, d_model: int) -> Array:
@@ -180,7 +178,8 @@ def _attn_specs(prefix: str, d: int) -> dict[str, tuple[int, int]]:
     out = {}
     for proj in ("wq", "wk", "wv", "wo"):
         out[f"{prefix}.{proj}"] = (d, d)
-    for bias in ("bq", "bk", "bv", "bo"):
+    # no key bias: q·bk is the same for every key of a query, so softmax drops it
+    for bias in ("bq", "bv", "bo"):
         out[f"{prefix}.{bias}"] = (1, d)
     return out
 
@@ -312,12 +311,12 @@ class TransformerModel:
     def _p(self, name: str) -> Tensor:
         return self.params[name]
 
-    def _affine(self, x: Tensor, w: str, b: str) -> Tensor:
-        """``x @ w + b`` as one ``affine`` tape node.  Every linear layer runs
-        through here: attention projections (the cross-attention keys and
-        values a ``DecoderCache`` projects included), feed-forward layers
-        and the output and MLM heads."""
-        return affine(x, self._p(w), self._p(b))
+    def _affine(self, x: Tensor, w: str, b: str | None = None) -> Tensor:
+        """``x @ w + b`` (``x @ w`` for keys) as one ``affine`` tape node.
+        Every linear layer runs through here: attention projections (the
+        cross-attention keys and values a ``DecoderCache`` projects
+        included), feed-forward layers and the output and MLM heads."""
+        return affine(x, self._p(w), None if b is None else self._p(b))
 
     def _ln(self, x: Tensor, prefix: str) -> Tensor:
         return layer_norm(x, self._p(f"{prefix}.g"), self._p(f"{prefix}.b"))
@@ -330,7 +329,7 @@ class TransformerModel:
 
     def _keys_values(self, prefix: str, xkv: Tensor) -> tuple[Tensor, Tensor]:
         """Head-split attention keys and values (B, h, nk, dh) of ``xkv``."""
-        k = self._affine(xkv, f"{prefix}.wk", f"{prefix}.bk")
+        k = self._affine(xkv, f"{prefix}.wk")
         v = self._affine(xkv, f"{prefix}.wv", f"{prefix}.bv")
         return self._heads(k), self._heads(v)
 
@@ -696,10 +695,11 @@ def _field(record: dict, key: str, kind: type, where: str):
 
 def _manifest_config(raw: dict, path) -> EncoderConfig:
     defaults = asdict(EncoderConfig())
-    for key, value in raw.items():
-        if key not in defaults:
-            raise CheckpointError(f"{path}: unknown config key {key!r}")
-        _field(raw, key, type(defaults[key]), f"{path}: config")
+    unknown = sorted(raw.keys() - defaults.keys())
+    if unknown:
+        raise CheckpointError(f"{path}: unknown config key {unknown[0]!r}")
+    for key, value in defaults.items():
+        _field(raw, key, type(value), f"{path}: config")
     config = EncoderConfig(**raw)
     try:
         config.validate()
@@ -722,8 +722,8 @@ def load_checkpoint(path) -> TransformerModel:
         raise CheckpointError(f"{manifest_path}: malformed JSON: {exc}") from exc
     if type(manifest) is not dict:
         raise CheckpointError(f"{manifest_path}: manifest must be a JSON object")
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path}: unknown checkpoint format")
+    if (fmt := manifest.get("format")) != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"{path}: checkpoint format {fmt!r} is not {CHECKPOINT_FORMAT!r}")
     config = _manifest_config(_field(manifest, "config", dict, manifest_path), path)
     tokens = _field(manifest, "vocab", list, manifest_path)
     if not all(type(tok) is str for tok in tokens):
@@ -738,7 +738,7 @@ def load_checkpoint(path) -> TransformerModel:
     task = manifest.get("task")
     if task not in TASKS:
         raise CheckpointError(f"{path}: unknown task {task!r}")
-    step = _field(manifest, "step", int, manifest_path) if "step" in manifest else 0
+    step = _field(manifest, "step", int, manifest_path)
     specs = expected_param_specs(config, task)
     entries = _field(manifest, "tensors", list, manifest_path)
     for entry in entries:

@@ -24,8 +24,8 @@ residual add's does; and a ``Tensor`` keeps a float64 ndarray as it is.
 the per-element expressions of a per-parameter loop and so its bits.
 
 ``affine`` makes each of the model's linear layers one tape node with the
-bits of ``matmul`` then a bias ``add``, except that its weight gradient is
-one GEMM over all leading positions, which moves it by rounding only.
+bits of ``matmul`` then any bias ``add``, except that its weight gradient
+is one GEMM over all leading positions, which moves it by rounding only.
 
 Attention masking is additive: forbidden logits receive ``NEG_MASK`` before
 normalization, which is negative enough that ``exp`` underflows to exactly
@@ -253,8 +253,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(np.matmul(a.value, b.value), (a, b), vjp)
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """A linear layer as one tape node: x (..., k) @ w (k, m) + b (1, m).
+def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """A linear layer as one tape node: x (..., k) @ w (k, m) + b (1, m), or x @ w.
 
     The forward and the input and bias gradients are ``add(matmul(x, w), b)``'s
     expressions, so they keep its bits.  The weight gradient is one GEMM over
@@ -266,8 +266,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         k, m = w.value.shape
         gx = np.matmul(g, w.value.swapaxes(-1, -2))
         gw = x.value.reshape(-1, k).T @ g.reshape(-1, m)
-        return gx, gw, _unbroadcast(g, b.value.shape)
+        return (gx, gw) if b is None else (gx, gw, _unbroadcast(g, b.value.shape))
 
+    if b is None:
+        return Tensor(np.matmul(x.value, w.value), (x, w), vjp)
     return Tensor(np.matmul(x.value, w.value) + b.value, (x, w, b), vjp)
 
 
@@ -451,9 +453,10 @@ class OptimizerState:
     The effective learning rate is base_lr * min(1, step_count / warmup_steps)
     <= base_lr: warmup runs linearly from zero, and the very first step (count
     0) applies a zero learning rate; ``warmup_steps`` 0 means no warmup.  The
-    learning rate, warmup and weight decay must all be >= 0.  ``m`` and ``v``
-    are flat: every parameter's moments, raveled and concatenated in the
-    order of the params dict; they are empty until the first step.
+    learning rate, warmup and weight decay must all be finite and >= 0 (an
+    infinite rate times that zero is NaN).  ``m`` and ``v`` are flat: every
+    parameter's moments, raveled and concatenated in the order of the params
+    dict; they are empty until the first step.
     """
 
     base_lr: float = 1e-4
@@ -467,8 +470,8 @@ class OptimizerState:
         for label, value in (("learning rate", self.base_lr),
                              ("warmup", self.warmup_steps),
                              ("weight decay", self.weight_decay)):
-            if not value >= 0:
-                raise ContractViolation(f"{label} must be >= 0, got {value}")
+            if not 0 <= value < math.inf:
+                raise ContractViolation(f"{label} must be finite and >= 0, got {value}")
 
     def effective_lr(self) -> float:
         if self.step_count >= self.warmup_steps:

@@ -39,8 +39,6 @@ from .numerics import OptimizerState, Tensor, backward, constant, no_tape, optim
 
 log = logging.getLogger("spantree.training")
 
-OPEN, CLOSE = "(", ")"
-
 # Evaluation batch size; masked-token accuracy's mask fraction and sentence cap.
 EVAL_CHUNK = 64
 EVAL_MASK_FRAC = 0.15
@@ -318,7 +316,7 @@ class ProbeResult:
 
 def probe_vocab_for(vocab: Vocab) -> Vocab:
     """Probe output vocabulary: the source tokens plus bracket tokens."""
-    return Vocab(vocab.id_to_token[len(RESERVED) :] + [OPEN, CLOSE])
+    return Vocab(vocab.id_to_token[len(RESERVED) :] + [treeval.OPEN, treeval.CLOSE])
 
 
 def predicted_tree(decoded_tokens: list[str], n_leaves: int):

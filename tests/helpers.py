@@ -156,9 +156,11 @@ def ref_cross_entropy(logits, targets, weights, g):
     return (weights * nll).sum() / wsum, p * (weights * (g / wsum))[..., None]
 
 
-def ref_affine(x, w, b):
-    """A linear layer as the two tape nodes it used to be."""
-    return nm.add(nm.matmul(x, w), b)
+def ref_affine(x, w, b=None):
+    """A linear layer as the two tape nodes it used to be; one without a bias
+    was one ``matmul`` node."""
+    out = nm.matmul(x, w)
+    return out if b is None else nm.add(out, b)
 
 
 def ref_pool(vectors, pooling):

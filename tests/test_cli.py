@@ -13,8 +13,15 @@ import numpy as np
 import pytest
 
 from spantree import datasets, treeval
-from spantree.cli import DEFAULTS, build_parser, component_seed, main, resolve_settings
-from spantree.encoder import load_checkpoint
+from spantree.cli import (
+    DEFAULTS,
+    _load_series,
+    build_parser,
+    component_seed,
+    main,
+    resolve_settings,
+)
+from spantree.encoder import load_checkpoint, save_checkpoint
 from spantree.errors import ContractViolation
 from spantree.spanrep import build_sci_chart
 from spantree.training import train_probe
@@ -394,6 +401,18 @@ def _edit(*keys, value=_DROP):
     return corrupt
 
 
+def _v1_layout(manifest):
+    """The manifest as format v1 wrote it: its tag, a ``positional`` config
+    key and a key bias after every query bias."""
+    tensors = []
+    for entry in manifest["tensors"]:
+        tensors.append(entry)
+        if entry["name"].endswith(".bq"):
+            tensors.append({**entry, "name": entry["name"][:-2] + "bk"})
+    manifest["config"]["positional"] = "sinusoidal"
+    return {**manifest, "format": "spantree-checkpoint-v1", "tensors": tensors}
+
+
 MANIFEST_CORRUPTIONS = {
     "missing config": _edit("config"),
     "missing vocab": _edit("vocab"),
@@ -405,6 +424,10 @@ MANIFEST_CORRUPTIONS = {
     "tensor entry not an object": _edit("tensors", 0, value="enc.emb"),
     "vocab an int": _edit("vocab", value=7),
     "step not an integer": _edit("step", value="four"),
+    # a missing key or step used to load as its default (max_len 64, step 0)
+    "missing config key": _edit("config", "max_len"),
+    "missing step": _edit("step"),
+    "v1 format": _v1_layout,
     "manifest a list": lambda manifest: [manifest],
 }
 
@@ -428,6 +451,27 @@ def test_malformed_manifest_is_a_clean_error(pipeline, tmp_path, case):
     manifest = json.loads((ckpt / "manifest.json").read_text())
     (ckpt / "manifest.json").write_text(json.dumps(MANIFEST_CORRUPTIONS[case](manifest)))
     assert_clean_error(["chart", "--checkpoint", str(ckpt), "--sentence", "A1 B1"])
+
+
+def test_dynamics_series_is_in_step_order(pipeline, tmp_path):
+    # checkpoint directories are named step-{step:05d}, so by name
+    # step-100000 would come before step-20000
+    model = load_checkpoint(pipeline["ckpt"])
+    for step in (100000, 0, 20000):
+        model.step = step
+        save_checkpoint(model, tmp_path / "checkpoints" / f"step-{step:05d}")
+    assert [info.step for info in _load_series(str(tmp_path))] == [0, 20000, 100000]
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--lr", "inf"], ["train", "--weight-decay", "inf"],
+    ["train-mlm", "--lr", "nan"],
+], ids=" ".join)
+def test_non_finite_optimizer_setting_writes_no_checkpoint(pipeline, tmp_path, argv):
+    # --lr inf used to save an all-NaN step-00001 and report its accuracy
+    # as 0.0 before the loss stopped the run
+    assert_clean_error(_train(pipeline, tmp_path, argv[0]) + argv[1:])
+    assert not (tmp_path / "run" / "checkpoints").exists()
 
 
 NOT_UTF8 = b"A1 B1\tA1 B1\n\xff\xfe\n"
@@ -521,6 +565,7 @@ BAD_INPUTS = {
     "train --lr -1": lambda p, t: _train(p, t) + ["--lr", "-1"],
     "train --warmup -5": lambda p, t: _train(p, t) + ["--warmup", "-5"],
     "train --weight-decay -5": lambda p, t: _train(p, t) + ["--weight-decay", "-5"],
+    "probe --lr inf": lambda p, t: _probe(p, t) + ["--lr", "inf"],
     "train-mlm --mask-frac 0": lambda p, t: _train(p, t, "train-mlm") + ["--mask-frac", "0"],
     "train-mlm --mask-frac 2": lambda p, t: _train(p, t, "train-mlm") + ["--mask-frac", "2"],
     "gen-data --alphabet 0": lambda p, t: _gen_data(t) + ["--alphabet", "0"],

@@ -1,5 +1,6 @@
 """Transformer encode/decode semantics, masks, and checkpoint persistence."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -53,8 +54,6 @@ def test_config_validation():
         small_config(vocab, enc_layers=0).validate()
     with pytest.raises(ContractViolation):
         small_config(vocab, vocab_size=3).validate()
-    with pytest.raises(ContractViolation):
-        small_config(vocab, positional="learned").validate()
 
 
 def test_model_rejects_mismatched_vocab():
@@ -498,6 +497,42 @@ def test_mlm_head_is_one_affine_map():
         small_model().mlm_logits(ids)
 
 
+def bench_shape_batch(task, seed=31):
+    """A model at the benchmark's architecture and its loss on a seeded batch
+    of 32 random sentences (the probe reads a seq2seq model's memory)."""
+    words = [f"w{i}" for i in range(10)]
+    vocab = Vocab(words)
+    config = EncoderConfig(enc_layers=2, dec_layers=1, heads=4, d_model=32, d_ff=128,
+                           vocab_size=len(vocab), max_len=40)
+    rng = np.random.default_rng(seed)
+
+    def sentences(longest):
+        return [vocab.encode([words[i] for i in rng.integers(0, 10, size=rng.integers(2, longest))])
+                for _ in range(32)]
+
+    model = TransformerModel(config, vocab, task, rng=seed)
+    sources, targets = sentences(12), sentences(9)
+    if task == "seq2seq":
+        return model, model.seq2seq_loss(list(zip(sources, targets)))
+    if task == "mlm":
+        return model, model.mlm_loss(*make_mlm_batch(rng, sources, vocab))
+    memory = TransformerModel(config, vocab, rng=seed + 1).frozen_memory(sources)
+    return model, model.target_loss(*memory, targets)
+
+
+@pytest.mark.parametrize("task", enc.TASKS)
+def test_every_parameter_can_change_the_loss(task):
+    # a parameter whose gradient is rounding noise cannot change an output
+    # and does not belong in the checkpoint.  The attention key biases were
+    # such parameters (q·bk shifts every score of a query alike, and softmax
+    # drops the shift): their largest entries read at most 1.3e-17 here,
+    # every other parameter's at least 4.3e-3
+    model, loss = bench_shape_batch(task)
+    nm.backward(loss, model.params)
+    largest = {name: np.abs(p.grad).max() for name, p in model.params.items()}
+    assert {name: g for name, g in largest.items() if not g > 1e-10} == {}
+
+
 def test_inference_records_no_tape(monkeypatch):
     # encode, decoding, charts and masked-token accuracy run under no_tape, so
     # no tensor they build keeps a parent; a training loss still records
@@ -570,6 +605,18 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("task", enc.TASKS)
+def test_checkpoint_v2_round_trip_has_no_key_bias(tmp_path, task):
+    m = small_model(task=task, seed=5)
+    m.step = 7
+    assert not [name for name in enc.expected_param_specs(m.config, task) if "bk" in name]
+    loaded = load_checkpoint(save_checkpoint(m, tmp_path / "ck"))
+    assert manifest_of(tmp_path / "ck")["format"] == "spantree-checkpoint-v2"
+    assert (loaded.task, loaded.step, list(loaded.params)) == (task, 7, list(m.params))
+    for name, p in m.params.items():
+        assert np.array_equal(p.value, loaded.params[name].value)
+
+
 def test_checkpoint_sets_tag(tmp_path):
     m = small_model()
     assert m.tag == "unsaved"
@@ -600,9 +647,25 @@ def test_load_rejects_bad_format_tag(tmp_path):
     m = small_model()
     save_checkpoint(m, tmp_path)
     man = manifest_of(tmp_path)
-    man["format"] = "other-format-v9"
+    # v1 held a key bias per attention module and a one-valued positional key
+    for tag in ("other-format-v9", "spantree-checkpoint-v1"):
+        man["format"] = tag
+        rewrite_manifest(tmp_path, man)
+        with pytest.raises(CheckpointError, match=f"format '{tag}' is not"):
+            load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("key", [*(f.name for f in dataclasses.fields(EncoderConfig)), "step"])
+def test_load_requires_every_config_key_and_step(tmp_path, key):
+    # a missing key used to load with its default: max_len 64 for a model
+    # trained at 16, or step 0 for a late checkpoint
+    m = small_model()
+    m.step = 9
+    save_checkpoint(m, tmp_path)
+    man = manifest_of(tmp_path)
+    del (man if key == "step" else man["config"])[key]
     rewrite_manifest(tmp_path, man)
-    with pytest.raises(CheckpointError, match="format"):
+    with pytest.raises(CheckpointError, match=f"missing '{key}'"):
         load_checkpoint(tmp_path)
 
 

@@ -100,6 +100,7 @@ def test_affine_grads():
     b = rng.standard_normal((1, 5))
     check_grads(weighted(nm.affine), [x, w, b])
     check_grads(weighted(nm.affine), [x[0], w, b])  # one unbatched matrix
+    check_grads(weighted(nm.affine), [x, w])  # no bias, as for attention keys
 
 
 def test_relu_grad_away_from_kink():
@@ -410,27 +411,35 @@ def test_affine_matches_two_node_layer(mode, layout, x_shape, m):
     rng = np.random.default_rng(26)
     k = x_shape[-1]
     x, w, b = draw(rng, x_shape, layout), draw(rng, (k, m), layout), rng.standard_normal((1, m))
-    out = run_kernel(mode, nm.affine, nm.constant(x), nm.constant(w), nm.constant(b))
-    ref = ref_affine(nm.constant(x), nm.constant(w), nm.constant(b))
-    assert_same_bits(out.value, ref.value)
-    if not out.taped:
-        return
     g = draw(rng, x_shape[:-1] + (m,), layout)
-    gx, gw, gb = out.vjp(g)
-    ref_g, ref_gb = ref.vjp(g)
-    ref_gx, ref_gw = ref.parents[0].vjp(ref_g)
-    assert_same_bits(gx, ref_gx)
-    assert_same_bits(gb, ref_gb)
-    # one GEMM over every position sums the weight gradient in another order
-    assert gw.shape == ref_gw.shape
-    assert np.abs(gw - ref_gw).max() <= AFFINE_WEIGHT_GRAD_BOUND * np.abs(ref_gw).max()
+    for bs in ([nm.constant(b)], []):  # attention keys have no bias
+        out = run_kernel(mode, nm.affine, nm.constant(x), nm.constant(w), *bs)
+        ref = ref_affine(nm.constant(x), nm.constant(w), *bs)
+        assert_same_bits(out.value, ref.value)
+        if not out.taped:
+            continue
+        gx, gw, *gb = out.vjp(g)
+        if bs:
+            ref_g, ref_gb = ref.vjp(g)
+            ref_gx, ref_gw = ref.parents[0].vjp(ref_g)
+            assert_same_bits(gb[0], ref_gb)
+        else:
+            ref_gx, ref_gw = ref.vjp(g)
+            assert gb == [] and len(out.parents) == 2
+        assert_same_bits(gx, ref_gx)
+        # one GEMM over every position sums the weight gradient in another order
+        assert gw.shape == ref_gw.shape
+        assert np.abs(gw - ref_gw).max() <= AFFINE_WEIGHT_GRAD_BOUND * np.abs(ref_gw).max()
 
 
 def test_seq2seq_loss_records_one_node_per_linear_layer(monkeypatch):
     # the benchmark's architecture on a fixed batch of 32 pairs, which the
     # loss runs as two length-grouped halves: each half's 23 linear layers
     # (encoder and decoder attention and feed-forward, cross-attention keys
-    # and values, the output head) used to take two nodes and take one
+    # and values, the output head) take one node; the 19 with a bias used to
+    # take two, and the 4 key projections, which have none, one matmul.  The
+    # counts were 275 and 321 while keys had biases: the 4 key-bias leaves
+    # and, in the two-node form, 8 bias adds (4 per half) are gone.
     words = [f"w{i}" for i in range(10)]
     vocab = Vocab(words)
     config = EncoderConfig(enc_layers=2, dec_layers=1, heads=4, d_model=32, d_ff=128,
@@ -446,16 +455,17 @@ def test_seq2seq_loss_records_one_node_per_linear_layer(monkeypatch):
     linear = [name for name in model.params if name.rsplit(".", 1)[1] in
               ("w", "wq", "wk", "wv", "wo", "w1", "w2")]
     assert len(linear) == 23
+    biased = [name for name in linear if not name.endswith(".wk")]
 
     def tape_nodes():  # parameters and other leaves count too
         return len(nm._topo_order(model.seq2seq_loss(pairs)))
 
     fused = tape_nodes()
-    monkeypatch.setattr(TransformerModel, "_affine",
-                        lambda self, x, w, b: ref_affine(x, self._p(w), self._p(b)))
+    monkeypatch.setattr(TransformerModel, "_affine", lambda self, x, w, b=None: ref_affine(
+        x, self._p(w), None if b is None else self._p(b)))
     two_node = tape_nodes()
-    assert (fused, two_node) == (275, 321)
-    assert two_node - fused == 2 * len(linear)
+    assert (fused, two_node) == (271, 309)
+    assert two_node - fused == 2 * len(biased)
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "view"])
@@ -711,6 +721,18 @@ def test_warmup_zero_step_moves_nothing_but_counts():
     assert st.step_count == 1
     nm.optimizer_step({"w": p}, st)
     assert p.value[0] != 1.0  # lr > 0 from step 1 on
+
+
+@pytest.mark.parametrize("setting", [
+    dict(base_lr=np.inf), dict(base_lr=np.nan), dict(base_lr=-1.0),
+    dict(weight_decay=np.inf), dict(weight_decay=np.nan), dict(weight_decay=-0.5),
+    dict(warmup_steps=-1),
+])
+def test_optimizer_refuses_non_finite_or_negative_settings(setting):
+    # an infinite rate times the first warmup step's zero factor is NaN,
+    # which used to be written into every parameter before the loss noticed
+    with pytest.raises(ContractViolation, match="must be finite and >= 0"):
+        nm.OptimizerState(**setting)
 
 
 def test_non_finite_gradient_names_parameter():
