@@ -18,7 +18,7 @@ from spantree.encoder import EncoderConfig
 from spantree.projector import cumulative_sci, exact_project, greedy_project
 from spantree.spanrep import build_sci_chart
 from spantree.training import train_seq2seq
-from spantree.trees import to_sexpr
+from spantree.treeval import to_sexpr
 
 
 def show_chart(chart, tokens):

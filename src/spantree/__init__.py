@@ -21,7 +21,7 @@ from .numerics import OptimizerState, Tensor, backward, cosine_distance, optimiz
 from .projector import ProjectionResult, exact_project, greedy_project, t_score
 from .spanrep import SciChart, Span, build_sci_chart, build_t_mask, context_free_vector, contextual_span_vector
 from .training import train_mlm, train_probe, train_seq2seq
-from .treeval import baseline_tree, corpus_parseval, delinearize, linearize, parseval_f1
+from .treeval import corpus_parseval, delinearize, linearize, parseval_f1
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "Vocab",
     "assumption_gap",
     "backward",
-    "baseline_tree",
     "build_sci_chart",
     "build_t_mask",
     "context_free_vector",

@@ -510,6 +510,8 @@ def _load_series(run_dir: str) -> list[CheckpointInfo]:
 
 def cmd_dynamics(args) -> int:
     s = resolve_settings(args)
+    if args.probe and s["probe_steps"] < 1:
+        raise ContractViolation(f"--probe needs probe_steps >= 1, got {s['probe_steps']}")
     corpus = datasets.load_corpus(args.data)
     series = _load_series(args.run_dir)
     mode = s["threshold_mode"]

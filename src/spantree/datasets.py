@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from . import trees
+from . import trees, treeval
 from .errors import ContractViolation, numbered_lines
 
 PAD, BOS, EOS, MASK, UNK = "<pad>", "<bos>", "<eos>", "<mask>", "<unk>"
@@ -278,7 +278,7 @@ def write_tsv(examples: list[TransductionExample], path) -> None:
         for ex in examples:
             cols = [" ".join(ex.source), " ".join(ex.target)]
             if ex.tree is not None:
-                cols.append(trees.to_sexpr(ex.tree, ex.source))
+                cols.append(treeval.to_sexpr(ex.tree, ex.source))
             fh.write("\t".join(cols) + "\n")
 
 
@@ -300,7 +300,7 @@ def load_tsv(path) -> list[TransductionExample]:
         tree = None
         if len(cols) == 3 and cols[2].strip():
             try:
-                tree = trees.parse_sexpr(cols[2])
+                tree = treeval.parse_sexpr(cols[2])
             except ContractViolation as exc:
                 raise ContractViolation(f"{path}:{lineno}: {exc}") from exc
             if trees.leaf_count(tree) != len(source):

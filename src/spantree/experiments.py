@@ -531,6 +531,8 @@ def dynamics_report(
         )
     if eval_limit is not None and eval_limit < 1:
         raise ContractViolation(f"evaluation limit must be None or >= 1, got {eval_limit}")
+    if probe_steps < 0:
+        raise ContractViolation(f"probe steps must be >= 0, got {probe_steps}")
     eval_examples = corpus.iid_val[:eval_sentences]
     if not eval_examples:
         raise ContractViolation("dynamics_report: empty iid-val split")

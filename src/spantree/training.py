@@ -340,8 +340,7 @@ def evaluate_probe(
     examples: list[TransductionExample],
 ) -> tuple[float, float, float, int, int]:
     """Corpus PARSEVAL of repaired probe decodes against gold trees."""
-    if not examples:
-        raise ContractViolation("evaluate_probe: empty evaluation set")
+    _check_heldout(examples)
     max_new = _bracket_length(examples)
     pairs = []
     repaired_count = coerced_count = 0
@@ -352,8 +351,6 @@ def evaluate_probe(
         )
         decoded = probe.decode_with_memory(memory, additive, max_new)
         for out, ex in zip(decoded, batch):
-            if ex.tree is None:
-                raise ContractViolation("evaluate_probe: example has no gold tree")
             n_leaves = trees.leaf_count(ex.tree)
             tree, repaired, coerced = predicted_tree(probe.vocab.decode(out), n_leaves)
             repaired_count += int(repaired)
@@ -361,6 +358,15 @@ def evaluate_probe(
             pairs.append((tree, ex.tree))
     precision, recall, f1 = treeval.corpus_parseval(pairs)
     return precision, recall, f1, repaired_count, coerced_count
+
+
+def _check_heldout(examples: list[TransductionExample]) -> None:
+    """Refuse a held-out set the probe cannot be scored on."""
+    if not examples:
+        raise ContractViolation("probe: empty held-out set")
+    for i, ex in enumerate(examples):
+        if ex.tree is None:
+            raise ContractViolation(f"probe: held-out example {i} has no gold tree")
 
 
 def _frozen_batches(encoder: TransformerModel, sources: list[list[int]]):
@@ -410,6 +416,7 @@ def train_probe(
     usable = [ex for ex in train_examples if ex.tree is not None]
     if not usable:
         raise ContractViolation("train_probe: no examples with gold trees")
+    _check_heldout(heldout_examples)  # before training, not after it
     probe_vocab = probe_vocab_for(encoder.vocab)
     config = EncoderConfig(
         enc_layers=encoder.config.enc_layers,

@@ -3,7 +3,7 @@
 A tree is either a leaf (the int position of a token) or a 2-tuple of
 subtrees.  Every internal node spans a contiguous, strictly ordered range of
 leaf positions, so a tree over ``n`` tokens is exactly a binary bracketing of
-``0..n-1``.
+``0..n-1``.  The text forms of a tree are in ``treeval``.
 """
 
 from __future__ import annotations
@@ -134,57 +134,3 @@ def _enum_range(i: int, j: int) -> list:
             for right in _enum_range(k + 1, j):
                 out.append((left, right))
     return out
-
-
-# ---------------------------------------------------------------------------
-# s-expressions
-# ---------------------------------------------------------------------------
-
-
-def to_sexpr(tree, tokens: list[str] | None = None) -> str:
-    """Serialize as nested parens, e.g. ``((w0 w1) w2)``."""
-    def render(t):
-        if isinstance(t, int):
-            return tokens[t] if tokens is not None else f"w{t}"
-        return f"({render(t[0])} {render(t[1])})"
-
-    return render(tree)
-
-
-def sexpr_tokens(text: str) -> list[str]:
-    """Split an s-expression into parens and terminals."""
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def parse_sexpr(text: str):
-    """Strict parser for serialized trees; terminals become leaf positions by
-    order of appearance.  Malformed input raises ContractViolation."""
-    toks = sexpr_tokens(text)
-    if not toks:
-        raise ContractViolation("empty s-expression")
-    pos = 0
-    counter = [0]
-
-    def parse() -> object:
-        nonlocal pos
-        if pos >= len(toks):
-            raise ContractViolation("s-expression ended early")
-        tok = toks[pos]
-        pos += 1
-        if tok == ")":
-            raise ContractViolation(f"unexpected ')' at token {pos - 1}")
-        if tok != "(":
-            idx = counter[0]
-            counter[0] += 1
-            return idx
-        left = parse()
-        right = parse()
-        if pos >= len(toks) or toks[pos] != ")":
-            raise ContractViolation(f"expected ')' at token {pos}, node is binary")
-        pos += 1
-        return (left, right)
-
-    tree = parse()
-    if pos != len(toks):
-        raise ContractViolation(f"trailing tokens after position {pos}")
-    return tree

@@ -1,5 +1,9 @@
-"""Unlabeled bracketing scores, branching baselines, and tree serialization
-for sequence models that emit linearized parses.
+"""Tree text and unlabeled bracketing scores.
+
+One bracket grammar covers all tree text: the s-expressions of TSV and tree
+files, ``((w0 w1) w2)``, and the linearized parses a probe emits,
+``( ( w0 w1 ) w2 )``.  One reader parses both: ``parse_sexpr`` refuses any
+malformed input, ``delinearize`` repairs model output.
 
 Bracket convention: spans of length >= 2 count, and the whole-sentence span
 is included by default (identical trees then score F1 = 1.0 even for n = 2).
@@ -8,8 +12,6 @@ micro-averaged: bracket counts are summed over sentences before the ratios.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from . import trees
 from .errors import ContractViolation, numbered_lines
@@ -50,21 +52,8 @@ def _prf(matched: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def baseline_tree(n: int, kind: str, rng: np.random.Generator | None = None):
-    """Branching baseline: 'left', 'right', or 'random' (seeded rng required)."""
-    if kind == "left":
-        return trees.left_branching(n)
-    if kind == "right":
-        return trees.right_branching(n)
-    if kind == "random":
-        if rng is None:
-            raise ContractViolation("random baseline needs an rng")
-        return trees.random_tree(n, rng)
-    raise ContractViolation(f"unknown baseline kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
-# linearization
+# tree text: linearized streams ( ( w0 w1 ) w2 ) and s-expressions ((w0 w1) w2)
 # ---------------------------------------------------------------------------
 
 
@@ -91,80 +80,85 @@ def delinearize(seq: list[str]) -> tuple[object | None, bool]:
     onto the end; non-binary groups are right-binarized.  If no tokens at all
     survive, returns (None, True) and the caller picks a fallback.
     """
-    repaired = False
-
-    # Longest prefix with balanced, never-negative paren depth.
-    depth = 0
-    cut = 0
-    for i, tok in enumerate(seq):
-        if tok == OPEN:
-            depth += 1
-        elif tok == CLOSE:
-            depth -= 1
-            if depth < 0:
-                break
-        if depth == 0:
-            cut = i + 1
-    if cut < len(seq):
-        repaired = True
-
-    forest, group_repair = _parse_forest(seq[:cut])
-    repaired = repaired or group_repair
-
-    suffix_terms = [t for t in seq[cut:] if t not in (OPEN, CLOSE)]
-    forest.extend(suffix_terms)
-
+    forest, repaired, cut, n_leaves = _read(seq)
+    suffix = sum(tok != OPEN and tok != CLOSE for tok in seq[cut:])
+    forest.extend(range(n_leaves, n_leaves + suffix))
     if not forest:
         return None, True
-
-    # Right-fold the top-level pieces into one tree, then index leaves.
-    shape = forest[-1]
-    for piece in reversed(forest[:-1]):
-        shape = (piece, shape)
-    return _index_leaves(shape), repaired
+    return _fold_right(forest), repaired or cut < len(seq)
 
 
-def _parse_forest(seq: list[str]) -> tuple[list, bool]:
-    """Stack parse of a balanced prefix into top-level items (token strings or
-    nested tuples).  Flags any group that was not exactly binary."""
+def to_sexpr(tree, tokens: list[str] | None = None) -> str:
+    """Serialize as nested parens, e.g. ``((w0 w1) w2)``."""
+    def render(t):
+        if isinstance(t, int):
+            return tokens[t] if tokens is not None else f"w{t}"
+        return f"{OPEN}{render(t[0])} {render(t[1])}{CLOSE}"
+
+    return render(tree)
+
+
+def sexpr_tokens(text: str) -> list[str]:
+    """Split an s-expression into parens and terminals."""
+    return text.replace(OPEN, f" {OPEN} ").replace(CLOSE, f" {CLOSE} ").split()
+
+
+def parse_sexpr(text: str):
+    """Strict parser for serialized trees; terminals become leaf positions by
+    order of appearance.  Malformed input raises ContractViolation."""
+    toks = sexpr_tokens(text)
+    forest, repaired, cut, _ = _read(toks)
+    if cut < len(toks):
+        raise ContractViolation(f"unbalanced brackets after token {cut} of {len(toks)}")
+    if repaired:
+        raise ContractViolation("non-binary group: every bracket must hold two items")
+    if len(forest) != 1:
+        raise ContractViolation(f"expected one tree, found {len(forest)}")
+    return forest[0]
+
+
+def _read(seq: list[str]) -> tuple[list, bool, int, int]:
+    """One pass over a bracket stream, stopping at an unmatched CLOSE.
+
+    Returns (forest, repaired, cut, leaves): the top-level items of
+    ``seq[:cut]``, the longest prefix whose depth returns to zero, with
+    terminals numbered in order of appearance; whether some group was not
+    binary (empty ones are dropped, one item unwrapped, more right-folded);
+    and how many terminals that prefix holds.
+    """
+    forest: list = []
+    group = forest
+    outer: list[list] = []  # the groups enclosing ``group``
     repaired = False
-    stack: list = [[]]
-    for tok in seq:
+    cut = leaves = n = 0
+    for i, tok in enumerate(seq):
         if tok == OPEN:
-            stack.append([])
+            outer.append(group)
+            group = []
         elif tok == CLOSE:
-            group = stack.pop()
-            if len(group) == 0:
-                repaired = True
-                continue  # drop empty ( )
-            if len(group) == 1:
-                repaired = True
-                item = group[0]
+            if not outer:
+                break
+            items, group = group, outer.pop()
+            if len(items) == 2:
+                group.append((items[0], items[1]))
             else:
-                if len(group) > 2:
-                    repaired = True
-                item = group[-1]
-                for piece in reversed(group[:-1]):
-                    item = (piece, item)
-            stack[-1].append(item)
+                repaired = True
+                if items:
+                    group.append(_fold_right(items))
         else:
-            stack[-1].append(tok)
-    assert len(stack) == 1, "prefix was pre-checked balanced"
-    return stack[0], repaired
+            group.append(n)
+            n += 1
+        if not outer:
+            cut, leaves = i + 1, n
+    return forest, repaired, cut, leaves
 
 
-def _index_leaves(shape):
-    """Replace terminal strings with 0-based positions, left to right."""
-    counter = [0]
-
-    def walk(t):
-        if isinstance(t, tuple):
-            return walk(t[0]), walk(t[1])
-        idx = counter[0]
-        counter[0] += 1
-        return idx
-
-    return walk(shape)
+def _fold_right(items: list):
+    """(a, (b, (... z))) over a non-empty list of subtrees; one item is itself."""
+    tree = items[-1]
+    for piece in reversed(items[:-1]):
+        tree = (piece, tree)
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +169,7 @@ def _index_leaves(shape):
 def save_trees(path, tree_list, tokens_list) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for tree, tokens in zip(tree_list, tokens_list):
-            fh.write(trees.to_sexpr(tree, tokens) + "\n")
+            fh.write(to_sexpr(tree, tokens) + "\n")
 
 
 def load_trees(path) -> list:
@@ -185,7 +179,7 @@ def load_trees(path) -> list:
         if not line:
             continue
         try:
-            out.append(trees.parse_sexpr(line))
+            out.append(parse_sexpr(line))
         except ContractViolation as exc:
             raise ContractViolation(f"{path}:{lineno}: {exc}") from exc
     return out

@@ -12,13 +12,17 @@ numpy's ufunc reduces directly; the kernels must match them bit for bit.
 ``ref_affine`` is a linear layer as two tape nodes, ``ref_seq2seq_loss``
 pads the whole batch as one group, ``ref_exact_match`` decodes evaluation
 chunks in the order given, and ``ref_optimizer_step`` updates one parameter
-at a time with per-name moments.
+at a time with per-name moments.  ``ref_parse_sexpr`` (recursive descent)
+and ``ref_delinearize`` (a balanced-prefix scan, a stack parse, then leaf
+numbering) are the two tree parsers from before both went through one
+reader.
 """
 
 import numpy as np
 
 from spantree import numerics as nm
 from spantree.encoder import DecoderCache, pad_ids
+from spantree.errors import ContractViolation
 from spantree.training import EVAL_CHUNK
 
 
@@ -211,3 +215,91 @@ def ref_optimizer_step(params, state, m, v):
         v_hat = ve / (1.0 - nm.ADAM_BETA2**t)
         p.value -= lr * (m_hat / (np.sqrt(v_hat) + nm.ADAM_EPS) + state.weight_decay * p.value)
     state.step_count += 1
+
+
+def ref_parse_sexpr(text):
+    toks = text.replace("(", " ( ").replace(")", " ) ").split()
+    if not toks:
+        raise ContractViolation("empty s-expression")
+    pos = 0
+    counter = [0]
+
+    def parse():
+        nonlocal pos
+        if pos >= len(toks):
+            raise ContractViolation("s-expression ended early")
+        tok = toks[pos]
+        pos += 1
+        if tok == ")":
+            raise ContractViolation(f"unexpected ')' at token {pos - 1}")
+        if tok != "(":
+            idx = counter[0]
+            counter[0] += 1
+            return idx
+        left = parse()
+        right = parse()
+        if pos >= len(toks) or toks[pos] != ")":
+            raise ContractViolation(f"expected ')' at token {pos}, node is binary")
+        pos += 1
+        return (left, right)
+
+    tree = parse()
+    if pos != len(toks):
+        raise ContractViolation(f"trailing tokens after position {pos}")
+    return tree
+
+
+def ref_delinearize(seq):
+    repaired = False
+    depth = 0
+    cut = 0
+    for i, tok in enumerate(seq):
+        if tok == "(":
+            depth += 1
+        elif tok == ")":
+            depth -= 1
+            if depth < 0:
+                break
+        if depth == 0:
+            cut = i + 1
+    if cut < len(seq):
+        repaired = True
+
+    stack = [[]]
+    for tok in seq[:cut]:
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            group = stack.pop()
+            if len(group) == 0:
+                repaired = True
+                continue
+            if len(group) == 1:
+                repaired = True
+                item = group[0]
+            else:
+                if len(group) > 2:
+                    repaired = True
+                item = group[-1]
+                for piece in reversed(group[:-1]):
+                    item = (piece, item)
+            stack[-1].append(item)
+        else:
+            stack[-1].append(tok)
+    forest = stack[0]
+    forest.extend(t for t in seq[cut:] if t not in ("(", ")"))
+    if not forest:
+        return None, True
+
+    shape = forest[-1]
+    for piece in reversed(forest[:-1]):
+        shape = (piece, shape)
+    counter = [0]
+
+    def index(t):
+        if isinstance(t, tuple):
+            return index(t[0]), index(t[1])
+        counter[0] += 1
+        return counter[0] - 1
+
+    return index(shape), repaired

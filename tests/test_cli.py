@@ -495,10 +495,11 @@ def _unknown_word_tsv(tmp_path):
     return str(path)
 
 
-def _data_with_bad_split(pipeline, tmp_path):
+def _data_with_heldout(pipeline, tmp_path, content: bytes):
+    """A copy of the pipeline's data whose iid_val.tsv holds ``content``."""
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)
-    (data / "iid_val.tsv").write_bytes(NOT_UTF8)
+    (data / "iid_val.tsv").write_bytes(content)
     return str(data)
 
 
@@ -510,6 +511,14 @@ def _train(pipeline, tmp_path, command="train"):
 def _probe(pipeline, tmp_path):
     return ["probe", "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
             "--run-dir", str(tmp_path / "run"), "--probe-steps", "2"]
+
+
+def _probe_on_heldout(content: bytes):
+    def argv(pipeline, tmp_path):
+        data = _data_with_heldout(pipeline, tmp_path, content)
+        return _probe({**pipeline, "data": data}, tmp_path)
+
+    return argv
 
 
 def _gen_data(tmp_path):
@@ -538,7 +547,7 @@ BAD_INPUTS = {
     "chart --input not UTF-8": lambda p, t: [
         "chart", "--checkpoint", p["ckpt"], "--input", _not_utf8(t, "in.tsv")],
     "split under --data not UTF-8": lambda p, t: [
-        "perturb", "--checkpoint", p["ckpt"], "--data", _data_with_bad_split(p, t),
+        "perturb", "--checkpoint", p["ckpt"], "--data", _data_with_heldout(p, t, NOT_UTF8),
         "--out", str(t / "perturb.csv")],
     "eval-trees file not UTF-8": lambda p, t: [
         "eval-trees", "--pred", _not_utf8(t, "pred.sexpr"), "--gold", _not_utf8(t, "gold.sexpr")],
@@ -581,12 +590,21 @@ BAD_INPUTS = {
     "dynamics --eval-limit 0": lambda p, t: _dynamics(p) + ["--eval-limit", "0"],
     "dynamics --eval-sentences -1": lambda p, t: _dynamics(p) + ["--eval-sentences", "-1"],
     "dynamics --tune-sentences -1": lambda p, t: _dynamics(p) + ["--tune-sentences", "-1"],
+    # a probe used to train to the end before it found it could not be scored
+    "probe with no held-out example": _probe_on_heldout(b""),
+    "probe with a held-out example without a tree": _probe_on_heldout(b"A1 B1\tA1 B1\n"),
+    # --probe-steps 0 used to exit 0 with an empty p_parseval column
+    "dynamics --probe --probe-steps 0":
+        lambda p, t: _dynamics(p) + ["--probe", "--probe-steps", "0"],
+    "dynamics --probe --probe-steps -1":
+        lambda p, t: _dynamics(p) + ["--probe", "--probe-steps", "-1"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_a_clean_error(pipeline, tmp_path, case):
     assert_clean_error(BAD_INPUTS[case](pipeline, tmp_path))
+    assert not (tmp_path / "run" / "checkpoints" / "probe").exists()
 
 
 def test_unknown_word_error_names_token_and_position(pipeline, tmp_path, capsys):

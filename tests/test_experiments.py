@@ -389,6 +389,8 @@ def test_dynamics_contracts():
         dynamics_report(series, corpus, threshold_mode="nope")
     with pytest.raises(ContractViolation):
         dynamics_report(series, corpus, threshold_mode="fixed", fixed_t=99)
+    with pytest.raises(ContractViolation, match="probe steps"):
+        dynamics_report(series, corpus, threshold_mode="fixed", fixed_t=1, probe_steps=-1)
     empty_val = Corpus(train=corpus.train, iid_val=[], cg_test=corpus.cg_test,
                        vocab=corpus.vocab)
     with pytest.raises(ContractViolation):

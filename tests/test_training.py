@@ -466,6 +466,28 @@ def test_train_probe_requires_gold_trees():
         train_probe(encoder, bare, corpus.iid_val, steps=1)
 
 
+def test_train_probe_refuses_unscorable_heldout_before_training(monkeypatch):
+    # an empty held-out set, or one with an example that has no gold tree,
+    # used to fail only after every probe update had run
+    corpus = memorization_corpus()
+    encoder = TransformerModel(tiny_config(vocab_size=len(corpus.vocab)), corpus.vocab, rng=0)
+    calls = []
+    original = training._updates
+
+    def counted(*args):
+        calls.append(args[-2])
+        return original(*args)
+
+    monkeypatch.setattr(training, "_updates", counted)
+    bare = TransductionExample(corpus.iid_val[0].source, corpus.iid_val[0].target, None)
+    for heldout in ([], corpus.iid_val[:2] + [bare]):
+        with pytest.raises(ContractViolation, match="held-out"):
+            train_probe(encoder, corpus.train, heldout, steps=5, batch_size=4)
+    assert calls == []
+    train_probe(encoder, corpus.train, corpus.iid_val[:2], steps=2, batch_size=4)
+    assert calls == [2]
+
+
 # ---------------------------------------------------------------------------
 # frozen training bits
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spantree import trees
+from spantree import trees, treeval
 from spantree.errors import ContractViolation
 
 
@@ -84,19 +84,19 @@ def test_random_tree_trivial_sizes():
 def test_sexpr_round_trip_exhaustive_small():
     for n in range(1, 7):
         for t in trees.enumerate_trees(n):
-            assert trees.parse_sexpr(trees.to_sexpr(t)) == t
+            assert treeval.parse_sexpr(treeval.to_sexpr(t)) == t
 
 
 def test_sexpr_with_tokens():
     t = ((0, 1), 2)
-    assert trees.to_sexpr(t, ["the", "old", "dog"]) == "((the old) dog)"
-    assert trees.to_sexpr(t) == "((w0 w1) w2)"
+    assert treeval.to_sexpr(t, ["the", "old", "dog"]) == "((the old) dog)"
+    assert treeval.to_sexpr(t) == "((w0 w1) w2)"
 
 
 def test_parse_sexpr_rejects_malformed():
     for bad in ["", "(", "(a", "(a b", "a b", "(a b) c", "((a b)", "(a b c)", ")"]:
         with pytest.raises(ContractViolation):
-            trees.parse_sexpr(bad)
+            treeval.parse_sexpr(bad)
 
 
 def test_node_spans_prefix_order():

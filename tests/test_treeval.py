@@ -1,8 +1,12 @@
-"""Bracketing F1 conventions, baselines, linearization and repair."""
+"""Bracketing F1 conventions, linearization and repair, and the one reader
+behind both tree parsers."""
+
+import re
 
 import numpy as np
 import pytest
 
+from helpers import ref_delinearize, ref_parse_sexpr
 from spantree import treeval, trees
 from spantree.errors import ContractViolation
 
@@ -72,17 +76,6 @@ def test_corpus_empty_bracket_sets_vacuous():
     assert treeval.corpus_parseval(pairs, include_root=False) == (1.0, 1.0, 1.0)
 
 
-def test_baseline_trees():
-    assert treeval.baseline_tree(4, "left") == (((0, 1), 2), 3)
-    assert treeval.baseline_tree(4, "right") == (0, (1, (2, 3)))
-    t = treeval.baseline_tree(6, "random", np.random.default_rng(0))
-    trees.validate_tree(t, 6)
-    with pytest.raises(ContractViolation):
-        treeval.baseline_tree(4, "random")
-    with pytest.raises(ContractViolation):
-        treeval.baseline_tree(4, "balanced")
-
-
 # ---------------------------------------------------------------------------
 # linearize / delinearize
 # ---------------------------------------------------------------------------
@@ -127,6 +120,55 @@ def test_repair_cases():
 def test_delinearize_multiple_top_level_pieces_fold_right():
     tree, _ = treeval.delinearize(["(", "a", "b", ")", "c", "d"])
     assert tree == ((0, 1), (2, 3))
+
+
+# ---------------------------------------------------------------------------
+# the one reader behind parse_sexpr and delinearize
+# ---------------------------------------------------------------------------
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ContractViolation:
+        return "refused"
+
+
+def test_parsers_match_their_oracles_on_every_small_tree():
+    for n in range(1, 8):
+        toks = [f"w{i}" for i in range(n)]
+        for t in trees.enumerate_trees(n):
+            text = treeval.to_sexpr(t)
+            assert treeval.parse_sexpr(text) == ref_parse_sexpr(text) == t
+            stream = treeval.linearize(t, toks)
+            assert treeval.delinearize(stream) == ref_delinearize(stream) == (t, False)
+
+
+def test_parsers_match_their_oracles_on_random_streams():
+    rng = np.random.default_rng(15)
+    symbols = np.array(["(", ")", "a", "b", "c"])
+    accepted = 0
+    for _ in range(50_000):
+        seq = list(symbols[rng.integers(0, 5, size=rng.integers(0, 13))])
+        assert treeval.delinearize(seq) == ref_delinearize(seq), seq
+        spaced = " ".join(seq)
+        tight = re.sub(r" *([()]) *", r"\1", spaced)
+        for text in (spaced, tight):
+            got = _outcome(treeval.parse_sexpr, text)
+            assert got == _outcome(ref_parse_sexpr, text), text
+            accepted += got != "refused"
+    assert accepted > 1000  # the strict parsers agree on trees, not only on refusals
+
+
+@pytest.mark.parametrize("message, texts", [
+    ("unbalanced", ["(", "(a", "(a b", "((a b)", ")", "(a b))", "a )", "(a b) ("]),
+    ("non-binary", ["(a b c)", "(a)", "()", "((a b))", "(a (b c) d)"]),
+    ("expected one tree", ["", "a b", "(a b) c", "(a b) (c d)"]),
+])
+def test_parse_sexpr_names_what_is_wrong(message, texts):
+    for text in texts:
+        with pytest.raises(ContractViolation, match=message):
+            treeval.parse_sexpr(text)
 
 
 def test_tree_file_round_trip(tmp_path):
