@@ -40,7 +40,7 @@ from .experiments import (
 )
 from .projector import exact_project, greedy_project
 from .spanrep import build_sci_chart
-from .training import CheckpointInfo, train_mlm, train_probe, train_seq2seq
+from .training import load_series, train_mlm, train_probe, train_seq2seq
 
 log = logging.getLogger("spantree.cli")
 
@@ -492,28 +492,12 @@ def cmd_gap(args) -> int:
     return 0
 
 
-def _load_series(run_dir: str) -> list[CheckpointInfo]:
-    root = os.path.join(run_dir, "checkpoints")
-    if not os.path.isdir(root):
-        raise ContractViolation(f"{run_dir} has no checkpoints/ directory")
-    names = sorted(d for d in os.listdir(root) if d.startswith("step-"))
-    series = []
-    for name in names:
-        path = os.path.join(root, name)
-        model = load_checkpoint(path)
-        series.append(CheckpointInfo(step=model.step, model=model, path=path))
-    if not series:
-        raise ContractViolation(f"{root} contains no step-* checkpoints")
-    # by step, not by name: "step-100000" sorts before "step-20000"
-    return sorted(series, key=lambda info: info.step)
-
-
 def cmd_dynamics(args) -> int:
     s = resolve_settings(args)
     if args.probe and s["probe_steps"] < 1:
         raise ContractViolation(f"--probe needs probe_steps >= 1, got {s['probe_steps']}")
     corpus = datasets.load_corpus(args.data)
-    series = _load_series(args.run_dir)
+    series = load_series(os.path.join(args.run_dir, "checkpoints"))
     mode = s["threshold_mode"]
     result = dynamics_report(
         series,

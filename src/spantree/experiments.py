@@ -540,10 +540,6 @@ def dynamics_report(
     for info in series:
         model = info.model
         if threshold_mode == "fixed":
-            if not 0 <= fixed_t <= model.config.enc_layers:
-                raise ContractViolation(
-                    f"fixed threshold {fixed_t} outside [0, {model.config.enc_layers}]"
-                )
             t = fixed_t
         else:
             t = tune_threshold(

@@ -4,10 +4,11 @@ One generator, ``_updates``, draws every batch's indices, runs every AdamW
 update (linear warmup, float64 tape) and aborts with ``TrainingDiverged`` on a
 non-finite loss.  ``train_seq2seq`` and ``train_mlm`` hand it their model,
 batch loss and checkpoint evaluator through ``_train_series``, which collects
-deep copies (and optionally on-disk directories) at step 0, every
-``checkpoint_every`` updates and the final step; a divergence carries every
-checkpoint collected before it.  ``train_probe`` drains the same loop without
-checkpoints.
+deep copies (and optionally ``step-NNNNN`` directories, which ``load_series``
+reads back) at step 0, every ``checkpoint_every`` updates and the final step;
+a divergence carries every checkpoint collected before it.  ``train_probe``
+drains the same loop without checkpoints.  Every decode, and the probe's
+memory encode, runs in the length-sorted chunks of ``_length_chunks``.
 
 The probe is a 1-layer decoder trained to emit a sentence's bracketed parse
 (``( ( A1 B1 ) C1 )`` as a token stream) while cross-attending to the frozen
@@ -31,6 +32,7 @@ from .encoder import (
     EncoderConfig,
     TransformerModel,
     key_pad_additive,
+    load_checkpoint,
     pad_ids,
     save_checkpoint,
 )
@@ -127,29 +129,52 @@ def _train_series(
     return series
 
 
+def load_series(checkpoint_dir: str) -> list[CheckpointInfo]:
+    """The ``step-NNNNN`` checkpoints ``_train_series`` wrote under
+    ``checkpoint_dir``, in step order."""
+    if not os.path.isdir(checkpoint_dir):
+        raise ContractViolation(f"no checkpoint directory {checkpoint_dir}")
+    series = []
+    for name in sorted(os.listdir(checkpoint_dir)):
+        if name.startswith("step-"):
+            path = os.path.join(checkpoint_dir, name)
+            model = load_checkpoint(path)
+            series.append(CheckpointInfo(step=model.step, model=model, path=path))
+    if not series:
+        raise ContractViolation(f"{checkpoint_dir} contains no step-* checkpoints")
+    # by step, not by name: "step-100000" sorts before "step-20000"
+    return sorted(series, key=lambda info: info.step)
+
+
+def _length_chunks(lengths) -> list[np.ndarray]:
+    """Indices stably sorted by length, cut into chunks of ``EVAL_CHUNK``:
+    every decode and the probe's memory encode run on these, so a chunk is
+    padded only to its own longest row."""
+    order = np.argsort(np.asarray(lengths), kind="stable")
+    return [order[lo : lo + EVAL_CHUNK] for lo in range(0, len(order), EVAL_CHUNK)]
+
+
 def exact_match_accuracy(
     model: TransformerModel, examples: list[TransductionExample], limit: int | None = None
 ) -> float:
     """Fraction of examples whose greedy decode equals the target exactly;
     ``limit`` (None or >= 1) scores only the first ``limit`` examples.
 
-    ``max_new`` is fixed on the whole subset; the subset is then stably
-    sorted by source length and decoded in chunks of ``EVAL_CHUNK``, so a
-    chunk's memory is padded only to its own longest source.  The count does
-    not depend on the order.  A decode can move by rounding only, since the
-    padding a row's memory shares with its chunk changes.
+    ``max_new`` is fixed on the whole subset, which is then decoded in
+    ``_length_chunks``.  The count does not depend on the order.  A decode
+    can move by rounding only, since the padding a row's memory shares with
+    its chunk changes.
     """
     if limit is not None and limit < 1:
         raise ContractViolation(f"evaluation limit must be None or >= 1, got {limit}")
-    subset = list(examples[:limit])
+    subset = examples[:limit]
     if not subset:
         raise ContractViolation("exact_match_accuracy: empty evaluation split")
     vocab = model.vocab
     max_new = max(len(ex.target) for ex in subset) + 2
-    subset.sort(key=lambda ex: len(ex.source))
     correct = 0
-    for lo in range(0, len(subset), EVAL_CHUNK):
-        batch = subset[lo : lo + EVAL_CHUNK]
+    for chunk in _length_chunks([len(ex.source) for ex in subset]):
+        batch = [subset[i] for i in chunk]
         decoded = model.greedy_decode([vocab.encode(ex.source) for ex in batch], max_new)
         for out, ex in zip(decoded, batch):
             if out == vocab.encode(ex.target):
@@ -339,13 +364,14 @@ def evaluate_probe(
     encoder: TransformerModel,
     examples: list[TransductionExample],
 ) -> tuple[float, float, float, int, int]:
-    """Corpus PARSEVAL of repaired probe decodes against gold trees."""
+    """Corpus PARSEVAL of repaired probe decodes against gold trees, decoded
+    in ``_length_chunks`` like the probe's training memory."""
     _check_heldout(examples)
     max_new = _bracket_length(examples)
     pairs = []
     repaired_count = coerced_count = 0
-    for lo in range(0, len(examples), EVAL_CHUNK):
-        batch = examples[lo : lo + EVAL_CHUNK]
+    for chunk in _length_chunks([len(ex.source) for ex in examples]):
+        batch = [examples[i] for i in chunk]
         memory, additive = encoder.frozen_memory(
             [encoder.vocab.encode(ex.source) for ex in batch]
         )
@@ -373,19 +399,17 @@ def _frozen_batches(encoder: TransformerModel, sources: list[list[int]]):
     """The probe's memory side for any batch of ``sources``, encoding each
     source once.
 
-    Every source runs through ``encoder.frozen_memory`` once, in chunks of
-    ``EVAL_CHUNK`` sources of similar length.  The returned function maps
-    batch indices to (memory, additive mask): the batch's rows, zero-padded
-    to its longest source, with the padding masked.  Masked keys carry
+    Every source runs through ``encoder.frozen_memory`` once, in
+    ``_length_chunks``.  The returned function maps batch indices to
+    (memory, additive mask): the batch's rows, zero-padded to its longest
+    source, with the padding masked.  Masked keys carry
     exactly zero weight, so the pad rows' values do not matter; a row's
     states can differ from those of an encode of that batch by rounding,
     because the encoder ran on another padding.
     """
     lengths = np.array([len(s) for s in sources])
     store = np.zeros((len(sources), lengths.max(), encoder.config.d_model))
-    order = np.argsort(lengths, kind="stable")
-    for lo in range(0, len(order), EVAL_CHUNK):
-        chunk = order[lo : lo + EVAL_CHUNK]
+    for chunk in _length_chunks(lengths):
         memory, _ = encoder.frozen_memory([sources[i] for i in chunk])
         for row, i in enumerate(chunk):
             store[i, : lengths[i]] = memory.value[row, : lengths[i]]
@@ -413,20 +437,15 @@ def train_probe(
     The encoder is never updated; its final states enter the probe as
     constants.  Returns the probe plus held-out PARSEVAL (p_parseval).
     """
+    if steps < 1:  # an untrained probe would score only the coercion fallback
+        raise ContractViolation(f"probe steps must be >= 1, got {steps}")
     usable = [ex for ex in train_examples if ex.tree is not None]
     if not usable:
         raise ContractViolation("train_probe: no examples with gold trees")
     _check_heldout(heldout_examples)  # before training, not after it
     probe_vocab = probe_vocab_for(encoder.vocab)
-    config = EncoderConfig(
-        enc_layers=encoder.config.enc_layers,
-        dec_layers=PROBE_DEC_LAYERS,
-        heads=encoder.config.heads,
-        d_model=encoder.config.d_model,
-        d_ff=encoder.config.d_ff,
-        vocab_size=len(probe_vocab),
-        max_len=max(encoder.config.max_len, _bracket_length(usable)),
-    )
+    config = replace(encoder.config, dec_layers=PROBE_DEC_LAYERS, vocab_size=len(probe_vocab),
+                     max_len=max(encoder.config.max_len, _bracket_length(usable)))
     probe = TransformerModel(config, probe_vocab, "probe", rng=np.random.default_rng(seed))
     sources = [encoder.vocab.encode(ex.source) for ex in usable]
     targets = [

@@ -10,9 +10,9 @@ step, finished rows included, on a cache of its own each time.  The
 ``ref_*`` functions keep the kernels' expressions from before they called
 numpy's ufunc reduces directly; the kernels must match them bit for bit.
 ``ref_affine`` is a linear layer as two tape nodes, ``ref_seq2seq_loss``
-pads the whole batch as one group, ``ref_exact_match`` decodes evaluation
-chunks in the order given, and ``ref_optimizer_step`` updates one parameter
-at a time with per-name moments.  ``ref_parse_sexpr`` (recursive descent)
+pads the whole batch as one group, ``ref_exact_match`` and
+``ref_evaluate_probe`` decode evaluation chunks in the order given, and
+``ref_optimizer_step`` updates one parameter at a time with per-name moments.  ``ref_parse_sexpr`` (recursive descent)
 and ``ref_delinearize`` (a balanced-prefix scan, a stack parse, then leaf
 numbering) are the two tree parsers from before both went through one
 reader.
@@ -21,6 +21,7 @@ reader.
 import numpy as np
 
 from spantree import numerics as nm
+from spantree import training, treeval, trees
 from spantree.encoder import DecoderCache, pad_ids
 from spantree.errors import ContractViolation
 from spantree.training import EVAL_CHUNK
@@ -193,6 +194,28 @@ def ref_exact_match(model, examples):
         decodes += model.greedy_decode([vocab.encode(ex.source) for ex in batch], max_new)
     correct = sum(out == vocab.encode(ex.target) for out, ex in zip(decodes, examples))
     return correct / len(examples), decodes
+
+
+def ref_evaluate_probe(probe, encoder, examples):
+    """The probe's (precision, recall, F1, repaired, coerced) on held-out
+    examples, decoding chunks of ``EVAL_CHUNK`` examples in the order given."""
+    max_new = training._bracket_length(examples)
+    pairs = []
+    repaired_count = coerced_count = 0
+    for lo in range(0, len(examples), EVAL_CHUNK):
+        batch = examples[lo : lo + EVAL_CHUNK]
+        memory, additive = encoder.frozen_memory(
+            [encoder.vocab.encode(ex.source) for ex in batch]
+        )
+        decoded = probe.decode_with_memory(memory, additive, max_new)
+        for out, ex in zip(decoded, batch):
+            n_leaves = trees.leaf_count(ex.tree)
+            tree, repaired, coerced = training.predicted_tree(probe.vocab.decode(out), n_leaves)
+            repaired_count += int(repaired)
+            coerced_count += int(coerced)
+            pairs.append((tree, ex.tree))
+    precision, recall, f1 = treeval.corpus_parseval(pairs)
+    return precision, recall, f1, repaired_count, coerced_count
 
 
 def ref_optimizer_step(params, state, m, v):

@@ -15,13 +15,12 @@ import pytest
 from spantree import datasets, treeval
 from spantree.cli import (
     DEFAULTS,
-    _load_series,
     build_parser,
     component_seed,
     main,
     resolve_settings,
 )
-from spantree.encoder import load_checkpoint, save_checkpoint
+from spantree.encoder import load_checkpoint
 from spantree.errors import ContractViolation
 from spantree.spanrep import build_sci_chart
 from spantree.training import train_probe
@@ -453,16 +452,6 @@ def test_malformed_manifest_is_a_clean_error(pipeline, tmp_path, case):
     assert_clean_error(["chart", "--checkpoint", str(ckpt), "--sentence", "A1 B1"])
 
 
-def test_dynamics_series_is_in_step_order(pipeline, tmp_path):
-    # checkpoint directories are named step-{step:05d}, so by name
-    # step-100000 would come before step-20000
-    model = load_checkpoint(pipeline["ckpt"])
-    for step in (100000, 0, 20000):
-        model.step = step
-        save_checkpoint(model, tmp_path / "checkpoints" / f"step-{step:05d}")
-    assert [info.step for info in _load_series(str(tmp_path))] == [0, 20000, 100000]
-
-
 @pytest.mark.parametrize("argv", [
     ["train", "--lr", "inf"], ["train", "--weight-decay", "inf"],
     ["train-mlm", "--lr", "nan"],
@@ -544,6 +533,10 @@ BAD_INPUTS = {
     "probe --probe-steps -3": lambda p, t: [
         "probe", "--checkpoint", p["ckpt"], "--data", p["data"],
         "--run-dir", str(t / "run"), "--probe-steps", "-3"],
+    # an untrained probe used to exit 0 and report the coercion fallback's score
+    "probe --probe-steps 0": lambda p, t: [
+        "probe", "--checkpoint", p["ckpt"], "--data", p["data"],
+        "--run-dir", str(t / "run"), "--probe-steps", "0"],
     "chart --input not UTF-8": lambda p, t: [
         "chart", "--checkpoint", p["ckpt"], "--input", _not_utf8(t, "in.tsv")],
     "split under --data not UTF-8": lambda p, t: [
@@ -590,6 +583,7 @@ BAD_INPUTS = {
     "dynamics --eval-limit 0": lambda p, t: _dynamics(p) + ["--eval-limit", "0"],
     "dynamics --eval-sentences -1": lambda p, t: _dynamics(p) + ["--eval-sentences", "-1"],
     "dynamics --tune-sentences -1": lambda p, t: _dynamics(p) + ["--tune-sentences", "-1"],
+    "dynamics --fixed-t 99": lambda p, t: _dynamics(p) + ["--fixed-t", "99"],
     # a probe used to train to the end before it found it could not be scored
     "probe with no held-out example": _probe_on_heldout(b""),
     "probe with a held-out example without a tree": _probe_on_heldout(b"A1 B1\tA1 B1\n"),

@@ -1,5 +1,6 @@
 """Module boundary: no ``spantree`` module reads another module's private
-(``_``-prefixed) names.
+(``_``-prefixed) names, and every name in the README's paper-to-code table
+exists.
 
 Every module under ``src/spantree`` is parsed.  A module *defines* the
 private names of its functions, classes, methods and assignment targets
@@ -9,11 +10,14 @@ use its own private members from anywhere in its module.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import spantree
 
 SRC = Path(spantree.__file__).parent
+ROOT = Path(__file__).parent.parent
 
 
 def _private(name: str) -> bool:
@@ -68,3 +72,34 @@ def test_boundary_check_sees_a_cross_module_read(tmp_path):
         "b.py:1 reads _helper of c.py",
         "b.py:4 reads _own of a.py",
     ]
+
+
+def paper_map_rows() -> list[tuple[str, str]]:
+    """(computed by, checked by) cells of the README's paper-to-code table."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| Paper quantity | Computed by | Checked by |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(tuple(cell.strip() for cell in line.strip("|").split("|")[1:]))
+    return rows
+
+
+def test_paper_map_names_resolve():
+    rows = paper_map_rows()
+    assert len(rows) == 10
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    for computed, checked in rows:
+        names = re.findall(r"`(\w+)\.(\w+)`", computed)
+        assert names, computed
+        for module, name in names:
+            assert callable(getattr(importlib.import_module(f"spantree.{module}"), name))
+        criteria = re.findall(r"\d+", re.sub(r"`[^`]*`", "", checked))
+        tests = re.findall(r"`(\w+\.py)::(\w+)`", checked)
+        assert criteria or tests, checked
+        for number in criteria:
+            assert f"def test_criterion_{int(number):02d}_" in acceptance, checked
+        for path, name in tests:
+            source = (ROOT / "tests" / path).read_text(encoding="utf-8")
+            assert f"def {name}(" in source, checked

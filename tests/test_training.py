@@ -1,12 +1,16 @@
 """Training loops: transduction memorization, masked pretraining, probing."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import ref_affine, ref_exact_match
+from helpers import ref_affine, ref_evaluate_probe, ref_exact_match
 from spantree import training, treeval, trees
 from spantree.datasets import (
     DEFAULT_UNSEEN,
@@ -22,6 +26,7 @@ from spantree.numerics import OptimizerState, backward, optimizer_step
 from spantree.training import (
     ProbeResult,
     exact_match_accuracy,
+    load_series,
     make_mlm_batch,
     mask_positions,
     masked_prediction_accuracy,
@@ -195,6 +200,21 @@ def test_checkpoints_written_to_disk(tmp_path):
             np.array_equal(loaded.params[k].value, info.model.params[k].value)
             for k in loaded.params
         )
+
+
+def test_load_series_is_in_step_order(tmp_path):
+    # checkpoint directories are named step-{step:05d}, so by name
+    # step-100000 would come before step-20000
+    corpus = memorization_corpus()
+    model = TransformerModel(tiny_config(vocab_size=len(corpus.vocab)), corpus.vocab, rng=0)
+    for step in (100000, 0, 20000):
+        model.step = step
+        save_checkpoint(model, tmp_path / f"step-{step:05d}")
+    assert [info.step for info in load_series(str(tmp_path))] == [0, 20000, 100000]
+    with pytest.raises(ContractViolation, match="no checkpoint directory"):
+        load_series(str(tmp_path / "missing"))
+    with pytest.raises(ContractViolation, match="no step-"):
+        load_series(str(tmp_path / "step-00000"))
 
 
 def test_train_requires_examples():
@@ -456,6 +476,31 @@ def test_train_probe_encodes_each_source_once(monkeypatch):
     assert calls == [10, 4]
 
 
+def test_evaluate_probe_sorted_chunks_match_given_order(monkeypatch):
+    # a held-out set of three chunks: decoding length-sorted chunks gives the
+    # scores and counts that chunks taken in the given order give
+    examples = generate_expressions(200, depth_range=(1, 2), seed=5, alphabet_size=6)
+    vocab = Vocab(t for ex in examples for t in ex.source)
+    encoder = TransformerModel(tiny_config(vocab_size=len(vocab)), vocab, rng=0)
+    heldout = examples[60:]
+    assert len(heldout) > 2 * training.EVAL_CHUNK
+    probe = train_probe(encoder, examples[:60], heldout, steps=60, seed=1, batch_size=16,
+                        base_lr=1e-2, warmup_steps=10).probe
+    want = ref_evaluate_probe(probe, encoder, heldout)
+    assert 0 < want[4] < len(heldout)  # some outputs usable, some coerced
+    encoded = []
+    original = TransformerModel.frozen_memory
+
+    def recorded(self, sources):
+        encoded.append([len(s) for s in sources])
+        return original(self, sources)
+
+    monkeypatch.setattr(TransformerModel, "frozen_memory", recorded)
+    assert training.evaluate_probe(probe, encoder, heldout) == want
+    lengths = [n for chunk in encoded for n in chunk]
+    assert len(encoded) == 3 and lengths == sorted(lengths)
+
+
 def test_train_probe_requires_gold_trees():
     corpus = memorization_corpus()
     config = tiny_config()
@@ -488,6 +533,27 @@ def test_train_probe_refuses_unscorable_heldout_before_training(monkeypatch):
     assert calls == [2]
 
 
+@pytest.mark.parametrize("steps", [0, -3])
+def test_train_probe_refuses_no_updates_before_encoding(monkeypatch, steps):
+    # with no update the probe used to be scored anyway: every output was
+    # coerced, so p_parseval was the right-branching fallback's score
+    corpus = memorization_corpus()
+    encoder = TransformerModel(tiny_config(vocab_size=len(corpus.vocab)), corpus.vocab, rng=0)
+    calls = []
+    original = training._frozen_batches
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return original(*args)
+
+    monkeypatch.setattr(training, "_frozen_batches", counted)
+    with pytest.raises(ContractViolation, match="probe steps"):
+        train_probe(encoder, corpus.train, corpus.iid_val[:2], steps=steps, batch_size=4)
+    assert calls == []
+    train_probe(encoder, corpus.train, corpus.iid_val[:2], steps=1, batch_size=4)
+    assert calls == [10]
+
+
 # ---------------------------------------------------------------------------
 # frozen training bits
 # ---------------------------------------------------------------------------
@@ -514,27 +580,39 @@ FROZEN_TRAINING_SHA256 = {
 }
 
 
-def _frozen_runs():
-    """Per task, the checkpoint records and final parameters of the short
-    seeded seq2seq, mlm and probe runs the frozen record is taken over."""
+FROZEN_KW = dict(steps=4, seed=2, batch_size=8, base_lr=3e-3, warmup_steps=2)
+
+
+def _frozen_corpus():
     examples = generate_expressions(60, depth_range=(1, 2), seed=3, alphabet_size=6)
     corpus = make_cg_split(examples, DEFAULT_UNSEEN, seed=3, val_frac=0.2)
     assert corpus.iid_val and corpus.cg_test
-    kw = dict(steps=4, checkpoint_every=1, seed=2, batch_size=8,
-              base_lr=3e-3, warmup_steps=2)
+    return corpus
+
+
+def _frozen_series(task, corpus):
+    """The checkpoint records and final model of the short seeded seq2seq or
+    mlm run."""
+    trainer, config = {
+        "seq2seq": (train_seq2seq, tiny_config()),
+        "mlm": (train_mlm, tiny_config(dec_layers=0)),
+    }[task]
+    series = trainer(config, corpus, checkpoint_every=1, **FROZEN_KW)
+    assert [info.step for info in series] == [0, 1, 2, 3, 4]
+    records = [(i.step, i.train_loss, i.iid_acc, i.cg_acc) for i in series]
+    assert all(acc is not None for record in records for acc in record[2:])
+    return records, series[-1].model
+
+
+def _frozen_runs():
+    """Per task, the checkpoint records and final parameters of the short
+    seeded seq2seq, mlm and probe runs the frozen record is taken over."""
+    corpus = _frozen_corpus()
     runs, models = {}, {}
-    for task, trainer, config in (
-        ("seq2seq", train_seq2seq, tiny_config()),
-        ("mlm", train_mlm, tiny_config(dec_layers=0)),
-    ):
-        series = trainer(config, corpus, **kw)
-        assert [info.step for info in series] == [0, 1, 2, 3, 4]
-        records = [(i.step, i.train_loss, i.iid_acc, i.cg_acc) for i in series]
-        assert all(acc is not None for record in records for acc in record[2:])
-        models[task] = series[-1].model
+    for task in ("seq2seq", "mlm"):
+        records, models[task] = _frozen_series(task, corpus)
         runs[task] = (records, models[task].params)
-    result = train_probe(models["seq2seq"], corpus.train, corpus.iid_val,
-                         steps=4, seed=2, batch_size=8, base_lr=3e-3, warmup_steps=2)
+    result = train_probe(models["seq2seq"], corpus.train, corpus.iid_val, **FROZEN_KW)
     records = [(result.p_parseval, result.precision, result.recall,
                 result.repaired, result.coerced)]
     runs["probe"] = (records, result.probe.params)
@@ -554,6 +632,22 @@ def _training_digest(records, params) -> str:
 def test_training_frozen_bytes():
     digests = {task: _training_digest(*run) for task, run in _frozen_runs().items()}
     assert digests == FROZEN_TRAINING_SHA256
+
+
+def test_training_frozen_bytes_on_two_blas_threads():
+    # the suite pins OpenBLAS to one thread; the frozen seq2seq run, rerun
+    # with two, must give the same bits
+    tests = Path(__file__).parent
+    code = ("from test_training import _frozen_corpus, _frozen_series, _training_digest\n"
+            "records, model = _frozen_series('seq2seq', _frozen_corpus())\n"
+            "print(_training_digest(records, model.params))")
+    path = [str(tests), str(Path(training.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == FROZEN_TRAINING_SHA256["seq2seq"]
 
 
 def test_training_tracks_two_node_linear_layers(monkeypatch):
