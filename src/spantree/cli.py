@@ -8,7 +8,9 @@ analyses.  Settings resolve in three layers: built-in defaults, then a flat
 The single top-level seed (flag > SPANTREE_SEED env > config > default) is
 expanded per component through sha256.  ``gen-data``, ``train``,
 ``train-mlm``, ``project`` and ``probe`` write the fully resolved settings
-they ran with to ``resolved-config.txt`` in their output directory.
+they ran with to ``resolved-config.txt`` in their output directory;
+``train``, ``train-mlm`` and ``probe`` write it only once their trainer has
+checked every setting, so a refused run leaves none.
 
 Exit codes: 0 success, 1 contract violation (bad inputs, malformed files,
 diverged training), 2 I/O failure.
@@ -222,7 +224,6 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     s = resolve_settings(args)
-    write_resolved(args.run_dir, s)
     corpus = datasets.load_corpus(args.data)
     series = train_seq2seq(
         _encoder_config(s),
@@ -236,6 +237,7 @@ def cmd_train(args) -> int:
         weight_decay=s["weight_decay"],
         eval_limit=s["eval_limit"],
         out_dir=os.path.join(args.run_dir, "checkpoints"),
+        on_start=lambda: write_resolved(args.run_dir, s),
     )
     final = series[-1]
     payload = {
@@ -252,7 +254,6 @@ def cmd_train(args) -> int:
 
 def cmd_train_mlm(args) -> int:
     s = resolve_settings(args)
-    write_resolved(args.run_dir, s)
     corpus = datasets.load_corpus(args.data)
     series = train_mlm(
         _encoder_config(s, dec_layers=0),
@@ -266,6 +267,7 @@ def cmd_train_mlm(args) -> int:
         weight_decay=s["weight_decay"],
         mask_frac=s["mask_frac"],
         out_dir=os.path.join(args.run_dir, "checkpoints"),
+        on_start=lambda: write_resolved(args.run_dir, s),
     )
     final = series[-1]
     _write_json(
@@ -394,7 +396,6 @@ def cmd_eval_trees(args) -> int:
 
 def cmd_probe(args) -> int:
     s = resolve_settings(args)
-    write_resolved(args.run_dir, s)
     encoder = load_checkpoint(args.checkpoint)
     corpus = datasets.load_corpus(args.data)
     result = train_probe(
@@ -406,6 +407,7 @@ def cmd_probe(args) -> int:
         batch_size=s["batch_size"],
         base_lr=s["lr"],
         warmup_steps=s["warmup"],
+        on_start=lambda: write_resolved(args.run_dir, s),
     )
     save_checkpoint(result.probe, os.path.join(args.run_dir, "checkpoints", "probe"))
     payload = {

@@ -18,7 +18,7 @@ masked-token head.
 
 The decoder has one path: ``decoder_logits(ids, cache)`` on a
 ``DecoderCache``, which projects every layer's cross-attention keys and
-values from the memory when it is built, holds the memory's pad mask, and
+values from the memory when it is built, holds the cross-attention mask, and
 collects the self-attention keys and values of every position fed so far.
 Teacher forcing (``target_loss``) feeds the whole target prefix to a fresh
 cache on the tape.  Greedy decoding feeds only the newest token of each live
@@ -26,6 +26,13 @@ row (a row leaves the live set once it emits EOS) under ``no_tape``.
 Retiring rows keeps the remaining rows' bits; computing one query row at a
 time instead of the whole prefix moves logits by rounding only (about 1e-15
 relative), and decoded tokens match a full-prefix decode.
+
+Training packs its pairs (``pack_pairs``; Krell et al., arXiv 2107.02027):
+several (source, target) pairs share a row, positions restart at each pair,
+and block-diagonal masks keep the pairs apart, so the batch runs as one
+encoder pass and one teacher-forced decoder pass through the same
+``encoder_states_t`` and ``decoder_logits`` that inference uses.  Only
+training packs; every other caller numbers positions 0..n-1 per row.
 
 Checkpoints (format v2) are directories holding ``manifest.json`` (config,
 vocab, step, tensor names and shapes; every field and config key required)
@@ -167,6 +174,82 @@ def key_pad_additive(pad: Array) -> Array:
     """The additive (B, 1, 1, n) attention mask that hides the key positions
     a (B, n) boolean ``pad`` marks; every row must keep one key."""
     return np.where(pad, NEG_MASK, 0.0)[:, None, None, :]
+
+
+def _segment_additive(query: Array, key: Array, causal: bool = False) -> Array:
+    """The additive (R, 1, nq, nk) mask that lets each query position see
+    only the keys of its own pair; ``query`` and ``key`` hold each position's
+    pair index, -1 at padding.  A pad query may see every key, so no row is
+    fully masked; nothing real reads a pad query's output."""
+    allow = (query[:, :, None] == key[:, None, :]) | (query[:, :, None] < 0)
+    if causal:
+        allow &= np.tri(query.shape[1], dtype=bool)
+    return np.where(allow, 0.0, NEG_MASK)[:, None]
+
+
+@dataclass
+class PackedBatch:
+    """(source, target) pairs packed into rows for one teacher-forced pass.
+
+    Every array has one row per packed row.  Sources are (R, ns) and targets
+    (R, nt): ns is the longest source and nt the longest target plus EOS.
+    ``*_pos`` number each pair's tokens from 0, and ``target_pair`` holds the
+    pair index of every target position (-1 at padding).  The masks keep a
+    pair's attention inside the pair: encoder self-attention, causal decoder
+    self-attention, and cross-attention from a target to its own source.
+    """
+
+    src_ids: Array
+    src_pos: Array
+    enc_additive: Array
+    tgt_in: Array
+    tgt_out: Array
+    tgt_pos: Array
+    target_pair: Array
+    self_additive: Array
+    cross_additive: Array
+
+
+def pack_pairs(pairs: list[tuple[list[int], list[int]]], vocab: Vocab) -> PackedBatch:
+    """Pack (source ids, target ids) pairs, without sentinels, first fit by
+    decreasing source length: each pair goes into the first row that still
+    has room for its source and for its target plus EOS, or opens a new
+    row.  An empty batch or source is refused."""
+    src_len = [len(src) for src, _ in pairs]
+    tgt_len = [len(tgt) + 1 for _, tgt in pairs]
+    if 0 in src_len:
+        raise ContractViolation("cannot encode an empty sentence")
+    ns, nt = max(src_len, default=0), max(tgt_len, default=0)
+    rows: list[list[int]] = []  # the pairs of each row, in order
+    used: list[list[int]] = []  # each row's filled source and target positions
+    for i in sorted(range(len(pairs)), key=lambda i: -src_len[i]):
+        r = next((r for r, (a, b) in enumerate(used)
+                  if a + src_len[i] <= ns and b + tgt_len[i] <= nt), len(rows))
+        if r == len(rows):
+            rows.append([])
+            used.append([0, 0])
+        rows[r].append(i)
+        used[r][0] += src_len[i]
+        used[r][1] += tgt_len[i]
+
+    def packed(piece, fill: int) -> Array:
+        """Each row's ``piece(i)`` of its pairs, concatenated, padded with ``fill``."""
+        return pad_ids([[x for i in row for x in piece(i)] for row in rows], fill)
+
+    pad, bos, eos = vocab.pad, vocab.bos, vocab.eos
+    src_pair = packed(lambda i: [i] * src_len[i], -1)
+    target_pair = packed(lambda i: [i] * tgt_len[i], -1)
+    return PackedBatch(
+        src_ids=packed(lambda i: pairs[i][0], pad),
+        src_pos=packed(lambda i: range(src_len[i]), 0),
+        enc_additive=_segment_additive(src_pair, src_pair),
+        tgt_in=packed(lambda i: [bos, *pairs[i][1]], pad),
+        tgt_out=packed(lambda i: [*pairs[i][1], eos], pad),
+        tgt_pos=packed(lambda i: range(tgt_len[i]), 0),
+        target_pair=target_pair,
+        self_additive=_segment_additive(target_pair, target_pair, causal=True),
+        cross_additive=_segment_additive(target_pair, src_pair),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +445,17 @@ class TransformerModel:
 
     # -- encoder -----------------------------------------------------------
 
-    def embed_source(self, ids: Array, layer0_delta: Array | None = None) -> Tensor:
-        """Layer-0 states: scaled embeddings plus absolute positions."""
+    def embed_source(
+        self, ids: Array, layer0_delta: Array | None = None, positions: Array | None = None
+    ) -> Tensor:
+        """Layer-0 states: scaled embeddings plus absolute positions, the
+        position ids ``positions`` (shaped like ``ids``) or else 0..n-1."""
         ids = np.asarray(ids)
         n = ids.shape[-1]
         if n > self.config.max_len:
             raise ContractViolation(f"sequence length {n} exceeds max_len")
         x = scale(embedding(self._p("enc.emb"), ids), math.sqrt(self.config.d_model))
-        pos = self.positions[:n]
+        pos = self.positions[:n] if positions is None else self.positions[positions]
         if layer0_delta is not None:
             pos = pos + np.asarray(layer0_delta, dtype=np.float64)
         return add(x, Tensor(pos))
@@ -380,13 +466,16 @@ class TransformerModel:
         additives: list[Array] | None = None,
         layer0_delta: Array | None = None,
         upto: int | None = None,
+        positions: Array | None = None,
     ) -> list[Tensor]:
         """Raw per-layer states for a (B, n) id batch from ``pad_ids``, on the
         tape unless built under ``no_tape``.
 
         ``additives[i]`` is the additive attention mask of block i, built by
-        ``LayerMask.additive`` or ``memory`` so that every row keeps a
-        permitted key; None adds the scalar 0.0 (unrestricted).  ``upto=t``
+        ``LayerMask.additive``, ``memory`` or ``pack_pairs`` so that every row
+        keeps a permitted key; None adds the scalar 0.0 (unrestricted).
+        ``positions`` are per-token position ids (packed rows restart them at
+        each pair); None numbers every row 0..n-1.  ``upto=t``
         stops after block t-1 (None runs every block).  The final layer norm
         is never applied here: callers that read final states apply
         ``final_norm`` to the last entry.
@@ -397,7 +486,7 @@ class TransformerModel:
         ids = np.asarray(ids)
         if ids.ndim != 2:
             raise ContractViolation("encoder expects a (batch, length) id array")
-        states = [self.embed_source(ids, layer0_delta)]
+        states = [self.embed_source(ids, layer0_delta, positions)]
         n_blocks = cfg.enc_layers if upto is None else upto
         if not 0 <= n_blocks <= cfg.enc_layers:
             raise ContractViolation(f"upto must lie in [0, {cfg.enc_layers}]")
@@ -458,9 +547,18 @@ class TransformerModel:
 
     # -- decoder -----------------------------------------------------------
 
-    def decoder_logits(self, tgt_ids: Array, cache: DecoderCache) -> Tensor:
+    def decoder_logits(
+        self,
+        tgt_ids: Array,
+        cache: DecoderCache,
+        positions: Array | None = None,
+        self_additive: Array | None = None,
+    ) -> Tensor:
         """Next-token logits (B, nt, V) for the target ids (B, nt) at
-        positions ``cache.offset`` onward.
+        positions ``cache.offset`` onward, or at the per-token position ids
+        ``positions`` under the causal additive mask ``self_additive`` (a
+        packed batch on a fresh cache); None gives contiguous positions and
+        a plain causal mask.
 
         Each layer's cross-attention reads the keys, values and pad mask the
         ``DecoderCache`` holds; causal self-attention attends over the cached
@@ -486,10 +584,12 @@ class TransformerModel:
             raise ContractViolation(
                 "decoder_logits: on the tape, use a fresh cache built on the tape"
             )
-        x = add(x, Tensor(self.positions[offset : offset + nt]))
-        # a single query row may see every key so far; no mask needed
-        causal = (0.0 if nt == 1 else
-                  np.triu(np.full((nt, offset + nt), NEG_MASK), k=offset + 1)[None, None])
+        x = add(x, Tensor(self.positions[offset : offset + nt] if positions is None
+                          else self.positions[positions]))
+        causal = self_additive
+        if causal is None:  # a single query row may see every key so far
+            causal = (0.0 if nt == 1 else
+                      np.triu(np.full((nt, offset + nt), NEG_MASK), k=offset + 1)[None, None])
         for i in range(cfg.dec_layers):
             h = self._ln(x, f"dec.{i}.ln1")
             kv = cache.extend(i, self._keys_values(f"dec.{i}.self", h))
@@ -505,36 +605,26 @@ class TransformerModel:
 
     def seq2seq_loss(self, pairs: list[tuple[list[int], list[int]]]) -> Tensor:
         """Teacher-forced mean cross-entropy over every target token, EOS
-        included, in length-grouped halves.
+        included, of (source ids, target ids) pairs without sentinels.
 
-        Pairs are (source ids, target ids) without sentinels.  They are
-        stably sorted by (source length, target length) and split into two
-        halves; a single pair stays one group.  Each half runs ``memory`` and
-        ``target_loss`` padded only to its own longest row, so a random batch
-        computes far fewer pad positions than one padded to its longest
-        pair.  Half g enters as its mean loss times W_g / W, its share of the
-        batch's target tokens, which gives the token-weighted mean of one
-        padded batch up to rounding (about 1e-16 relative).  Two halves, not
-        more: each group pays every kernel's per-call cost again, and at the
-        training batch size a third group cost more than it saved.
+        The pairs run packed (``pack_pairs``) as one group: one encoder pass,
+        one decoder pass and one cross-entropy weighted by the real target
+        tokens.  Masked keys get exactly zero probability, so each pair's
+        logits are those of the pair run alone up to rounding (about 1e-15
+        relative), and the loss is that of one batch padded to its longest
+        pair up to rounding.
         """
-        pad = self.vocab.pad
+        batch = pack_pairs(pairs, self.vocab)
+        weights = (batch.target_pair >= 0).astype(np.float64)
+        return cross_entropy(self.packed_logits(batch), batch.tgt_out, weights)
 
-        def group_loss(group: list[int]) -> Tensor:
-            memory, src_additive = self.memory(pad_ids([pairs[i][0] for i in group], pad))
-            return self.target_loss(memory, src_additive, [pairs[i][1] for i in group])
-
-        order = sorted(range(len(pairs)), key=lambda i: (len(pairs[i][0]), len(pairs[i][1])))
-        half = len(order) // 2
-        if half == 0:
-            return group_loss(order)
-        tokens = [len(t) + 1 for _, t in pairs]
-        total = sum(tokens)
-        parts = [
-            scale(group_loss(group), sum(tokens[i] for i in group) / total)
-            for group in (order[:half], order[half:])
-        ]
-        return add(*parts)
+    def packed_logits(self, batch: PackedBatch) -> Tensor:
+        """Teacher-forced next-token logits (R, nt, V) of a packed batch."""
+        states = self.encoder_states_t(
+            batch.src_ids, [batch.enc_additive] * self.config.enc_layers, positions=batch.src_pos
+        )
+        cache = DecoderCache(self, self.final_norm(states[-1]), batch.cross_additive)
+        return self.decoder_logits(batch.tgt_in, cache, batch.tgt_pos, batch.self_additive)
 
     def target_loss(
         self, memory: Tensor, cross_additive: Array, targets: list[list[int]]
@@ -607,7 +697,8 @@ class TransformerModel:
 class DecoderCache:
     """The memory side of a decode and what it has computed so far, per
     decoder layer: cross-attention keys and values projected from the memory
-    when the cache is built, the memory's additive pad mask, and
+    when the cache is built, the additive cross-attention mask (the memory's
+    (B, 1, 1, nk) pad mask, or a packed batch's (B, 1, nq, nk) pair mask), and
     self-attention keys and values of the ``offset`` positions fed so far.
     Every key and value is (B, h, n, dh) over the same rows, and every
     ``decoder_logits`` call runs on one."""

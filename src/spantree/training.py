@@ -62,7 +62,7 @@ class CheckpointInfo:
 
 
 def _updates(model: TransformerModel, state: OptimizerState, batch_loss, batches,
-             steps: int, series: list[CheckpointInfo]):
+             steps: int, series: list[CheckpointInfo], on_start=None):
     """Yield (0, None) for the initial model, then run ``steps`` AdamW updates
     of it, yielding (step, loss value) after each.
 
@@ -70,12 +70,16 @@ def _updates(model: TransformerModel, state: OptimizerState, batch_loss, batches
     ``batch_size`` indices below ``pool`` from ``batch_rng``, and
     ``batch_loss(idx)`` returns their loss on the tape.  A non-finite loss
     raises TrainingDiverged carrying ``series``, the checkpoints kept so far.
+    ``on_start()``, if given, runs once the trainer's last setting has been
+    checked, before the first yield: a refused run never reaches it.
     """
     batch_rng, pool, batch_size = batches
     if steps < 0:
         raise ContractViolation(f"steps must be >= 0, got {steps}")
     if batch_size < 1:
         raise ContractViolation(f"batch_size must be >= 1, got {batch_size}")
+    if on_start is not None:
+        on_start()
     yield 0, None
     params = list(model.params.values())
     for step in range(1, steps + 1):
@@ -101,6 +105,7 @@ def _train_series(
     steps: int,
     checkpoint_every: int,
     out_dir: str | None,
+    on_start=None,
 ) -> list[CheckpointInfo]:
     """Train through ``_updates`` and return the checkpoint series.
 
@@ -112,7 +117,8 @@ def _train_series(
         raise ContractViolation(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     series: list[CheckpointInfo] = []
     running: list[float] = []
-    for step, loss in _updates(model, state, batch_loss, batches, steps, series):
+    for step, loss in _updates(model, state, batch_loss, batches, steps, series,
+                               on_start=on_start):
         if loss is not None:
             running.append(loss)
         if step % checkpoint_every == 0 or step == steps:
@@ -154,6 +160,11 @@ def _length_chunks(lengths) -> list[np.ndarray]:
     return [order[lo : lo + EVAL_CHUNK] for lo in range(0, len(order), EVAL_CHUNK)]
 
 
+def _check_limit(limit: int | None) -> None:
+    if limit is not None and limit < 1:
+        raise ContractViolation(f"evaluation limit must be None or >= 1, got {limit}")
+
+
 def exact_match_accuracy(
     model: TransformerModel, examples: list[TransductionExample], limit: int | None = None
 ) -> float:
@@ -165,8 +176,7 @@ def exact_match_accuracy(
     can move by rounding only, since the padding a row's memory shares with
     its chunk changes.
     """
-    if limit is not None and limit < 1:
-        raise ContractViolation(f"evaluation limit must be None or >= 1, got {limit}")
+    _check_limit(limit)
     subset = examples[:limit]
     if not subset:
         raise ContractViolation("exact_match_accuracy: empty evaluation split")
@@ -194,13 +204,17 @@ def train_seq2seq(
     weight_decay: float = 0.01,
     eval_limit: int | None = 200,
     out_dir: str | None = None,
+    on_start=None,
 ) -> list[CheckpointInfo]:
     """Train source->target transduction; returns the checkpoint series.
 
     Checkpoints (step 0, every ``checkpoint_every``, and the final step) carry
     exact-match accuracy on the iid-validation and compositional-test splits,
-    each truncated to ``eval_limit`` examples.
+    each truncated to ``eval_limit`` examples.  ``on_start()``, if given,
+    runs once every setting has been checked, before anything is trained or
+    written.
     """
+    _check_limit(eval_limit)
     if not corpus.train:
         raise ContractViolation("train_seq2seq: corpus has no train split")
     vocab = corpus.vocab
@@ -220,7 +234,7 @@ def train_seq2seq(
 
     state = OptimizerState(base_lr=base_lr, warmup_steps=warmup_steps, weight_decay=weight_decay)
     return _train_series(model, state, batch_loss, (batch_rng, len(pairs), batch_size),
-                         evaluate, steps, checkpoint_every, out_dir)
+                         evaluate, steps, checkpoint_every, out_dir, on_start)
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +302,14 @@ def train_mlm(
     weight_decay: float = 0.01,
     mask_frac: float = 0.15,
     out_dir: str | None = None,
+    on_start=None,
 ) -> list[CheckpointInfo]:
     """Masked-token pretraining on the corpus's source sentences.
 
     Sentences shorter than two tokens are skipped.  Checkpoint accuracy
     fields hold masked-token prediction accuracy on the iid-val and cg-test
-    sources (there is no decoder to exact-match with).
+    sources (there is no decoder to exact-match with).  ``on_start`` is
+    ``train_seq2seq``'s.
     """
     if not 0 < mask_frac <= 1:
         raise ContractViolation(f"mask_frac must lie in (0, 1], got {mask_frac}")
@@ -320,7 +336,7 @@ def train_mlm(
 
     state = OptimizerState(base_lr=base_lr, warmup_steps=warmup_steps, weight_decay=weight_decay)
     return _train_series(model, state, batch_loss, (batch_rng, len(sentences), batch_size),
-                         evaluate, steps, checkpoint_every, out_dir)
+                         evaluate, steps, checkpoint_every, out_dir, on_start)
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +447,13 @@ def train_probe(
     batch_size: int = 32,
     base_lr: float = 3e-4,
     warmup_steps: int = 300,
+    on_start=None,
 ) -> ProbeResult:
     """Fit a small decoder to emit bracketed parses off frozen encoder states.
 
     The encoder is never updated; its final states enter the probe as
     constants.  Returns the probe plus held-out PARSEVAL (p_parseval).
+    ``on_start`` is ``train_seq2seq``'s.
     """
     if steps < 1:  # an untrained probe would score only the coercion fallback
         raise ContractViolation(f"probe steps must be >= 1, got {steps}")
@@ -460,7 +478,8 @@ def train_probe(
     state = OptimizerState(
         base_lr=base_lr, warmup_steps=warmup_steps, weight_decay=PROBE_WEIGHT_DECAY
     )
-    for _ in _updates(probe, state, batch_loss, (batch_rng, len(usable), batch_size), steps, []):
+    for _ in _updates(probe, state, batch_loss, (batch_rng, len(usable), batch_size), steps, [],
+                      on_start=on_start):
         pass
     precision, recall, f1, repaired, coerced = evaluate_probe(
         probe, encoder, heldout_examples

@@ -211,6 +211,7 @@ def test_probe_command(pipeline, tmp_path):
     assert payload["heldout"] == pipeline["gen"]["iid_val"]
     probe = load_checkpoint(os.path.join(run_dir, "checkpoints", "probe"))
     assert probe.task == "probe"
+    assert "probe_steps = 6" in open(os.path.join(run_dir, "resolved-config.txt")).read()
 
 
 def test_probe_defaults_match_the_cli():
@@ -277,6 +278,7 @@ def test_dynamics_without_cg_split_leaves_cg_cells_empty(pipeline, tmp_path, com
     run_json([command, "--data", str(data), "--run-dir", run, "--steps", "2",
               "--checkpoint-every", "1", "--batch-size", "4", "--d-model", "16",
               "--heads", "2", "--enc-layers", "1", "--d-ff", "32", "--max-len", "32"])
+    assert "steps = 2" in open(os.path.join(run, "resolved-config.txt")).read()
     payload = run_json(["dynamics", "--run-dir", run, "--data", str(data),
                         "--eval-sentences", "2", "--eval-limit", "4", "--fixed-t", "1"])
     assert payload["checkpoints"] == 3
@@ -599,6 +601,8 @@ BAD_INPUTS = {
 def test_bad_input_is_a_clean_error(pipeline, tmp_path, case):
     assert_clean_error(BAD_INPUTS[case](pipeline, tmp_path))
     assert not (tmp_path / "run" / "checkpoints" / "probe").exists()
+    # settings are checked before the run directory records them
+    assert not (tmp_path / "run" / "resolved-config.txt").exists()
 
 
 def test_unknown_word_error_names_token_and_position(pipeline, tmp_path, capsys):

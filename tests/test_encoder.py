@@ -275,10 +275,10 @@ def loss_and_grads(m, loss_fn, pairs):
     return float(loss.value), {name: p.grad.copy() for name, p in m.params.items()}
 
 
-# A gradient of the length-grouped loss may differ from the one-group loss's by
+# A gradient of the packed loss may differ from the one-group loss's by
 # rounding; this bound is on the largest difference over every parameter's
-# gradient, relative to the largest gradient entry.  Measured at most 3.9e-16
-# over the batches below.
+# gradient, relative to the largest gradient entry.  Measured at most 4.6e-16
+# over the batches below (3.9e-16 for the length-grouped halves before).
 GROUPED_GRAD_BOUND = 1e-14
 
 
@@ -310,12 +310,20 @@ def test_grouped_loss_of_one_pair_is_one_group():
 
 
 def test_grouped_loss_gradient_matches_finite_differences():
-    # two halves of different paddings and token counts, so the W_g / W
-    # weights and each half's masks are all on the path
+    # two rows hold two pairs each and one of them is padded, so every
+    # packed mask (block-diagonal, causal within a pair, a target to its own
+    # source) and the restarted positions are on the path
     vocab = small_vocab()
     config = small_config(vocab, enc_layers=1, heads=2, d_model=4, d_ff=8)
     m = TransformerModel(config, vocab, rng=7)
-    pairs = seeded_pairs(7, 5, (1, 6), (1, 5))
+    rng = np.random.default_rng(7)
+    pairs = [([int(x) for x in rng.integers(5, 13, size=ls)],
+              [int(x) for x in rng.integers(5, 13, size=lt)])
+             for ls, lt in [(6, 4), (4, 2), (3, 1), (2, 1), (2, 1)]]
+    batch = enc.pack_pairs(pairs, vocab)
+    assert [sorted(set(row[row >= 0].tolist())) for row in batch.target_pair] == [
+        [0], [1, 3], [2, 4]]
+    assert (batch.src_ids[2] == vocab.pad).any() and (batch.target_pair[2] < 0).any()
     loss = m.seq2seq_loss(pairs)
     nm.backward(loss, m.params)
     for name in ("enc.emb", "enc.0.attn.wq", "enc.0.ff.w1", "enc.ln_f.g",
@@ -331,6 +339,58 @@ def test_grouped_loss_gradient_matches_finite_differences():
         numeric = fd_grad(f, orig)
         p.value = orig
         assert rel_err(analytic, numeric) < 1e-6, name
+
+
+def mirrored_pairs(seed, count):
+    """``count`` pairs whose target is a prefix of the reversed source, so
+    lengths vary together as in the corpora and rows hold several pairs."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        src = [int(x) for x in rng.integers(5, 13, size=int(rng.integers(1, 13)))]
+        pairs.append((src, src[::-1][: int(rng.integers(1, len(src) + 1))]))
+    return pairs
+
+
+def packed_pair_logits(m, pairs):
+    """Each pair's teacher-forced logits, read off one packed pass."""
+    batch = enc.pack_pairs(pairs, m.vocab)
+    assert max(len(set(row[row >= 0].tolist())) for row in batch.target_pair) >= 2
+    with nm.no_tape():
+        logits = m.packed_logits(batch).value
+    return [logits[batch.target_pair == i] for i in range(len(pairs))]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_packed_pair_logits_equal_the_pair_run_alone(seed):
+    # masked keys carry exactly zero probability, so a packed pair computes
+    # what it computes alone, up to the rounding of sums over zero terms
+    m = small_model(seed=seed)
+    pairs = mirrored_pairs(seed, 16)
+    pad, bos = m.vocab.pad, m.vocab.bos
+    for (src, tgt), packed in zip(pairs, packed_pair_logits(m, pairs)):
+        with nm.no_tape():
+            cache = enc.DecoderCache(m, *m.memory(enc.pad_ids([src], pad)))
+            alone = m.decoder_logits(enc.pad_ids([[bos, *tgt]], pad), cache).value[0]
+        assert np.abs(packed - alone).max() <= 1e-12 * np.abs(alone).max()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_packed_pairs_do_not_see_each_other(seed):
+    # new tokens in one pair, same lengths so the same packing: every other
+    # pair's logits keep their bits
+    m = small_model(seed=seed)
+    pairs = mirrored_pairs(seed, 16)
+    before = packed_pair_logits(m, pairs)
+    for changed in (0, len(pairs) - 1):
+        src, tgt = pairs[changed]
+        edited = list(pairs)
+        edited[changed] = ([5 + (x - 4) % 8 for x in src], [5 + (x - 4) % 8 for x in tgt])
+        after = packed_pair_logits(m, edited)
+        assert not np.array_equal(after[changed], before[changed])
+        for i in range(len(pairs)):
+            if i != changed:
+                assert after[i].tobytes() == before[i].tobytes(), (changed, i)
 
 
 def test_greedy_decode_is_deterministic_and_stops():

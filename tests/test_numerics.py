@@ -434,12 +434,12 @@ def test_affine_matches_two_node_layer(mode, layout, x_shape, m):
 
 def test_seq2seq_loss_records_one_node_per_linear_layer(monkeypatch):
     # the benchmark's architecture on a fixed batch of 32 pairs, which the
-    # loss runs as two length-grouped halves: each half's 23 linear layers
+    # loss packs into rows and runs as one group: its 23 linear layers
     # (encoder and decoder attention and feed-forward, cross-attention keys
-    # and values, the output head) take one node; the 19 with a bias used to
-    # take two, and the 4 key projections, which have none, one matmul.  The
-    # counts were 275 and 321 while keys had biases: the 4 key-bias leaves
-    # and, in the two-node form, 8 bias adds (4 per half) are gone.
+    # and values, the output head) take one node each; the 19 with a bias
+    # used to take two, and the 4 key projections, which have none, one
+    # matmul.  The counts were 271 and 309 while the loss ran two
+    # length-grouped halves, which paid every node twice.
     words = [f"w{i}" for i in range(10)]
     vocab = Vocab(words)
     config = EncoderConfig(enc_layers=2, dec_layers=1, heads=4, d_model=32, d_ff=128,
@@ -464,8 +464,8 @@ def test_seq2seq_loss_records_one_node_per_linear_layer(monkeypatch):
     monkeypatch.setattr(TransformerModel, "_affine", lambda self, x, w, b=None: ref_affine(
         x, self._p(w), None if b is None else self._p(b)))
     two_node = tape_nodes()
-    assert (fused, two_node) == (271, 309)
-    assert two_node - fused == 2 * len(biased)
+    assert (fused, two_node) == (165, 184)
+    assert two_node - fused == len(biased)
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "view"])

@@ -519,9 +519,9 @@ def test_train_probe_refuses_unscorable_heldout_before_training(monkeypatch):
     calls = []
     original = training._updates
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args[-2])
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(training, "_updates", counted)
     bare = TransductionExample(corpus.iid_val[0].source, corpus.iid_val[0].target, None)
@@ -572,11 +572,15 @@ def test_train_probe_refuses_no_updates_before_encoding(monkeypatch, steps):
 # when the attention key biases left the model: those biases cannot change
 # an output, but training had moved them by rounding noise, and the final
 # parameter bytes no longer hold them.  The test after this one bounds how
-# far the runs moved.
+# far the runs moved.  The seq2seq and probe entries (the probe reads the
+# seq2seq model) were re-recorded when the seq2seq loss began to pack its
+# pairs into rows: against the whole batch padded as one group, the losses
+# stayed within 1.6e-16 relative, the accuracies and probe scores equal, and
+# the parameters within 1.1e-15 of each one's largest entry.
 FROZEN_TRAINING_SHA256 = {
-    "seq2seq": "3d59c4ddd0a97d36d610e4f4e87f71829592089b903ccdeea67e893a4f092237",
+    "seq2seq": "cd068bd09004c5cac8f3b5cf1125f5887029beb2424fc3c35fbc16b0792274a3",
     "mlm": "9e15a424da6643a1b3676b9ba368adb9d5b61643b04e99ce6dda55a4110a5c1f",
-    "probe": "3356fbec6f3ecbecd35ec873a7a85847414269d2a4bd1245d3fcab3a3edff051",
+    "probe": "174a12bc172b9ec859171a699d205a3b62a688316b1fbe49aeb8099be484ad4a",
 }
 
 
@@ -634,20 +638,39 @@ def test_training_frozen_bytes():
     assert digests == FROZEN_TRAINING_SHA256
 
 
+def _wide_training_digest() -> str:
+    """Digest of a few steps at criterion 9's architecture and batch size.
+    Six of the eight packed source grids hold 266-348 positions, so their
+    feed-forward products and weight gradients, (P, 32) by (32, 128), pass
+    the about 32 x 256 x 128 multiply-adds above which OpenBLAS 0.3.31 split
+    them over two threads on a 2-core x86 box; the frozen runs' largest
+    product, 61,952 multiply-adds, stays on one."""
+    examples = generate_expressions(300, depth_range=(1, 3), seed=9, alphabet_size=10)
+    corpus = make_cg_split(examples, DEFAULT_UNSEEN, seed=9, val_frac=0.1)
+    config = EncoderConfig(enc_layers=2, dec_layers=1, heads=4, d_model=32, d_ff=128,
+                           vocab_size=0, max_len=40)
+    series = train_seq2seq(config, corpus, steps=8, checkpoint_every=4, seed=9, batch_size=32,
+                           base_lr=1e-3, warmup_steps=2, eval_limit=8)
+    records = [(i.step, i.train_loss, i.iid_acc, i.cg_acc) for i in series]
+    return _training_digest(records, series[-1].model.params)
+
+
 def test_training_frozen_bytes_on_two_blas_threads():
-    # the suite pins OpenBLAS to one thread; the frozen seq2seq run, rerun
-    # with two, must give the same bits
+    # the suite pins OpenBLAS to one thread; the frozen seq2seq run and a
+    # few criterion-9-sized steps, rerun with two, must give the same bits
     tests = Path(__file__).parent
-    code = ("from test_training import _frozen_corpus, _frozen_series, _training_digest\n"
+    code = ("from test_training import _frozen_corpus, _frozen_series, _training_digest, "
+            "_wide_training_digest\n"
             "records, model = _frozen_series('seq2seq', _frozen_corpus())\n"
-            "print(_training_digest(records, model.params))")
+            "print(_training_digest(records, model.params))\n"
+            "print(_wide_training_digest())")
     path = [str(tests), str(Path(training.__file__).parent.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
                PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == FROZEN_TRAINING_SHA256["seq2seq"]
+    assert proc.stdout.split() == [FROZEN_TRAINING_SHA256["seq2seq"], _wide_training_digest()]
 
 
 def test_training_tracks_two_node_linear_layers(monkeypatch):
@@ -678,7 +701,7 @@ def test_training_tracks_two_node_linear_layers(monkeypatch):
 
 
 def test_train_seq2seq_draws_the_same_batches(monkeypatch):
-    # grouping by length happens inside the loss: the loss still receives
+    # packing happens inside the loss: the loss still receives
     # each step's pairs in the order the batch rng drew them
     corpus = memorization_corpus()
     seen = []
