@@ -19,7 +19,12 @@ divides by the axis length), which gives the bits of ``ndarray.sum``,
 ``.max`` and ``.mean`` without numpy's Python-level wrappers; ``permute``
 inverts its axes in plain Python and only when backward runs;
 ``_unbroadcast`` hands back a gradient whose shape already matches, as a
-residual add's does; and a ``Tensor`` keeps a float64 ndarray as it is.
+residual add's does; and a ``Tensor`` keeps a float64 ndarray as it is, as
+``cosine_distance`` does.  Kernels also write into buffers they allocated,
+never an input's, keeping the expressions and their order: ``affine`` adds
+its bias into the fresh product, ``layer_norm`` turns its centred copy into
+``y`` and its variance into ``inv``, and ``masked_softmax`` skips the add of
+the scalar "no mask" 0.0 and normalises in place.
 ``optimizer_step`` runs AdamW once over all parameters concatenated, with
 the per-element expressions of a per-parameter loop and so its bits.
 
@@ -268,9 +273,11 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         gw = x.value.reshape(-1, k).T @ g.reshape(-1, m)
         return (gx, gw) if b is None else (gx, gw, _unbroadcast(g, b.value.shape))
 
+    out = np.matmul(x.value, w.value)
     if b is None:
-        return Tensor(np.matmul(x.value, w.value), (x, w), vjp)
-    return Tensor(np.matmul(x.value, w.value) + b.value, (x, w, b), vjp)
+        return Tensor(out, (x, w), vjp)
+    out += b.value  # into the fresh product: the bits of ``+``, one buffer fewer
+    return Tensor(out, (x, w, b), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -300,15 +307,22 @@ def total_sum(a: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+    ``gain`` and ``bias`` broadcast to x's shape."""
     # each mean is np.add.reduce over the last axis divided by its length:
-    # the bits of ndarray.mean, without its Python wrapper
+    # the bits of ndarray.mean, without its Python wrapper.  Later passes
+    # write into the kernel's own buffers, never an input's: xc becomes y,
+    # the variance becomes inv, and the squares' buffer holds the output.
     d = x.value.shape[-1]
-    mu = np.add.reduce(x.value, axis=-1, keepdims=True) / d
+    mu = np.add.reduce(x.value, axis=-1, keepdims=True)
+    mu /= d
     xc = x.value - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    y = xc * inv
+    sq = xc * xc
+    var = np.add.reduce(sq, axis=-1, keepdims=True)
+    var /= d
+    var += LN_EPS
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    y = np.multiply(xc, inv, out=xc)
 
     def vjp(g):
         dgain = _unbroadcast(g * y, gain.value.shape)
@@ -321,7 +335,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         )
         return dx, dgain, dbias
 
-    return Tensor(y * gain.value + bias.value, (x, gain, bias), vjp)
+    out = np.multiply(y, gain.value, out=sq)
+    out += bias.value
+    return Tensor(out, (x, gain, bias), vjp)
 
 
 def masked_softmax(scores: Tensor, additive: Array | float) -> Tensor:
@@ -335,11 +351,16 @@ def masked_softmax(scores: Tensor, additive: Array | float) -> Tensor:
     ``TransformerModel.memory`` an all-pad row, and a causal mask always
     permits the diagonal.
     """
-    # the ufunc reduces ndarray.max and .sum run, without their Python wrappers
-    z = scores.value + additive
+    # the ufunc reduces ndarray.max and .sum run, without their Python
+    # wrappers.  The scalar 0.0 skips its add: x + 0.0 differs from x only
+    # in the sign of a zero, which the max subtraction and exp erase.  After
+    # the subtraction every pass writes into z, never into scores.
+    z = scores.value
+    if type(additive) is not float or additive != 0.0:
+        z = z + additive
     z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-    p = np.exp(z)
-    p = p / np.add.reduce(p, axis=-1, keepdims=True)
+    p = np.exp(z, out=z)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
 
     def vjp(g):
         inner = np.add.reduce(g * p, axis=-1, keepdims=True)
@@ -401,6 +422,11 @@ def cross_entropy(logits: Tensor, targets: Array, weights: Array | None = None) 
 
 _degenerate_warned = False
 
+# For x == y of n entries, x.dot(y) and nx * ny both lie within (n + 2)
+# roundings of x.x, whatever order the dot product sums in, so |d| stays
+# below (n + 2) * eps; this is eight times that per entry.
+_SAME_ULPS = 8 * float(np.finfo(np.float64).eps)
+
 
 def reset_degenerate_warning() -> None:
     """Re-arm the degenerate-norm log line, which is otherwise logged at most
@@ -419,8 +445,11 @@ def cosine_distance(x: Array, y: Array) -> float:
     ContractViolation rather than yielding a plausible distance.
     """
     global _degenerate_warned
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    # a float64 ndarray is kept as is, without np.asarray's per-call cost
+    if type(x) is not np.ndarray or x.dtype is not _F64:
+        x = _f64(x)
+    if type(y) is not np.ndarray or y.dtype is not _F64:
+        y = _f64(y)
     if x.ndim != 1 or x.shape != y.shape:
         raise ContractViolation(
             f"cosine_distance: needs two vectors of one length, got {x.shape} and {y.shape}"
@@ -435,9 +464,11 @@ def cosine_distance(x: Array, y: Array) -> float:
             log.warning("cosine_distance: near-zero norm, returning 1.0 by convention")
             _degenerate_warned = True
         return 1.0
-    if (x == y).all():
-        return 0.0
     d = 1.0 - float(x.dot(y)) / (nx * ny)
+    # identical inputs leave d within rounding of 0, so only a d that close
+    # needs the element-wise test
+    if abs(d) <= (x.shape[0] + 2) * _SAME_ULPS and (x == y).all():
+        return 0.0
     return min(2.0, max(0.0, d))
 
 

@@ -79,7 +79,8 @@ def greedy_project(chart, rng, samples_per_node: int = 1) -> ProjectionResult:
         k = int(costs.argmin())
         cost = float(costs[k])
         draws = rng.integers(i, j, size=samples_per_node)
-        baseline = float(np.mean(costs[draws - i]))
+        # np.mean's sum and divide, without its Python wrapper
+        baseline = float(np.add.reduce(costs[draws - i]) / samples_per_node)
         trace.append(SplitDecision((i, j), i + k, cost, baseline))
         left, score_left = recurse(i, i + k)
         right, score_right = recurse(i + k + 1, j)

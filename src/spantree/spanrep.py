@@ -12,10 +12,16 @@ Because the restricted part of the computation touches only span positions,
 a sentence's whole chart shares one unrestricted prefix: the full per-layer
 states are computed once, and the spans of each length k are gathered from
 the cached layer-t states into one (n-k+1, k, d) stack whose tails run in a
-single pass, n passes per chart rather than one per span.
+single pass, n passes per chart at t < L rather than one per span.
 ``context_free_vector`` recomputes that prefix on every call and runs the
 same tail function on a stack of one, so the chart and a naive per-span
 rebuild agree bit-for-bit.  Both run under ``no_tape``.
+
+At t = L with no contextual mask the tail runs no layer, only the final
+norm, so the context-free vector equals the contextual one bit for bit and
+every entry is ``cosine_distance(v, v)``: 0.0, or 1.0 for a near-zero norm,
+or a ContractViolation for a non-finite v.  That chart runs no tail pass; a
+row-wise norm settles the plain rows and ``cosine_distance`` the rest.
 """
 
 from __future__ import annotations
@@ -27,11 +33,15 @@ import numpy as np
 
 from .encoder import LayerMask, TransformerModel, pad_ids
 from .errors import ContractViolation
-from .numerics import Tensor, cosine_distance, no_tape
+from .numerics import DEGENERATE_NORM, Tensor, cosine_distance, no_tape
 
 Array = np.ndarray
 
 POOLINGS = ("mean", "sum")
+
+# Rows of a t = L chart whose row-wise norm lies below this many times
+# DEGENERATE_NORM go through cosine_distance itself.
+_NEAR_DEGENERATE = 4.0
 
 
 class Span(NamedTuple):
@@ -146,6 +156,21 @@ class SciChart:
                 yield Span(i, j)
 
 
+def _self_distances(vectors: Array) -> Array:
+    """``cosine_distance(v, v)`` for each row v of ``vectors``: 0.0, except
+    1.0 for a norm below ``DEGENERATE_NORM`` and a ContractViolation for a
+    non-finite row.  A row whose row-wise norm is finite and at least
+    ``_NEAR_DEGENERATE`` times the cut reads 0.0; ``cosine_distance`` itself
+    decides the others, so rounding in the row-wise sum, which is not
+    ``x.dot(x)``'s, cannot move a row across the cut."""
+    out = np.zeros(vectors.shape[0])
+    norms = np.sqrt(np.add.reduce(vectors * vectors, axis=-1))
+    clear = (norms >= _NEAR_DEGENERATE * DEGENERATE_NORM) & (norms < np.inf)
+    for i in np.flatnonzero(~clear):
+        out[i] = cosine_distance(vectors[i], vectors[i])
+    return out
+
+
 def build_sci_chart(
     model: TransformerModel,
     tokens,
@@ -158,7 +183,9 @@ def build_sci_chart(
     The full per-layer states are computed once; for each length k the
     context-free tails of all n-k+1 spans run as one stack gathered from the
     cached layer-t states, so per-span work is O((L-t) * |span|^2 * d) rather
-    than a full re-encode, in n tail passes.  ``contextual_mask`` optionally
+    than a full re-encode, in n tail passes.  At t = L without
+    ``contextual_mask`` the chart is read off the contextual side in closed
+    form (see the module docstring).  ``contextual_mask`` optionally
     restricts the *contextual* side's encode (used by the synthetic
     two-segment analyses); the context-free side always uses the
     unrestricted prefix.
@@ -169,6 +196,7 @@ def build_sci_chart(
     if not 0 <= t <= layers:
         raise ContractViolation(f"threshold {t} outside [0, {layers}]")
     values = np.zeros((n, n))
+    closed_form = t == layers and contextual_mask is None
     with no_tape():
         raw = model.encoder_states_t(ids, None)
         prefix = raw[t].value[0]
@@ -177,11 +205,16 @@ def build_sci_chart(
         else:
             final = model.encode(tokens, contextual_mask)[-1]
         for k in range(1, n + 1):
-            windows = np.arange(n - k + 1)[:, None] + np.arange(k)
+            starts = np.arange(n - k + 1)
+            windows = starts[:, None] + np.arange(k)
             contextual = _pool(final[windows], pooling)
+            if closed_form:
+                values[starts, starts + k - 1] = _self_distances(contextual)
+                continue
             context_free = _pool(_span_tails(model, prefix[windows], t), pooling)
-            for i in range(n - k + 1):
-                values[i, i + k - 1] = cosine_distance(contextual[i], context_free[i])
+            values[starts, starts + k - 1] = [
+                cosine_distance(c, f) for c, f in zip(contextual, context_free)
+            ]
     return SciChart(
         n=n,
         threshold=t,

@@ -72,12 +72,22 @@ def _updates(model: TransformerModel, state: OptimizerState, batch_loss, batches
     raises TrainingDiverged carrying ``series``, the checkpoints kept so far.
     ``on_start()``, if given, runs once the trainer's last setting has been
     checked, before the first yield: a refused run never reaches it.
+
+    ``steps`` and the batch size are checked here, when the updates are
+    set up, not when iteration starts.
     """
     batch_rng, pool, batch_size = batches
     if steps < 0:
         raise ContractViolation(f"steps must be >= 0, got {steps}")
     if batch_size < 1:
         raise ContractViolation(f"batch_size must be >= 1, got {batch_size}")
+    return _update_steps(model, state, batch_loss, batches, steps, series, on_start)
+
+
+def _update_steps(model: TransformerModel, state: OptimizerState, batch_loss, batches,
+                  steps: int, series: list[CheckpointInfo], on_start):
+    """The generator behind ``_updates``, whose settings it trusts."""
+    batch_rng, pool, batch_size = batches
     if on_start is not None:
         on_start()
     yield 0, None
@@ -470,16 +480,20 @@ def train_probe(
         probe_vocab.encode(treeval.linearize(ex.tree, ex.source)) for ex in usable
     ]
     batch_rng = np.random.default_rng([seed, 3])
-    frozen = _frozen_batches(encoder, sources)
 
     def batch_loss(idx):
         return probe.target_loss(*frozen(idx), [targets[i] for i in idx])
 
+    # the optimizer's settings and the batch size are refused here, before
+    # the encode below runs every training source through the encoder;
+    # batch_loss reads ``frozen`` only once the updates run
     state = OptimizerState(
         base_lr=base_lr, warmup_steps=warmup_steps, weight_decay=PROBE_WEIGHT_DECAY
     )
-    for _ in _updates(probe, state, batch_loss, (batch_rng, len(usable), batch_size), steps, [],
-                      on_start=on_start):
+    updates = _updates(probe, state, batch_loss, (batch_rng, len(usable), batch_size), steps, [],
+                       on_start=on_start)
+    frozen = _frozen_batches(encoder, sources)
+    for _ in updates:
         pass
     precision, recall, f1, repaired, coerced = evaluate_probe(
         probe, encoder, heldout_examples

@@ -512,6 +512,53 @@ def test_tensor_values_are_float64_arrays():
     assert nm.Tensor(a).value is a and nm.Tensor(view).value is view
 
 
+def kernel_cases(rng):
+    """(name, build, inputs) for the kernels that write into their own
+    buffers; each input is a parameter so backward reaches it."""
+    x = rng.standard_normal((B, N, D))
+    gain = rng.standard_normal((1, D)) * 0.5 + 1.0
+    bias = rng.standard_normal((1, D)) * 0.1
+    scores = rng.standard_normal((B, H, N, N))
+    return [
+        ("layer_norm", nm.layer_norm, [x, gain, bias]),
+        ("affine", nm.affine, [x, rng.standard_normal((D, D)), bias]),
+        ("affine without bias", nm.affine, [x, rng.standard_normal((D, D))]),
+        ("masked_softmax, scalar", lambda s: nm.masked_softmax(s, 0.0), [scores]),
+        ("masked_softmax, array", lambda s: nm.masked_softmax(s, key_pad_mask(rng, N)),
+         [scores]),
+    ]
+
+
+def test_kernels_leave_their_inputs_unchanged():
+    # the kernels write into buffers they allocate; none may alias an input
+    rng = np.random.default_rng(27)
+    for name, build, inputs in kernel_cases(rng):
+        params = [nm.parameter(v.copy()) for v in inputs]
+        out = build(*params)
+        nm.backward(nm.total_sum(nm.mul(out, nm.constant(rng.standard_normal(out.shape)))),
+                    params)
+        with nm.no_tape():
+            build(*params)
+        for p, v in zip(params, inputs):
+            assert p.value.tobytes() == v.tobytes(), name
+
+
+@pytest.mark.parametrize("mode", sorted(TAPE_MODES))
+def test_masked_softmax_all_zero_array_matches_scalar_zero(mode):
+    # the scalar 0.0 skips its add, which could only have changed the sign
+    # of a zero; -0.0 scores check that the exp erases it
+    rng = np.random.default_rng(28)
+    scores = rng.standard_normal((B, H, N, N))
+    scores[0, 0, 0, :3] = -0.0
+    scores[0, 0, 1, :] = -0.0
+    g = rng.standard_normal(scores.shape)
+    scalar = run_kernel(mode, nm.masked_softmax, nm.constant(scores), 0.0)
+    array = run_kernel(mode, nm.masked_softmax, nm.constant(scores), np.zeros((1, 1, N, N)))
+    assert_same_bits(scalar.value, array.value)
+    if scalar.taped:
+        assert_same_bits(scalar.vjp(g)[0], array.vjp(g)[0])
+
+
 # ---------------------------------------------------------------------------
 # masked softmax semantics
 # ---------------------------------------------------------------------------
@@ -562,6 +609,34 @@ def test_masked_softmax_broadcast_additive():
 def test_cosine_distance_identical_is_exactly_zero():
     x = np.array([0.3, -1.2, 4.0])
     assert nm.cosine_distance(x, x.copy()) == 0.0
+    # 0.0 == -0.0, so these are identical inputs though their bytes differ
+    x = np.array([0.0, -1.2, 4.0, -0.0])
+    y = np.array([-0.0, -1.2, 4.0, 0.0])
+    assert x.tobytes() != y.tobytes()
+    assert nm.cosine_distance(x, y) == 0.0
+    assert nm.cosine_distance(x, x) == 0.0
+
+
+def test_cosine_distance_one_ulp_apart_returns_the_computed_distance():
+    # a near-zero distance only triggers the identity test; inputs that
+    # differ get the clamped formula, which here is sometimes above zero
+    positive = 0
+    for seed in range(20):
+        x = np.random.default_rng(seed).standard_normal(32)
+        y = x.copy()
+        y[3] = np.nextafter(y[3], np.inf)
+        d = 1.0 - float(x.dot(y)) / (np.sqrt(x.dot(x)) * np.sqrt(y.dot(y)))
+        got = nm.cosine_distance(x, y)
+        assert got == min(2.0, max(0.0, d))
+        positive += got > 0.0
+    assert positive >= 2
+
+
+def test_cosine_distance_accepts_lists_and_ints():
+    assert nm.cosine_distance([1, 2, 3], [1, 2, 3]) == 0.0
+    assert nm.cosine_distance([1, 0], np.array([0, 1])) == 1.0
+    want = nm.cosine_distance(np.array([3.0, 4.0]), np.array([4.0, 3.0]))
+    assert nm.cosine_distance([3, 4], (4, 3)) == want == pytest.approx(1.0 - 24.0 / 25.0)
 
 
 def test_cosine_distance_reference_values():

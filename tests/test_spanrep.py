@@ -1,11 +1,12 @@
 """Span vectors and invariance charts: exactness guarantees and caching."""
 
 import hashlib
+import logging
 
 import numpy as np
 import pytest
 
-from spantree import spanrep
+from spantree import numerics, spanrep
 from spantree.datasets import Vocab
 from spantree.encoder import EncoderConfig, LayerMask, TransformerModel
 from spantree.errors import ContractViolation
@@ -287,8 +288,43 @@ def test_chart_provenance_and_spans():
 def test_chart_from_model_with_nan_parameter_raises():
     m = make_model(layers=2)
     m.params["enc.0.ff.w1"].value[0, 0] = np.nan
-    with pytest.raises(ContractViolation, match="non-finite"):
-        build_sci_chart(m, [5, 6, 7], t=1)
+    for t in (0, 1, 2):  # t = 2 = L reads the chart off the contextual side
+        with pytest.raises(ContractViolation, match="non-finite"):
+            build_sci_chart(m, [5, 6, 7], t=t)
+
+
+def test_chart_t_equals_l_with_zero_final_norm_matches_naive(caplog):
+    # a zero final-norm gain and bias make every span vector zero: each
+    # entry is the degenerate-norm 1.0, and the warning is logged once
+    m = make_model(layers=2)
+    m.params["enc.ln_f.g"].value[:] = 0.0
+    m.params["enc.ln_f.b"].value[:] = 0.0
+    tokens = [5, 6, 7, 8, 9]
+    numerics.reset_degenerate_warning()
+    with caplog.at_level(logging.WARNING, logger="spantree.numerics"):
+        chart = build_sci_chart(m, tokens, t=2)
+    hits = [r for r in caplog.records if "near-zero norm" in r.getMessage()]
+    assert len(hits) == 1
+    assert np.array_equal(chart.values, naive_chart(m, tokens, 2))
+    assert np.array_equal(chart.values, np.triu(np.ones((5, 5))))
+    numerics.reset_degenerate_warning()
+
+
+def test_chart_t_equals_l_near_the_degenerate_norm_matches_naive():
+    # rows whose norm straddles DEGENERATE_NORM are left to cosine_distance,
+    # so the closed form gives its 1.0 below the cut and 0.0 above it
+    m = make_model(layers=2)
+    tokens = [5, 6, 7, 8, 9, 10]
+    final = m.encode(tokens)[-1]
+    norm = float(np.sqrt((final.mean(axis=0) ** 2).sum()))
+    for target in (0.5, 0.999, 1.001, 2.0, 10.0):
+        scaled = m.clone()
+        scale = target * numerics.DEGENERATE_NORM / norm
+        scaled.params["enc.ln_f.g"].value *= scale
+        scaled.params["enc.ln_f.b"].value *= scale
+        chart = build_sci_chart(scaled, tokens, t=2)
+        assert np.array_equal(chart.values, naive_chart(scaled, tokens, 2)), target
+        assert chart.sci(0, 5) == (1.0 if target < 1.0 else 0.0), target
 
 
 # sha256 of build_sci_chart(...).values.tobytes() on the benchmark's

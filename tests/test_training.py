@@ -1,6 +1,7 @@
 """Training loops: transduction memorization, masked pretraining, probing."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -552,6 +553,29 @@ def test_train_probe_refuses_no_updates_before_encoding(monkeypatch, steps):
     assert calls == []
     train_probe(encoder, corpus.train, corpus.iid_val[:2], steps=1, batch_size=4)
     assert calls == [10]
+
+
+@pytest.mark.parametrize("setting, match", [
+    ({"base_lr": math.inf}, "learning rate"),
+    ({"batch_size": 0}, "batch_size"),
+])
+def test_train_probe_refuses_bad_settings_before_encoding(monkeypatch, setting, match):
+    # the optimizer's settings and the batch size used to be checked only
+    # after every training source had run through the encoder
+    corpus = memorization_corpus()
+    encoder = TransformerModel(tiny_config(vocab_size=len(corpus.vocab)), corpus.vocab, rng=0)
+    calls = []
+    original = TransformerModel.frozen_memory
+
+    def counted(self, sources):
+        calls.append(len(sources))
+        return original(self, sources)
+
+    monkeypatch.setattr(TransformerModel, "frozen_memory", counted)
+    settings = {"steps": 2, "batch_size": 4, **setting}
+    with pytest.raises(ContractViolation, match=match):
+        train_probe(encoder, corpus.train, corpus.iid_val[:2], **settings)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
