@@ -8,8 +8,7 @@ over a subset of positions keeps each token's original position simply by
 slicing layer-0 states.
 
 Token ids enter the model one way: ``pad_ids`` builds every (B, n) id batch,
-targets included, and is the one place an empty batch or sentence is refused;
-``key_pad_additive`` is the one rule that turns padding into a key mask.
+targets included, and is the one place an empty batch or sentence is refused.
 ``encoder_states_t`` returns raw per-layer states (index 0 is embeddings
 plus positions) and never applies the final layer norm; ``memory``,
 ``encode`` and the SCI charts apply it through ``final_norm``.
@@ -20,19 +19,21 @@ The decoder has one path: ``decoder_logits(ids, cache)`` on a
 ``DecoderCache``, which projects every layer's cross-attention keys and
 values from the memory when it is built, holds the cross-attention mask, and
 collects the self-attention keys and values of every position fed so far.
-Teacher forcing (``target_loss``) feeds the whole target prefix to a fresh
-cache on the tape.  Greedy decoding feeds only the newest token of each live
-row (a row leaves the live set once it emits EOS) under ``no_tape``.
-Retiring rows keeps the remaining rows' bits; computing one query row at a
-time instead of the whole prefix moves logits by rounding only (about 1e-15
-relative), and decoded tokens match a full-prefix decode.
+Teacher forcing (``packed_loss``) feeds every target prefix of a packed
+batch to a fresh cache on the tape.  Greedy decoding feeds only the newest
+token of each live row (a row leaves the live set once it emits EOS) under
+``no_tape``.  Retiring rows keeps the remaining rows' bits; computing one
+query row at a time instead of the whole prefix moves logits by rounding
+only (about 1e-15 relative), and decoded tokens match a full-prefix decode.
 
-Training packs its pairs (``pack_pairs``; Krell et al., arXiv 2107.02027):
-several (source, target) pairs share a row, positions restart at each pair,
-and block-diagonal masks keep the pairs apart, so the batch runs as one
-encoder pass and one teacher-forced decoder pass through the same
-``encoder_states_t`` and ``decoder_logits`` that inference uses.  Only
-training packs; every other caller numbers positions 0..n-1 per row.
+Teacher-forced training packs its pairs (``pack_pairs``; Krell et al., arXiv
+2107.02027): several (source, target) pairs share a row, positions restart at
+each pair, and block-diagonal masks keep the pairs apart.  ``packed_loss`` is
+the one teacher-forced loss: one decoder pass through the same
+``decoder_logits`` that inference uses, over memory laid out like the batch's
+sources.  ``seq2seq_loss`` encodes that memory in one packed encoder pass; the
+probe gathers it from sources it encoded once.  Masked-token training and
+every inference caller number positions 0..n-1 per row.
 
 Checkpoints (format v2) are directories holding ``manifest.json`` (config,
 vocab, step, tensor names and shapes; every field and config key required)
@@ -170,12 +171,6 @@ def pad_ids(rows: list[list[int]], pad: int) -> Array:
     return ids
 
 
-def key_pad_additive(pad: Array) -> Array:
-    """The additive (B, 1, 1, n) attention mask that hides the key positions
-    a (B, n) boolean ``pad`` marks; every row must keep one key."""
-    return np.where(pad, NEG_MASK, 0.0)[:, None, None, :]
-
-
 def _segment_additive(query: Array, key: Array, causal: bool = False) -> Array:
     """The additive (R, 1, nq, nk) mask that lets each query position see
     only the keys of its own pair; ``query`` and ``key`` hold each position's
@@ -193,14 +188,16 @@ class PackedBatch:
 
     Every array has one row per packed row.  Sources are (R, ns) and targets
     (R, nt): ns is the longest source and nt the longest target plus EOS.
-    ``*_pos`` number each pair's tokens from 0, and ``target_pair`` holds the
-    pair index of every target position (-1 at padding).  The masks keep a
-    pair's attention inside the pair: encoder self-attention, causal decoder
-    self-attention, and cross-attention from a target to its own source.
+    ``*_pos`` number each pair's tokens from 0, and ``src_pair`` and
+    ``target_pair`` hold the pair index of every source and target position
+    (-1 at padding).  The masks keep a pair's attention inside the pair:
+    encoder self-attention, causal decoder self-attention, and
+    cross-attention from a target to its own source.
     """
 
     src_ids: Array
     src_pos: Array
+    src_pair: Array
     enc_additive: Array
     tgt_in: Array
     tgt_out: Array
@@ -242,6 +239,7 @@ def pack_pairs(pairs: list[tuple[list[int], list[int]]], vocab: Vocab) -> Packed
     return PackedBatch(
         src_ids=packed(lambda i: pairs[i][0], pad),
         src_pos=packed(lambda i: range(src_len[i]), 0),
+        src_pair=src_pair,
         enc_additive=_segment_additive(src_pair, src_pair),
         tgt_in=packed(lambda i: [bos, *pairs[i][1]], pad),
         tgt_out=packed(lambda i: [*pairs[i][1], eos], pad),
@@ -506,7 +504,7 @@ class TransformerModel:
         pad = np.asarray(ids) == self.vocab.pad
         if pad.all(axis=-1).any():
             raise ContractViolation("memory: a batch row is all padding")
-        additive = key_pad_additive(pad)
+        additive = np.where(pad, NEG_MASK, 0.0)[:, None, None, :]
         states = self.encoder_states_t(ids, [additive] * self.config.enc_layers)
         return self.final_norm(states[-1]), additive
 
@@ -605,40 +603,32 @@ class TransformerModel:
 
     def seq2seq_loss(self, pairs: list[tuple[list[int], list[int]]]) -> Tensor:
         """Teacher-forced mean cross-entropy over every target token, EOS
-        included, of (source ids, target ids) pairs without sentinels.
-
-        The pairs run packed (``pack_pairs``) as one group: one encoder pass,
-        one decoder pass and one cross-entropy weighted by the real target
-        tokens.  Masked keys get exactly zero probability, so each pair's
-        logits are those of the pair run alone up to rounding (about 1e-15
-        relative), and the loss is that of one batch padded to its longest
-        pair up to rounding.
+        included, of (source ids, target ids) pairs without sentinels: the
+        pairs packed (``pack_pairs``), one packed encoder pass, then
+        ``packed_loss``.  Masked keys get exactly zero probability, so each
+        pair's logits are those of the pair run alone up to rounding (about
+        1e-15 relative), and the loss is that of one batch padded to its
+        longest pair up to rounding.
         """
         batch = pack_pairs(pairs, self.vocab)
-        weights = (batch.target_pair >= 0).astype(np.float64)
-        return cross_entropy(self.packed_logits(batch), batch.tgt_out, weights)
-
-    def packed_logits(self, batch: PackedBatch) -> Tensor:
-        """Teacher-forced next-token logits (R, nt, V) of a packed batch."""
         states = self.encoder_states_t(
             batch.src_ids, [batch.enc_additive] * self.config.enc_layers, positions=batch.src_pos
         )
-        cache = DecoderCache(self, self.final_norm(states[-1]), batch.cross_additive)
-        return self.decoder_logits(batch.tgt_in, cache, batch.tgt_pos, batch.self_additive)
+        return self.packed_loss(batch, self.final_norm(states[-1]))
 
-    def target_loss(
-        self, memory: Tensor, cross_additive: Array, targets: list[list[int]]
-    ) -> Tensor:
-        """Teacher-forced mean cross-entropy of ``targets`` (ids without
-        sentinels) given the memory and mask ``TransformerModel.memory``
-        returns.  BOS/EOS are added here, padding is excluded from the loss,
-        and the whole prefix runs on a fresh ``DecoderCache``."""
-        pad, bos, eos = self.vocab.pad, self.vocab.bos, self.vocab.eos
-        tgt_in = pad_ids([[bos, *t] for t in targets], pad)
-        tgt_out = pad_ids([[*t, eos] for t in targets], pad)
-        weights = (tgt_out != pad).astype(np.float64)
-        logits = self.decoder_logits(tgt_in, DecoderCache(self, memory, cross_additive))
-        return cross_entropy(logits, tgt_out, weights)
+    def packed_loss(self, batch: PackedBatch, memory: Tensor) -> Tensor:
+        """Teacher-forced mean cross-entropy of a packed batch's targets,
+        weighted by the real target tokens, given ``memory`` (R, ns, d) laid
+        out like the batch's sources.  A pad source position may hold any
+        finite state: the pair mask gives it exactly zero weight."""
+        weights = (batch.target_pair >= 0).astype(np.float64)
+        return cross_entropy(self.packed_logits(batch, memory), batch.tgt_out, weights)
+
+    def packed_logits(self, batch: PackedBatch, memory: Tensor) -> Tensor:
+        """Teacher-forced next-token logits (R, nt, V) of a packed batch over
+        ``memory`` laid out like its sources."""
+        cache = DecoderCache(self, memory, batch.cross_additive)
+        return self.decoder_logits(batch.tgt_in, cache, batch.tgt_pos, batch.self_additive)
 
     def mlm_logits(self, ids: Array) -> Tensor:
         """Vocabulary-head logits (B, n, V) of a (B, n) id batch from ``pad_ids``."""

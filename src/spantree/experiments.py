@@ -483,7 +483,7 @@ def evaluate_checkpoint(
     return score, _t_parseval(charts, subset)
 
 
-def _accuracy(model, examples, limit, seed) -> float | None:
+def _accuracy(model, examples, limit) -> float | None:
     """The task's accuracy on the first ``limit`` examples, or None when the
     split has nothing to score, as the trainers record it."""
     if model.task == "seq2seq":
@@ -492,7 +492,7 @@ def _accuracy(model, examples, limit, seed) -> float | None:
         sentences = [model.vocab.encode(ex.source) for ex in examples[:limit]]
         if not any(len(s) >= 2 for s in sentences):
             return None
-        return masked_prediction_accuracy(model, sentences, seed=seed)
+        return masked_prediction_accuracy(model, sentences)
     raise ContractViolation(f"no accuracy measure for task {model.task!r}")
 
 
@@ -565,10 +565,10 @@ def dynamics_report(
             ppars = result.p_parseval
         iid = info.iid_acc
         if iid is None:
-            iid = _accuracy(model, corpus.iid_val, eval_limit, seed)
+            iid = _accuracy(model, corpus.iid_val, eval_limit)
         cg = info.cg_acc
         if cg is None:
-            cg = _accuracy(model, corpus.cg_test, eval_limit, seed)
+            cg = _accuracy(model, corpus.cg_test, eval_limit)
         records.append(
             DynamicsRecord(
                 step=info.step,

@@ -13,9 +13,12 @@ memory encode, runs in the length-sorted chunks of ``_length_chunks``.
 The probe is a 1-layer decoder trained to emit a sentence's bracketed parse
 (``( ( A1 B1 ) C1 )`` as a token stream) while cross-attending to the frozen
 encoder's states from ``TransformerModel.frozen_memory``, computed once per
-training sentence before the first update; its predictions are
-repaired by ``delinearize`` and scored with corpus PARSEVAL.  Trainers set
-``vocab_size`` on a copy of the caller's config, never on the config itself.
+training sentence before the first update.  It trains on packed rows
+(``pack_pairs`` of source and parse ids) through ``packed_loss``, the loss
+``seq2seq_loss`` ends in, with the memory gathered from that store.  Its
+predictions are repaired by ``delinearize`` and scored with corpus PARSEVAL.
+Trainers set ``vocab_size`` on a copy of the caller's config, never on the
+config itself.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from . import treeval, trees
 from .datasets import RESERVED, Corpus, TransductionExample, Vocab
 from .encoder import (
     EncoderConfig,
+    PackedBatch,
     TransformerModel,
-    key_pad_additive,
     load_checkpoint,
+    pack_pairs,
     pad_ids,
     save_checkpoint,
 )
@@ -41,10 +45,12 @@ from .numerics import OptimizerState, Tensor, backward, constant, no_tape, optim
 
 log = logging.getLogger("spantree.training")
 
-# Evaluation batch size; masked-token accuracy's mask fraction and sentence cap.
+# Evaluation batch size; masked-token accuracy's mask fraction, sentence cap
+# and masking draw, one stream for every caller.
 EVAL_CHUNK = 64
 EVAL_MASK_FRAC = 0.15
 EVAL_SENTENCES = 256
+EVAL_MASK_SEED = (0, 99)
 PROBE_DEC_LAYERS = 1
 PROBE_WEIGHT_DECAY = 0.01
 
@@ -280,14 +286,13 @@ def make_mlm_batch(
     return masked, original, loss_mask
 
 
-def masked_prediction_accuracy(
-    model: TransformerModel, sentences: list[list[int]], seed: int = 0
-) -> float:
-    """Top-1 accuracy at masked positions under a fixed masking draw."""
+def masked_prediction_accuracy(model: TransformerModel, sentences: list[list[int]]) -> float:
+    """Top-1 accuracy at masked positions under the fixed masking draw
+    ``EVAL_MASK_SEED``, so a checkpoint scores the same for every caller."""
     usable = [s for s in sentences if len(s) >= 2][:EVAL_SENTENCES]
     if not usable:
         raise ContractViolation("masked_prediction_accuracy: no usable sentences")
-    rng = np.random.default_rng([seed, 99])
+    rng = np.random.default_rng(EVAL_MASK_SEED)
     hit = total = 0
     for lo in range(0, len(usable), EVAL_CHUNK):
         masked, original, loss_mask = make_mlm_batch(
@@ -339,7 +344,7 @@ def train_mlm(
 
     def evaluate(snap: TransformerModel):
         return tuple(
-            masked_prediction_accuracy(snap, sents, seed=seed)
+            masked_prediction_accuracy(snap, sents)
             if any(len(s) >= 2 for s in sents) else None
             for sents in (iid_sents, cg_sents)
         )
@@ -422,16 +427,16 @@ def _check_heldout(examples: list[TransductionExample]) -> None:
 
 
 def _frozen_batches(encoder: TransformerModel, sources: list[list[int]]):
-    """The probe's memory side for any batch of ``sources``, encoding each
-    source once.
+    """The probe's memory side for any packed batch of ``sources``, encoding
+    each source once.
 
     Every source runs through ``encoder.frozen_memory`` once, in
-    ``_length_chunks``.  The returned function maps batch indices to
-    (memory, additive mask): the batch's rows, zero-padded to its longest
-    source, with the padding masked.  Masked keys carry
-    exactly zero weight, so the pad rows' values do not matter; a row's
-    states can differ from those of an encode of that batch by rounding,
-    because the encoder ran on another padding.
+    ``_length_chunks``.  The returned function maps batch indices ``idx``
+    and their ``PackedBatch`` to the memory laid out like the batch's
+    sources: each position reads its pair's stored state.  Pad positions
+    read some stored row, which the pair mask gives exactly zero weight; a
+    row's states can differ from those of an encode of that batch by
+    rounding, because the encoder ran on another padding.
     """
     lengths = np.array([len(s) for s in sources])
     store = np.zeros((len(sources), lengths.max(), encoder.config.d_model))
@@ -440,10 +445,8 @@ def _frozen_batches(encoder: TransformerModel, sources: list[list[int]]):
         for row, i in enumerate(chunk):
             store[i, : lengths[i]] = memory.value[row, : lengths[i]]
 
-    def batch(idx) -> tuple[Tensor, np.ndarray]:
-        n = lengths[idx].max()
-        pad = np.arange(n) >= lengths[idx][:, None]
-        return constant(store[idx, :n]), key_pad_additive(pad)
+    def batch(idx, packed: PackedBatch) -> Tensor:
+        return constant(store[idx[packed.src_pair], packed.src_pos])
 
     return batch
 
@@ -472,8 +475,10 @@ def train_probe(
         raise ContractViolation("train_probe: no examples with gold trees")
     _check_heldout(heldout_examples)  # before training, not after it
     probe_vocab = probe_vocab_for(encoder.vocab)
+    # sized for the held-out parses too, so that no decode is cut off
     config = replace(encoder.config, dec_layers=PROBE_DEC_LAYERS, vocab_size=len(probe_vocab),
-                     max_len=max(encoder.config.max_len, _bracket_length(usable)))
+                     max_len=max(encoder.config.max_len,
+                                 _bracket_length(usable + heldout_examples)))
     probe = TransformerModel(config, probe_vocab, "probe", rng=np.random.default_rng(seed))
     sources = [encoder.vocab.encode(ex.source) for ex in usable]
     targets = [
@@ -482,7 +487,8 @@ def train_probe(
     batch_rng = np.random.default_rng([seed, 3])
 
     def batch_loss(idx):
-        return probe.target_loss(*frozen(idx), [targets[i] for i in idx])
+        batch = pack_pairs([(sources[i], targets[i]) for i in idx], probe_vocab)
+        return probe.packed_loss(batch, frozen(idx, batch))
 
     # the optimizer's settings and the batch size are refused here, before
     # the encode below runs every training source through the encoder;

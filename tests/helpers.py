@@ -9,8 +9,10 @@ package's incremental one: it recomputes every row's whole prefix at every
 step, finished rows included, on a cache of its own each time.  The
 ``ref_*`` functions keep the kernels' expressions from before they called
 numpy's ufunc reduces directly; the kernels must match them bit for bit.
-``ref_affine`` is a linear layer as two tape nodes, ``ref_seq2seq_loss``
-pads the whole batch as one group, ``ref_exact_match`` and
+``ref_affine`` is a linear layer as two tape nodes, ``ref_target_loss`` is
+the teacher-forced loss of a batch padded to its longest target and
+``ref_seq2seq_loss`` runs it on the whole batch padded as one group,
+``ref_exact_match`` and
 ``ref_evaluate_probe`` decode evaluation chunks in the order given, and
 ``ref_optimizer_step`` updates one parameter at a time with per-name moments.  ``ref_parse_sexpr`` (recursive descent)
 and ``ref_delinearize`` (a balanced-prefix scan, a stack parse, then leaf
@@ -177,10 +179,23 @@ def ref_pool(vectors, pooling):
 # ---------------------------------------------------------------------------
 
 
+def ref_target_loss(model, memory, cross_additive, targets):
+    """Teacher-forced mean cross-entropy of ``targets`` (ids without
+    sentinels) given the memory and mask ``TransformerModel.memory``
+    returns.  BOS/EOS are added here, padding is excluded from the loss,
+    and the whole prefix runs on a fresh ``DecoderCache``."""
+    pad, bos, eos = model.vocab.pad, model.vocab.bos, model.vocab.eos
+    tgt_in = pad_ids([[bos, *t] for t in targets], pad)
+    tgt_out = pad_ids([[*t, eos] for t in targets], pad)
+    weights = (tgt_out != pad).astype(np.float64)
+    logits = model.decoder_logits(tgt_in, DecoderCache(model, memory, cross_additive))
+    return nm.cross_entropy(logits, tgt_out, weights)
+
+
 def ref_seq2seq_loss(model, pairs):
     """Teacher-forced loss of the whole batch padded as one group."""
     memory, additive = model.memory(pad_ids([s for s, _ in pairs], model.vocab.pad))
-    return model.target_loss(memory, additive, [t for _, t in pairs])
+    return ref_target_loss(model, memory, additive, [t for _, t in pairs])
 
 
 def ref_exact_match(model, examples):

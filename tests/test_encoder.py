@@ -8,6 +8,7 @@ import pytest
 
 from spantree import encoder as enc
 from spantree import numerics as nm
+from spantree import training
 from spantree.datasets import RESERVED, Vocab
 from spantree.encoder import (
     EncoderConfig,
@@ -352,12 +353,22 @@ def mirrored_pairs(seed, count):
     return pairs
 
 
-def packed_pair_logits(m, pairs):
-    """Each pair's teacher-forced logits, read off one packed pass."""
+def packed_pair_logits(m, pairs, encoder=None):
+    """Each pair's teacher-forced logits, read off one packed pass.  A
+    seq2seq model encodes the packed sources as ``seq2seq_loss`` does; a
+    probe reads ``encoder``'s states from the store ``_frozen_batches``
+    keeps, as ``train_probe`` does."""
     batch = enc.pack_pairs(pairs, m.vocab)
     assert max(len(set(row[row >= 0].tolist())) for row in batch.target_pair) >= 2
     with nm.no_tape():
-        logits = m.packed_logits(batch).value
+        if encoder is None:
+            states = m.encoder_states_t(batch.src_ids, [batch.enc_additive] * m.config.enc_layers,
+                                        positions=batch.src_pos)
+            memory = m.final_norm(states[-1])
+        else:
+            frozen = training._frozen_batches(encoder, [src for src, _ in pairs])
+            memory = frozen(np.arange(len(pairs)), batch)
+        logits = m.packed_logits(batch, memory).value
     return [logits[batch.target_pair == i] for i in range(len(pairs))]
 
 
@@ -378,19 +389,21 @@ def test_packed_pair_logits_equal_the_pair_run_alone(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_packed_pairs_do_not_see_each_other(seed):
     # new tokens in one pair, same lengths so the same packing: every other
-    # pair's logits keep their bits
-    m = small_model(seed=seed)
+    # pair's logits keep their bits, on the seq2seq route and on the probe's,
+    # whose memory comes from a separate frozen encoder
     pairs = mirrored_pairs(seed, 16)
-    before = packed_pair_logits(m, pairs)
-    for changed in (0, len(pairs) - 1):
-        src, tgt = pairs[changed]
-        edited = list(pairs)
-        edited[changed] = ([5 + (x - 4) % 8 for x in src], [5 + (x - 4) % 8 for x in tgt])
-        after = packed_pair_logits(m, edited)
-        assert not np.array_equal(after[changed], before[changed])
-        for i in range(len(pairs)):
-            if i != changed:
-                assert after[i].tobytes() == before[i].tobytes(), (changed, i)
+    for m, encoder in ((small_model(seed=seed), None),
+                       (small_model("probe", seed=seed), small_model(seed=seed + 10))):
+        before = packed_pair_logits(m, pairs, encoder)
+        for changed in (0, len(pairs) - 1):
+            src, tgt = pairs[changed]
+            edited = list(pairs)
+            edited[changed] = ([5 + (x - 4) % 8 for x in src], [5 + (x - 4) % 8 for x in tgt])
+            after = packed_pair_logits(m, edited, encoder)
+            assert not np.array_equal(after[changed], before[changed])
+            for i in range(len(pairs)):
+                if i != changed:
+                    assert after[i].tobytes() == before[i].tobytes(), (m.task, changed, i)
 
 
 def test_greedy_decode_is_deterministic_and_stops():
@@ -576,8 +589,9 @@ def bench_shape_batch(task, seed=31):
         return model, model.seq2seq_loss(list(zip(sources, targets)))
     if task == "mlm":
         return model, model.mlm_loss(*make_mlm_batch(rng, sources, vocab))
-    memory = TransformerModel(config, vocab, rng=seed + 1).frozen_memory(sources)
-    return model, model.target_loss(*memory, targets)
+    batch = enc.pack_pairs(list(zip(sources, targets)), vocab)
+    frozen = training._frozen_batches(TransformerModel(config, vocab, rng=seed + 1), sources)
+    return model, model.packed_loss(batch, frozen(np.arange(len(sources)), batch))
 
 
 @pytest.mark.parametrize("task", enc.TASKS)

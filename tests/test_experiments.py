@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from spantree import experiments, trees, treeval
-from spantree.datasets import Corpus, TransductionExample, Vocab
+from spantree.datasets import (
+    DEFAULT_UNSEEN,
+    Corpus,
+    TransductionExample,
+    Vocab,
+    generate_expressions,
+    make_cg_split,
+)
 from spantree.encoder import EncoderConfig, LayerMask, TransformerModel
 from spantree.errors import ContractViolation
 from spantree.experiments import (
@@ -22,7 +29,7 @@ from spantree.experiments import (
     write_perturb_csv,
 )
 from spantree.numerics import cosine_distance
-from spantree.training import CheckpointInfo
+from spantree.training import CheckpointInfo, load_series, train_mlm
 
 
 def make_model(tokens, enc_layers=2, d_model=16, seed=0, max_len=16):
@@ -445,9 +452,9 @@ def test_mlm_accuracy_scores_only_the_first_eval_limit_sentences(monkeypatch):
     scored = []
     accuracy = experiments.masked_prediction_accuracy
 
-    def recording(m, sentences, seed=0):
+    def recording(m, sentences):
         scored.append(sentences)
-        return accuracy(m, sentences, seed=seed)
+        return accuracy(m, sentences)
 
     monkeypatch.setattr(experiments, "masked_prediction_accuracy", recording)
     for k in (1, 3, len(iid)):
@@ -458,8 +465,25 @@ def test_mlm_accuracy_scores_only_the_first_eval_limit_sentences(monkeypatch):
         first_k = [model.vocab.encode(ex.source) for ex in iid[:k]]
         # per checkpoint: the iid-val split, then the cg-test split
         assert scored[0::2] == [first_k] * 3
-        assert result.records[0].iid_acc == accuracy(model, first_k, seed=0)
+        assert result.records[0].iid_acc == accuracy(model, first_k)
     for bad in (0, -1):
         with pytest.raises(ContractViolation, match="evaluation limit"):
             dynamics_report(series, wide, threshold_mode="fixed", fixed_t=1,
                             eval_limit=bad)
+
+
+def test_dynamics_reads_the_mlm_accuracies_training_recorded(tmp_path):
+    # masked-token accuracy drew its masks from the caller's seed, so a stored
+    # mlm series scored differently in dynamics than when it was trained
+    examples = generate_expressions(60, depth_range=(1, 2), seed=3, alphabet_size=6)
+    corpus = make_cg_split(examples, DEFAULT_UNSEEN, seed=3, val_frac=0.2)
+    config = EncoderConfig(enc_layers=1, dec_layers=0, heads=2, d_model=16, d_ff=32,
+                           vocab_size=0, max_len=24)
+    trained = train_mlm(config, corpus, steps=40, checkpoint_every=20, seed=2, batch_size=8,
+                        base_lr=3e-3, warmup_steps=2, out_dir=str(tmp_path))
+    stored = load_series(str(tmp_path))
+    assert all(info.iid_acc is None and info.cg_acc is None for info in stored)
+    result = dynamics_report(stored, corpus, threshold_mode="fixed", fixed_t=1,
+                             eval_sentences=2, samples_per_node=2, seed=5, eval_limit=None)
+    assert [(r.iid_acc, r.cg_acc) for r in result.records] == [
+        (info.iid_acc, info.cg_acc) for info in trained]
