@@ -8,9 +8,9 @@ analyses.  Settings resolve in three layers: built-in defaults, then a flat
 The single top-level seed (flag > SPANTREE_SEED env > config > default) is
 expanded per component through sha256.  ``gen-data``, ``train``,
 ``train-mlm``, ``project`` and ``probe`` write the fully resolved settings
-they ran with to ``resolved-config.txt`` in their output directory;
-``train``, ``train-mlm`` and ``probe`` write it only once their trainer has
-checked every setting, so a refused run leaves none.
+they ran with to ``resolved-config.txt`` in their output directory, only
+once every setting has been checked (``train``, ``train-mlm`` and ``probe``
+by their trainer), so a refused run leaves none.
 
 Exit codes: 0 success, 1 contract violation (bad inputs, malformed files,
 diverged training), 2 I/O failure.
@@ -42,7 +42,7 @@ from .experiments import (
 )
 from .projector import exact_project, greedy_project
 from .spanrep import build_sci_chart
-from .training import load_series, train_mlm, train_probe, train_seq2seq
+from .training import EVAL_LIMIT, load_series, train_mlm, train_probe, train_seq2seq
 
 log = logging.getLogger("spantree.cli")
 
@@ -73,7 +73,7 @@ DEFAULTS = {
     "pairs": 500,
     "sigma2": 0.01,
     "span_samples": 50,
-    "eval_limit": 200,
+    "eval_limit": EVAL_LIMIT,
     "eval_sentences": 40,
     "tune_sentences": 16,
     "probe_steps": 1500,
@@ -196,7 +196,6 @@ def _encoder_config(s: dict, dec_layers: int | None = None) -> EncoderConfig:
 
 def cmd_gen_data(args) -> int:
     s = resolve_settings(args)
-    write_resolved(args.out, s)
     examples = datasets.generate_expressions(
         s["count"],
         depth_range=(s["depth_min"], s["depth_max"]),
@@ -209,6 +208,7 @@ def cmd_gen_data(args) -> int:
         seed=component_seed(s["seed"], "split"),
         val_frac=s["val_frac"],
     )
+    write_resolved(args.out, s)
     datasets.save_corpus(corpus, args.out)
     _write_json(
         {
@@ -333,8 +333,6 @@ def cmd_project(args) -> int:
         raise ContractViolation(f"--mode must be greedy or exact, got {s['mode']!r}")
     model = load_checkpoint(args.checkpoint)
     sentences = _input_sentences(args, model.vocab)
-    os.makedirs(args.out_dir, exist_ok=True)
-    write_resolved(args.out_dir, s)
     # every row draws, in sentence order, from the one stream t_score uses,
     # so t_score is exactly the rows' mean
     rng = np.random.default_rng(component_seed(s["seed"], "t_score"))
@@ -356,6 +354,7 @@ def cmd_project(args) -> int:
             tree, best = exact_project(chart)
             rows.append({"index": idx, "n": chart.n, "cumulative_sci": best})
         projected.append(tree)
+    write_resolved(args.out_dir, s)
     treeval.save_trees(os.path.join(args.out_dir, "trees.sexpr"), projected,
                        [tokens for tokens, _ in sentences])
     scores = {"mode": s["mode"], "threshold": s["threshold"], "sentences": rows}

@@ -8,9 +8,10 @@ sentences, how far the model's bare-span ("context-free") vector sits from
 the analytic best single vector for that span's contextual occurrences.  The
 dynamics report sweeps a checkpoint series, projecting trees from SCI charts
 at each checkpoint and correlating tree-structuredness with training step
-and generalization accuracy.  Those correlations (``rho_cg_*``) compare
-checkpoints of one training run; they are not the paper's comparison of
-tree-structuredness across separately trained models.
+and generalization accuracy, the one each checkpoint was recorded with or
+else ``training.split_accuracy``, the trainers' rule.  Those correlations
+(``rho_cg_*``) compare checkpoints of one training run; they are not the
+paper's comparison of tree-structuredness across separately trained models.
 
 Every sampling decision draws from generators seeded by the run seed only,
 never by the checkpoint step, so identical weights always produce identical
@@ -32,12 +33,8 @@ from .numerics import cosine_distance
 from .projector import exact_project, t_score
 from .spanrep import Span, build_sci_chart, contextual_span_vector
 from .stats import spearman, welch_ttest
-from .training import (
-    CheckpointInfo,
-    exact_match_accuracy,
-    masked_prediction_accuracy,
-    train_probe,
-)
+from .training import EVAL_LIMIT, CheckpointInfo, split_accuracy, train_probe
+from .training import exact_match_accuracy  # unused here; bench/tracing.py wraps this name
 
 Array = np.ndarray
 
@@ -483,19 +480,6 @@ def evaluate_checkpoint(
     return score, _t_parseval(charts, subset)
 
 
-def _accuracy(model, examples, limit) -> float | None:
-    """The task's accuracy on the first ``limit`` examples, or None when the
-    split has nothing to score, as the trainers record it."""
-    if model.task == "seq2seq":
-        return exact_match_accuracy(model, examples, limit=limit) if examples else None
-    if model.task == "mlm":
-        sentences = [model.vocab.encode(ex.source) for ex in examples[:limit]]
-        if not any(len(s) >= 2 for s in sentences):
-            return None
-        return masked_prediction_accuracy(model, sentences)
-    raise ContractViolation(f"no accuracy measure for task {model.task!r}")
-
-
 def dynamics_report(
     series: list[CheckpointInfo],
     corpus: Corpus,
@@ -505,7 +489,7 @@ def dynamics_report(
     tune_sentences: int = 16,
     samples_per_node: int = 4,
     seed: int = 0,
-    eval_limit: int | None = 200,
+    eval_limit: int | None = EVAL_LIMIT,
     probe_steps: int = 0,
 ) -> DynamicsResult:
     """Per-checkpoint structure metrics plus rank correlations.
@@ -565,10 +549,10 @@ def dynamics_report(
             ppars = result.p_parseval
         iid = info.iid_acc
         if iid is None:
-            iid = _accuracy(model, corpus.iid_val, eval_limit)
+            iid = split_accuracy(model, corpus.iid_val, eval_limit)
         cg = info.cg_acc
         if cg is None:
-            cg = _accuracy(model, corpus.cg_test, eval_limit)
+            cg = split_accuracy(model, corpus.cg_test, eval_limit)
         records.append(
             DynamicsRecord(
                 step=info.step,

@@ -2,11 +2,12 @@
 
 One generator, ``_updates``, draws every batch's indices, runs every AdamW
 update (linear warmup, float64 tape) and aborts with ``TrainingDiverged`` on a
-non-finite loss.  ``train_seq2seq`` and ``train_mlm`` hand it their model,
-batch loss and checkpoint evaluator through ``_train_series``, which collects
-deep copies (and optionally ``step-NNNNN`` directories, which ``load_series``
-reads back) at step 0, every ``checkpoint_every`` updates and the final step;
-a divergence carries every checkpoint collected before it.  ``train_probe``
+non-finite loss.  ``train_seq2seq`` and ``train_mlm`` hand it their model and
+batch loss through ``_train_series``, which collects deep copies (and
+optionally ``step-NNNNN`` directories, which ``load_series`` reads back) at
+step 0, every ``checkpoint_every`` updates and the final step, each scored by
+``split_accuracy`` as ``dynamics_report`` scores a stored series; a
+divergence carries every checkpoint collected before it.  ``train_probe``
 drains the same loop without checkpoints.  Every decode, and the probe's
 memory encode, runs in the length-sorted chunks of ``_length_chunks``.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import os
+from itertools import chain
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,11 +47,12 @@ from .numerics import OptimizerState, Tensor, backward, constant, no_tape, optim
 
 log = logging.getLogger("spantree.training")
 
-# Evaluation batch size; masked-token accuracy's mask fraction, sentence cap
-# and masking draw, one stream for every caller.
+# Evaluation batch size; how many examples of a split a checkpoint is scored
+# on; masked-token accuracy's mask fraction and masking draw, one stream for
+# every caller.
 EVAL_CHUNK = 64
+EVAL_LIMIT = 200
 EVAL_MASK_FRAC = 0.15
-EVAL_SENTENCES = 256
 EVAL_MASK_SEED = (0, 99)
 PROBE_DEC_LAYERS = 1
 PROBE_WEIGHT_DECAY = 0.01
@@ -67,36 +70,26 @@ class CheckpointInfo:
     path: str | None = None
 
 
+def _check_updates(steps: int, batch_size: int) -> None:
+    """Refuse settings ``_updates`` cannot run, before anything is trained."""
+    if steps < 0:
+        raise ContractViolation(f"steps must be >= 0, got {steps}")
+    if batch_size < 1:
+        raise ContractViolation(f"batch_size must be >= 1, got {batch_size}")
+
+
 def _updates(model: TransformerModel, state: OptimizerState, batch_loss, batches,
-             steps: int, series: list[CheckpointInfo], on_start=None):
-    """Yield (0, None) for the initial model, then run ``steps`` AdamW updates
-    of it, yielding (step, loss value) after each.
+             steps: int, series: list[CheckpointInfo]):
+    """Run ``steps`` AdamW updates of ``model``, yielding (step, loss value)
+    after each.
 
     ``batches`` is (batch_rng, pool, batch_size): each update draws
     ``batch_size`` indices below ``pool`` from ``batch_rng``, and
     ``batch_loss(idx)`` returns their loss on the tape.  A non-finite loss
     raises TrainingDiverged carrying ``series``, the checkpoints kept so far.
-    ``on_start()``, if given, runs once the trainer's last setting has been
-    checked, before the first yield: a refused run never reaches it.
-
-    ``steps`` and the batch size are checked here, when the updates are
-    set up, not when iteration starts.
+    Callers check the settings first, with ``_check_updates``.
     """
     batch_rng, pool, batch_size = batches
-    if steps < 0:
-        raise ContractViolation(f"steps must be >= 0, got {steps}")
-    if batch_size < 1:
-        raise ContractViolation(f"batch_size must be >= 1, got {batch_size}")
-    return _update_steps(model, state, batch_loss, batches, steps, series, on_start)
-
-
-def _update_steps(model: TransformerModel, state: OptimizerState, batch_loss, batches,
-                  steps: int, series: list[CheckpointInfo], on_start):
-    """The generator behind ``_updates``, whose settings it trusts."""
-    batch_rng, pool, batch_size = batches
-    if on_start is not None:
-        on_start()
-    yield 0, None
     params = list(model.params.values())
     for step in range(1, steps + 1):
         loss = batch_loss(batch_rng.integers(0, pool, size=batch_size))
@@ -117,7 +110,8 @@ def _train_series(
     state: OptimizerState,
     batch_loss,
     batches: tuple[np.random.Generator, int, int],
-    evaluate,
+    corpus: Corpus,
+    eval_limit: int | None,
     steps: int,
     checkpoint_every: int,
     out_dir: str | None,
@@ -127,21 +121,31 @@ def _train_series(
 
     Checkpoints are taken at step 0, every ``checkpoint_every`` updates and
     the final step; each carries the mean loss of the updates since the one
-    before and ``evaluate(snapshot)``, an (iid accuracy, cg accuracy) pair.
+    before and the ``split_accuracy`` of the snapshot on the corpus's
+    iid-val and cg-test splits at ``eval_limit``.  ``on_start()``, if given,
+    runs once every setting has been checked, before anything is trained or
+    written: a refused run never reaches it.
     """
+    _check_limit(eval_limit)
+    _check_updates(steps, batches[2])
     if checkpoint_every < 1:
         raise ContractViolation(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+    _check_lengths(model, corpus, eval_limit)
+    if on_start is not None:
+        on_start()
     series: list[CheckpointInfo] = []
     running: list[float] = []
-    for step, loss in _updates(model, state, batch_loss, batches, steps, series,
-                               on_start=on_start):
+    # the untrained model is checkpoint 0
+    for step, loss in chain([(0, None)], _updates(model, state, batch_loss, batches, steps,
+                                                  series)):
         if loss is not None:
             running.append(loss)
         if step % checkpoint_every == 0 or step == steps:
             mean_loss = float(np.mean(running)) if running else None
             running.clear()
             snap = model.clone()
-            iid_acc, cg_acc = evaluate(snap)
+            iid_acc, cg_acc = (split_accuracy(snap, split, eval_limit)
+                               for split in (corpus.iid_val, corpus.cg_test))
             path = None
             if out_dir is not None:
                 path = save_checkpoint(snap, os.path.join(out_dir, f"step-{step:05d}"))
@@ -181,31 +185,58 @@ def _check_limit(limit: int | None) -> None:
         raise ContractViolation(f"evaluation limit must be None or >= 1, got {limit}")
 
 
-def exact_match_accuracy(
-    model: TransformerModel, examples: list[TransductionExample], limit: int | None = None
-) -> float:
-    """Fraction of examples whose greedy decode equals the target exactly;
-    ``limit`` (None or >= 1) scores only the first ``limit`` examples.
+def _check_lengths(model: TransformerModel, corpus: Corpus, eval_limit: int | None) -> None:
+    """Refuse, before anything is trained or written, a sequence longer than
+    ``max_len``: a train source, a train target plus EOS (seq2seq) or a
+    source ``split_accuracy`` will score at ``eval_limit``."""
+    scored = corpus.iid_val[:eval_limit] + corpus.cg_test[:eval_limit]
+    lengths = {"train source": [len(ex.source) for ex in corpus.train],
+               "evaluated source": [len(ex.source) for ex in scored]}
+    if model.task == "seq2seq":
+        lengths["train target plus EOS"] = [len(ex.target) + 1 for ex in corpus.train]
+    for what, ns in lengths.items():
+        if max(ns, default=0) > model.config.max_len:
+            raise ContractViolation(f"{what} of length {max(ns)} exceeds max_len "
+                                    f"{model.config.max_len}")
 
-    ``max_new`` is fixed on the whole subset, which is then decoded in
+
+def split_accuracy(
+    model: TransformerModel, examples: list[TransductionExample], limit: int | None = EVAL_LIMIT
+) -> float | None:
+    """The one accuracy rule for a checkpoint: on the first ``limit``
+    examples of a split (None scores them all), exact match for seq2seq and
+    masked-token accuracy over the sources of at least two tokens for mlm;
+    None when nothing there can be scored."""
+    _check_limit(limit)
+    subset = examples[:limit]
+    if model.task == "seq2seq":
+        return exact_match_accuracy(model, subset) if subset else None
+    if model.task == "mlm":
+        sentences = [model.vocab.encode(ex.source) for ex in subset if len(ex.source) >= 2]
+        return masked_prediction_accuracy(model, sentences) if sentences else None
+    raise ContractViolation(f"no accuracy measure for task {model.task!r}")
+
+
+def exact_match_accuracy(model: TransformerModel, examples: list[TransductionExample]) -> float:
+    """Fraction of examples whose greedy decode equals the target exactly.
+
+    ``max_new`` is fixed on all the examples, which are then decoded in
     ``_length_chunks``.  The count does not depend on the order.  A decode
     can move by rounding only, since the padding a row's memory shares with
     its chunk changes.
     """
-    _check_limit(limit)
-    subset = examples[:limit]
-    if not subset:
+    if not examples:
         raise ContractViolation("exact_match_accuracy: empty evaluation split")
     vocab = model.vocab
-    max_new = max(len(ex.target) for ex in subset) + 2
+    max_new = max(len(ex.target) for ex in examples) + 2
     correct = 0
-    for chunk in _length_chunks([len(ex.source) for ex in subset]):
-        batch = [subset[i] for i in chunk]
+    for chunk in _length_chunks([len(ex.source) for ex in examples]):
+        batch = [examples[i] for i in chunk]
         decoded = model.greedy_decode([vocab.encode(ex.source) for ex in batch], max_new)
         for out, ex in zip(decoded, batch):
             if out == vocab.encode(ex.target):
                 correct += 1
-    return correct / len(subset)
+    return correct / len(examples)
 
 
 def train_seq2seq(
@@ -218,19 +249,18 @@ def train_seq2seq(
     base_lr: float = 3e-4,
     warmup_steps: int = 300,
     weight_decay: float = 0.01,
-    eval_limit: int | None = 200,
+    eval_limit: int | None = EVAL_LIMIT,
     out_dir: str | None = None,
     on_start=None,
 ) -> list[CheckpointInfo]:
     """Train source->target transduction; returns the checkpoint series.
 
     Checkpoints (step 0, every ``checkpoint_every``, and the final step) carry
-    exact-match accuracy on the iid-validation and compositional-test splits,
-    each truncated to ``eval_limit`` examples.  ``on_start()``, if given,
+    exact-match accuracy on the first ``eval_limit`` examples of the
+    iid-validation and compositional-test splits.  ``on_start()``, if given,
     runs once every setting has been checked, before anything is trained or
     written.
     """
-    _check_limit(eval_limit)
     if not corpus.train:
         raise ContractViolation("train_seq2seq: corpus has no train split")
     vocab = corpus.vocab
@@ -242,15 +272,9 @@ def train_seq2seq(
     def batch_loss(idx):
         return model.seq2seq_loss([pairs[i] for i in idx])
 
-    def evaluate(snap: TransformerModel):
-        return tuple(
-            exact_match_accuracy(snap, split, limit=eval_limit) if split else None
-            for split in (corpus.iid_val, corpus.cg_test)
-        )
-
     state = OptimizerState(base_lr=base_lr, warmup_steps=warmup_steps, weight_decay=weight_decay)
     return _train_series(model, state, batch_loss, (batch_rng, len(pairs), batch_size),
-                         evaluate, steps, checkpoint_every, out_dir, on_start)
+                         corpus, eval_limit, steps, checkpoint_every, out_dir, on_start)
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +311,17 @@ def make_mlm_batch(
 
 
 def masked_prediction_accuracy(model: TransformerModel, sentences: list[list[int]]) -> float:
-    """Top-1 accuracy at masked positions under the fixed masking draw
-    ``EVAL_MASK_SEED``, so a checkpoint scores the same for every caller."""
-    usable = [s for s in sentences if len(s) >= 2][:EVAL_SENTENCES]
-    if not usable:
-        raise ContractViolation("masked_prediction_accuracy: no usable sentences")
+    """Top-1 accuracy at masked positions of exactly ``sentences`` under the
+    fixed masking draw ``EVAL_MASK_SEED``, so a checkpoint scores the same
+    for every caller.  ``mask_positions`` refuses a sentence shorter than two
+    tokens."""
+    if not sentences:
+        raise ContractViolation("masked_prediction_accuracy: no sentences")
     rng = np.random.default_rng(EVAL_MASK_SEED)
     hit = total = 0
-    for lo in range(0, len(usable), EVAL_CHUNK):
+    for lo in range(0, len(sentences), EVAL_CHUNK):
         masked, original, loss_mask = make_mlm_batch(
-            rng, usable[lo : lo + EVAL_CHUNK], model.vocab, EVAL_MASK_FRAC
+            rng, sentences[lo : lo + EVAL_CHUNK], model.vocab, EVAL_MASK_FRAC
         )
         with no_tape():
             pred = model.mlm_logits(masked).value.argmax(axis=-1)
@@ -322,9 +347,9 @@ def train_mlm(
     """Masked-token pretraining on the corpus's source sentences.
 
     Sentences shorter than two tokens are skipped.  Checkpoint accuracy
-    fields hold masked-token prediction accuracy on the iid-val and cg-test
-    sources (there is no decoder to exact-match with).  ``on_start`` is
-    ``train_seq2seq``'s.
+    fields hold masked-token prediction accuracy on the first ``EVAL_LIMIT``
+    iid-val and cg-test sources, those of at least two tokens (there is no
+    decoder to exact-match with).  ``on_start`` is ``train_seq2seq``'s.
     """
     if not 0 < mask_frac <= 1:
         raise ContractViolation(f"mask_frac must lie in (0, 1], got {mask_frac}")
@@ -335,23 +360,14 @@ def train_mlm(
     config = replace(config, vocab_size=len(vocab))
     model = TransformerModel(config, vocab, "mlm", rng=np.random.default_rng(seed))
     batch_rng = np.random.default_rng([seed, 2])
-    iid_sents = [vocab.encode(ex.source) for ex in corpus.iid_val]
-    cg_sents = [vocab.encode(ex.source) for ex in corpus.cg_test]
 
     def batch_loss(idx):
         batch = make_mlm_batch(batch_rng, [sentences[i] for i in idx], vocab, mask_frac)
         return model.mlm_loss(*batch)
 
-    def evaluate(snap: TransformerModel):
-        return tuple(
-            masked_prediction_accuracy(snap, sents)
-            if any(len(s) >= 2 for s in sents) else None
-            for sents in (iid_sents, cg_sents)
-        )
-
     state = OptimizerState(base_lr=base_lr, warmup_steps=warmup_steps, weight_decay=weight_decay)
     return _train_series(model, state, batch_loss, (batch_rng, len(sentences), batch_size),
-                         evaluate, steps, checkpoint_every, out_dir, on_start)
+                         corpus, EVAL_LIMIT, steps, checkpoint_every, out_dir, on_start)
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +507,15 @@ def train_probe(
         return probe.packed_loss(batch, frozen(idx, batch))
 
     # the optimizer's settings and the batch size are refused here, before
-    # the encode below runs every training source through the encoder;
-    # batch_loss reads ``frozen`` only once the updates run
+    # the encode below runs every training source through the encoder
     state = OptimizerState(
         base_lr=base_lr, warmup_steps=warmup_steps, weight_decay=PROBE_WEIGHT_DECAY
     )
-    updates = _updates(probe, state, batch_loss, (batch_rng, len(usable), batch_size), steps, [],
-                       on_start=on_start)
+    _check_updates(steps, batch_size)
     frozen = _frozen_batches(encoder, sources)
-    for _ in updates:
+    if on_start is not None:
+        on_start()
+    for _ in _updates(probe, state, batch_loss, (batch_rng, len(usable), batch_size), steps, []):
         pass
     precision, recall, f1, repaired, coerced = evaluate_probe(
         probe, encoder, heldout_examples

@@ -586,6 +586,15 @@ BAD_INPUTS = {
     "dynamics --eval-sentences -1": lambda p, t: _dynamics(p) + ["--eval-sentences", "-1"],
     "dynamics --tune-sentences -1": lambda p, t: _dynamics(p) + ["--tune-sentences", "-1"],
     "dynamics --fixed-t 99": lambda p, t: _dynamics(p) + ["--fixed-t", "99"],
+    # a chart threshold the checkpoint lacks used to be refused only after
+    # resolved-config.txt was written
+    "project --threshold 99": lambda p, t: [
+        "project", "--checkpoint", p["ckpt"], "--sentence", "A1 B1",
+        "--out-dir", str(t / "proj"), "--threshold", "99"],
+    # a sequence longer than max_len used to be refused only once training
+    # had started, after resolved-config.txt was written
+    "train --max-len 4": lambda p, t: _train(p, t) + ["--max-len", "4"],
+    "train-mlm --max-len 4": lambda p, t: _train(p, t, "train-mlm") + ["--max-len", "4"],
     # a probe used to train to the end before it found it could not be scored
     "probe with no held-out example": _probe_on_heldout(b""),
     "probe with a held-out example without a tree": _probe_on_heldout(b"A1 B1\tA1 B1\n"),
@@ -601,8 +610,10 @@ BAD_INPUTS = {
 def test_bad_input_is_a_clean_error(pipeline, tmp_path, case):
     assert_clean_error(BAD_INPUTS[case](pipeline, tmp_path))
     assert not (tmp_path / "run" / "checkpoints" / "probe").exists()
-    # settings are checked before the run directory records them
-    assert not (tmp_path / "run" / "resolved-config.txt").exists()
+    # settings are checked before an output directory records them; not
+    # rglob, since _data_with_heldout copies the pipeline's data directory
+    for out in ("run", "d", "proj"):
+        assert not (tmp_path / out / "resolved-config.txt").exists(), out
 
 
 def test_unknown_word_error_names_token_and_position(pipeline, tmp_path, capsys):

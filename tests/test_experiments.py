@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spantree import experiments, trees, treeval
+from spantree import experiments, training, trees, treeval
 from spantree.datasets import (
     DEFAULT_UNSEEN,
     Corpus,
@@ -450,13 +450,13 @@ def test_mlm_accuracy_scores_only_the_first_eval_limit_sentences(monkeypatch):
     wide = Corpus(train=corpus.train, iid_val=iid, cg_test=corpus.cg_test,
                   vocab=corpus.vocab)
     scored = []
-    accuracy = experiments.masked_prediction_accuracy
+    accuracy = training.masked_prediction_accuracy
 
     def recording(m, sentences):
         scored.append(sentences)
         return accuracy(m, sentences)
 
-    monkeypatch.setattr(experiments, "masked_prediction_accuracy", recording)
+    monkeypatch.setattr(training, "masked_prediction_accuracy", recording)
     for k in (1, 3, len(iid)):
         scored.clear()
         result = dynamics_report(series, wide, threshold_mode="fixed", fixed_t=1,
@@ -485,5 +485,21 @@ def test_dynamics_reads_the_mlm_accuracies_training_recorded(tmp_path):
     assert all(info.iid_acc is None and info.cg_acc is None for info in stored)
     result = dynamics_report(stored, corpus, threshold_mode="fixed", fixed_t=1,
                              eval_sentences=2, samples_per_node=2, seed=5, eval_limit=None)
+    assert [(r.iid_acc, r.cg_acc) for r in result.records] == [
+        (info.iid_acc, info.cg_acc) for info in trained]
+
+
+def test_dynamics_rescores_mlm_accuracy_at_the_limit_training_recorded(tmp_path):
+    # the trainer scored up to 256 sentences while dynamics re-scored the
+    # first eval_limit = 200, so a split longer than 200 read two accuracies
+    examples = generate_expressions(2400, depth_range=(1, 3), seed=4, alphabet_size=10)
+    corpus = make_cg_split(examples, DEFAULT_UNSEEN, seed=4, val_frac=0.1)
+    assert len(corpus.iid_val) > training.EVAL_LIMIT
+    config = EncoderConfig(enc_layers=1, dec_layers=0, heads=2, d_model=16, d_ff=32,
+                           vocab_size=0, max_len=24)
+    trained = train_mlm(config, corpus, steps=4, checkpoint_every=2, seed=2, batch_size=8,
+                        base_lr=3e-3, warmup_steps=2, out_dir=str(tmp_path))
+    result = dynamics_report(load_series(str(tmp_path)), corpus, threshold_mode="fixed",
+                             fixed_t=1, eval_sentences=2, samples_per_node=2, seed=5)
     assert [(r.iid_acc, r.cg_acc) for r in result.records] == [
         (info.iid_acc, info.cg_acc) for info in trained]

@@ -38,6 +38,7 @@ from spantree.training import (
     mask_positions,
     masked_prediction_accuracy,
     probe_vocab_for,
+    split_accuracy,
     train_mlm,
     train_probe,
     train_seq2seq,
@@ -230,12 +231,26 @@ def test_train_requires_examples():
         train_seq2seq(tiny_config(), Corpus([], [], [], vocab), steps=1)
 
 
-def test_exact_match_contracts(memorized):
+def test_exact_match_contracts(memorized, monkeypatch):
     corpus, series = memorized
     with pytest.raises(ContractViolation):
         exact_match_accuracy(series[-1].model, [])
-    # limit truncates the evaluated subset
-    assert exact_match_accuracy(series[-1].model, corpus.iid_val, limit=3) == 1.0
+    # split_accuracy scores the first `limit` examples, or None for none
+    model = series[-1].model
+    scored = []
+
+    def recording(m, examples):
+        scored.append(examples)
+        return exact_match_accuracy(m, examples)
+
+    monkeypatch.setattr(training, "exact_match_accuracy", recording)
+    assert split_accuracy(model, corpus.iid_val, limit=3) == 1.0
+    assert split_accuracy(model, corpus.iid_val, limit=None) == 1.0
+    assert scored == [corpus.iid_val[:3], corpus.iid_val]
+    assert split_accuracy(model, []) is None
+    for bad in (0, -1):
+        with pytest.raises(ContractViolation, match="evaluation limit"):
+            split_accuracy(model, corpus.iid_val, limit=bad)
 
 
 def test_exact_match_sorted_chunks_match_given_order(monkeypatch):
@@ -470,7 +485,7 @@ def test_probe_memory_encoded_once_tracks_per_batch_encode():
 
         batches = (np.random.default_rng([0, 3]), len(sources), 16)
         losses[label] = np.array(
-            [loss for _, loss in training._updates(probe, state, batch_loss, batches, 60, [])][1:]
+            [loss for _, loss in training._updates(probe, state, batch_loss, batches, 60, [])]
         )
     assert losses["once"][-1] < losses["once"][0]
     rel = np.abs(losses["once"] - losses["per batch"]) / losses["per batch"]
