@@ -19,7 +19,7 @@ from .experiments import (
 )
 from .numerics import OptimizerState, Tensor, backward, cosine_distance, optimizer_step
 from .projector import ProjectionResult, exact_project, greedy_project, t_score
-from .spanrep import SciChart, Span, build_sci_chart, build_t_mask, context_free_vector, contextual_span_vector
+from .spanrep import SciChart, Span, build_sci_chart, context_free_vector, contextual_span_vector
 from .training import train_mlm, train_probe, train_seq2seq
 from .treeval import corpus_parseval, delinearize, linearize, parseval_f1
 
@@ -43,7 +43,6 @@ __all__ = [
     "assumption_gap",
     "backward",
     "build_sci_chart",
-    "build_t_mask",
     "context_free_vector",
     "contextual_span_vector",
     "corpus_parseval",

@@ -1,11 +1,11 @@
 """Pre-layer-norm transformer encoder-decoder on the float64 tape.
 
-Encoder self-attention accepts an external per-layer boolean mask, which is
-how span-restricted passes are built; ``mask=None`` adds the scalar 0.0 and
-an all-true mask adds a zeros array, so the two produce bit-identical
-output.  Sinusoidal absolute positions are added once at layer 0, so a pass
-over a subset of positions keeps each token's original position simply by
-slicing layer-0 states.
+An encoder pass applies one attention mask at every block; ``mask=None``
+adds the scalar 0.0 and an all-true mask adds a zeros array, so the two
+produce bit-identical output.  ``_additive`` is the one rule that turns
+boolean permissions into 0.0 / ``NEG_MASK``.  Sinusoidal absolute positions
+are added once at layer 0, so a pass over a subset of positions keeps each
+token's original position simply by slicing layer-0 states.
 
 Token ids enter the model one way: ``pad_ids`` builds every (B, n) id batch,
 targets included, and is the one place an empty batch or sentence is refused.
@@ -115,37 +115,38 @@ def sinusoidal_positions(max_len: int, d_model: int) -> Array:
     return table
 
 
-class LayerMask:
-    """Per-encoder-layer boolean attention permissions, allow[layer][q][k].
+def _additive(allow: Array) -> Array:
+    """The additive mask of boolean permissions: 0.0 where ``allow`` holds,
+    ``NEG_MASK`` where it does not."""
+    return np.where(allow, 0.0, NEG_MASK)
 
-    Every row must keep at least one permitted key.  ``additive(i)`` converts
-    a layer to the additive form consumed by masked softmax.
+
+class LayerMask:
+    """Boolean attention permissions allow[q][k] for one sentence, applied
+    at every one of the ``layers`` encoder blocks it was built for.
+
+    Every row must keep at least one permitted key, and a mask needs at
+    least one layer; ``encode`` refuses a mask built for another sentence
+    length or layer count.
     """
 
-    def __init__(self, allow: list[Array]):
-        self.allow = [np.asarray(a, dtype=bool) for a in allow]
-        for i, a in enumerate(self.allow):
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise ContractViolation(f"mask layer {i} is not square: {a.shape}")
-            if a.shape != self.allow[0].shape:
-                raise ContractViolation("mask layers disagree on sentence length")
-            if not a.any(axis=1).all():
-                raise ContractViolation(f"mask layer {i} has a fully masked row")
+    def __init__(self, allow: Array, layers: int):
+        self.allow = np.asarray(allow, dtype=bool)
+        if self.allow.ndim != 2 or self.allow.shape[0] != self.allow.shape[1]:
+            raise ContractViolation(f"mask is not square: {self.allow.shape}")
+        if not self.allow.any(axis=1).all():
+            raise ContractViolation("mask has a fully masked row")
+        if layers < 1:
+            raise ContractViolation(f"a mask needs at least one layer, got {layers}")
+        self.layers = layers
 
     @property
     def n(self) -> int:
-        return self.allow[0].shape[0]
-
-    @property
-    def layers(self) -> int:
-        return len(self.allow)
-
-    def additive(self, layer: int) -> Array:
-        return np.where(self.allow[layer], 0.0, NEG_MASK)
+        return self.allow.shape[0]
 
     @classmethod
     def all_true(cls, n: int, layers: int) -> "LayerMask":
-        return cls([np.ones((n, n), dtype=bool) for _ in range(layers)])
+        return cls(np.ones((n, n), dtype=bool), layers)
 
     @classmethod
     def block_diagonal(cls, boundary: int, n: int, layers: int) -> "LayerMask":
@@ -155,7 +156,7 @@ class LayerMask:
         allow = np.zeros((n, n), dtype=bool)
         allow[:boundary, :boundary] = True
         allow[boundary:, boundary:] = True
-        return cls([allow.copy() for _ in range(layers)])
+        return cls(allow, layers)
 
 
 def pad_ids(rows: list[list[int]], pad: int) -> Array:
@@ -179,7 +180,7 @@ def _segment_additive(query: Array, key: Array, causal: bool = False) -> Array:
     allow = (query[:, :, None] == key[:, None, :]) | (query[:, :, None] < 0)
     if causal:
         allow &= np.tri(query.shape[1], dtype=bool)
-    return np.where(allow, 0.0, NEG_MASK)[:, None]
+    return _additive(allow)[:, None]
 
 
 @dataclass
@@ -461,7 +462,7 @@ class TransformerModel:
     def encoder_states_t(
         self,
         ids: Array,
-        additives: list[Array] | None = None,
+        additive: Array | None = None,
         layer0_delta: Array | None = None,
         upto: int | None = None,
         positions: Array | None = None,
@@ -469,9 +470,10 @@ class TransformerModel:
         """Raw per-layer states for a (B, n) id batch from ``pad_ids``, on the
         tape unless built under ``no_tape``.
 
-        ``additives[i]`` is the additive attention mask of block i, built by
-        ``LayerMask.additive``, ``memory`` or ``pack_pairs`` so that every row
-        keeps a permitted key; None adds the scalar 0.0 (unrestricted).
+        ``additive`` is the one additive attention mask every block applies,
+        built by ``encode`` from a ``LayerMask``, by ``memory`` or by
+        ``pack_pairs`` so that every row keeps a permitted key; None adds the
+        scalar 0.0 (unrestricted).
         ``positions`` are per-token position ids (packed rows restart them at
         each pair); None numbers every row 0..n-1.  ``upto=t``
         stops after block t-1 (None runs every block).  The final layer norm
@@ -488,8 +490,8 @@ class TransformerModel:
         n_blocks = cfg.enc_layers if upto is None else upto
         if not 0 <= n_blocks <= cfg.enc_layers:
             raise ContractViolation(f"upto must lie in [0, {cfg.enc_layers}]")
+        additive = 0.0 if additive is None else additive
         for i in range(n_blocks):
-            additive = 0.0 if additives is None else additives[i]
             states.append(self.encoder_block(i, states[-1], additive))
         return states
 
@@ -504,8 +506,8 @@ class TransformerModel:
         pad = np.asarray(ids) == self.vocab.pad
         if pad.all(axis=-1).any():
             raise ContractViolation("memory: a batch row is all padding")
-        additive = np.where(pad, NEG_MASK, 0.0)[:, None, None, :]
-        states = self.encoder_states_t(ids, [additive] * self.config.enc_layers)
+        additive = _additive(~pad)[:, None, None, :]
+        states = self.encoder_states_t(ids, additive)
         return self.final_norm(states[-1]), additive
 
     def frozen_memory(self, sources: list[list[int]]) -> tuple[Tensor, Array]:
@@ -523,12 +525,12 @@ class TransformerModel:
         """Per-layer hidden states (n, d) for one sentence, layer 0 included,
         the final layer norm applied to the last.
 
-        ``mask`` restricts encoder self-attention per layer; None means
+        ``mask`` restricts encoder self-attention at every block; None means
         unrestricted, and an all-true mask is bit-identical to None.
         """
         ids = pad_ids([tokens], self.vocab.pad)
         n = ids.shape[1]
-        additives = None
+        additive = None
         if mask is not None:
             if mask.n != n:
                 raise ContractViolation(f"mask is for n={mask.n}, sentence has n={n}")
@@ -536,10 +538,10 @@ class TransformerModel:
                 raise ContractViolation(
                     f"mask has {mask.layers} layers, encoder has {self.config.enc_layers}"
                 )
-            additives = [mask.additive(i)[None, None] for i in range(mask.layers)]
+            additive = _additive(mask.allow)[None, None]
         delta = None if layer0_delta is None else np.asarray(layer0_delta)[None]
         with no_tape():
-            states = self.encoder_states_t(ids, additives, delta)
+            states = self.encoder_states_t(ids, additive, delta)
             states[-1] = self.final_norm(states[-1])
         return [s.value[0] for s in states]
 
@@ -587,7 +589,7 @@ class TransformerModel:
         causal = self_additive
         if causal is None:  # a single query row may see every key so far
             causal = (0.0 if nt == 1 else
-                      np.triu(np.full((nt, offset + nt), NEG_MASK), k=offset + 1)[None, None])
+                      _additive(np.tri(nt, offset + nt, k=offset, dtype=bool))[None, None])
         for i in range(cfg.dec_layers):
             h = self._ln(x, f"dec.{i}.ln1")
             kv = cache.extend(i, self._keys_values(f"dec.{i}.self", h))
@@ -611,9 +613,7 @@ class TransformerModel:
         longest pair up to rounding.
         """
         batch = pack_pairs(pairs, self.vocab)
-        states = self.encoder_states_t(
-            batch.src_ids, [batch.enc_additive] * self.config.enc_layers, positions=batch.src_pos
-        )
+        states = self.encoder_states_t(batch.src_ids, batch.enc_additive, positions=batch.src_pos)
         return self.packed_loss(batch, self.final_norm(states[-1]))
 
     def packed_loss(self, batch: PackedBatch, memory: Tensor) -> Tensor:

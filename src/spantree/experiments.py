@@ -87,10 +87,6 @@ def _valid_tuples(n: int, tree) -> list[tuple[tuple[int, int], int, int, int, in
     return out
 
 
-def _final_states(model: TransformerModel, ids, mask, delta=None) -> Array:
-    return model.encode(ids, mask=mask, layer0_delta=delta)[-1]
-
-
 def _relative_difference(mean_ic: float, mean_oc: float) -> float:
     denom = (mean_ic + mean_oc) / 2.0
     if denom == 0.0:
@@ -103,6 +99,7 @@ def _run_arm(
     sentences: list[list[int]],
     sentence_trees: list,
     masks: list[LayerMask | None],
+    clean: list[Array],
     sigma2: float,
     pairs: int,
     rng: np.random.Generator,
@@ -114,9 +111,6 @@ def _run_arm(
             pool.append((s_idx, tup))
     if not pool:
         raise ContractViolation("perturbation analysis found no valid (w, c, k) tuples")
-    clean = {}
-    for s_idx, ids in enumerate(sentences):
-        clean[s_idx] = _final_states(model, ids, masks[s_idx])
     d_ic = np.zeros(pairs)
     d_oc = np.zeros(pairs)
     samples = []
@@ -129,7 +123,7 @@ def _run_arm(
         for arm, j in (("ic", j_in), ("oc", j_out)):
             delta = np.zeros((len(ids), d))
             delta[j] = eps
-            moved = _final_states(model, ids, masks[s_idx], delta)[w]
+            moved = model.encode(ids, mask=masks[s_idx], layer0_delta=delta)[-1][w]
             dist = float(np.linalg.norm(moved - base))
             if arm == "ic":
                 d_ic[p] = dist
@@ -181,16 +175,18 @@ def perturbation_analysis(
     for ids, tree in zip(sentences, sentence_trees):
         trees.validate_tree(tree, len(ids))
 
+    # both arms displace w from the same clean final states
+    clean = [model.encode(ids, mask=mask)[-1] for ids, mask in zip(sentences, masks)]
     rng = np.random.default_rng([seed, 11])
     main, n_main = _run_arm(
-        model, sentences, sentence_trees, masks, sigma2, pairs, rng
+        model, sentences, sentence_trees, masks, clean, sigma2, pairs, rng
     )
     control_rng = np.random.default_rng([seed, 12])
     control_trees = [
         trees.random_tree(len(ids), control_rng) for ids in sentences
     ]
     control, n_control = _run_arm(
-        model, sentences, control_trees, masks, sigma2, pairs, control_rng
+        model, sentences, control_trees, masks, clean, sigma2, pairs, control_rng
     )
     return PerturbationReport(
         main=main,

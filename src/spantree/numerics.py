@@ -348,8 +348,9 @@ def masked_softmax(scores: Tensor, additive: Array | float) -> Tensor:
     Forbidden positions come out with exactly zero probability.  Every row
     must keep a permitted position; the mask builders guarantee it, so it is
     not re-checked here: ``LayerMask`` rejects a fully masked row,
-    ``TransformerModel.memory`` an all-pad row, and a causal mask always
-    permits the diagonal.
+    ``TransformerModel.memory`` an all-pad row, a causal mask always permits
+    the diagonal, and ``pack_pairs``' segment masks let a real query see its
+    own pair and a pad query every key.
     """
     # the ufunc reduces ndarray.max and .sum run, without their Python
     # wrappers.  The scalar 0.0 skips its add: x + 0.0 differs from x only

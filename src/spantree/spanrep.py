@@ -15,7 +15,9 @@ the cached layer-t states into one (n-k+1, k, d) stack whose tails run in a
 single pass, n passes per chart at t < L rather than one per span.
 ``context_free_vector`` recomputes that prefix on every call and runs the
 same tail function on a stack of one, so the chart and a naive per-span
-rebuild agree bit-for-bit.  Both run under ``no_tape``.
+rebuild agree bit-for-bit.  Both run under ``no_tape``.  The paper's literal
+form, a full-length encode under a T-shaped attention mask, is kept as the
+test reference ``tests/helpers.ref_t_mask_vector``.
 
 At t = L with no contextual mask the tail runs no layer, only the final
 norm, so the context-free vector equals the contextual one bit for bit and
@@ -78,26 +80,6 @@ def _pool(vectors: Array, pooling: str) -> Array:
     if pooling == "sum":
         return np.add.reduce(vectors, axis=-2)
     raise ContractViolation(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
-
-
-def build_t_mask(span, t: int, n: int, layers: int) -> LayerMask:
-    """Attention permissions that cut the span off from context at layer t.
-
-    Layers below ``t`` are unrestricted.  At layers >= t the span's rows may
-    attend only within the span; rows outside the span stay unrestricted
-    (their states are irrelevant to the span, which can no longer see them).
-    """
-    span = _as_span(span, n)
-    if not 0 <= t <= layers:
-        raise ContractViolation(f"threshold {t} outside [0, {layers}]")
-    allow = []
-    for layer in range(layers):
-        a = np.ones((n, n), dtype=bool)
-        if layer >= t:
-            a[span.start : span.end + 1, :] = False
-            a[span.start : span.end + 1, span.start : span.end + 1] = True
-        allow.append(a)
-    return LayerMask(allow)
 
 
 def contextual_span_vector(states, span, pooling: str = "mean") -> Array:

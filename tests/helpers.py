@@ -9,7 +9,10 @@ package's incremental one: it recomputes every row's whole prefix at every
 step, finished rows included, on a cache of its own each time.  The
 ``ref_*`` functions keep the kernels' expressions from before they called
 numpy's ufunc reduces directly; the kernels must match them bit for bit.
-``ref_affine`` is a linear layer as two tape nodes, ``ref_target_loss`` is
+``ref_affine`` is a linear layer as two tape nodes.  ``ref_*_additive`` are
+the attention masks' spellings from before one rule built them all, and
+``ref_t_mask_vector`` is the paper's T-masked span vector, the reference for
+the package's span-sliced one.  ``ref_target_loss`` is
 the teacher-forced loss of a batch padded to its longest target and
 ``ref_seq2seq_loss`` runs it on the whole batch padded as one group,
 ``ref_exact_match`` and
@@ -172,6 +175,51 @@ def ref_affine(x, w, b=None):
 
 def ref_pool(vectors, pooling):
     return vectors.mean(axis=-2) if pooling == "mean" else vectors.sum(axis=-2)
+
+
+# ---------------------------------------------------------------------------
+# attention masks
+# ---------------------------------------------------------------------------
+
+
+def ref_causal_additive(nt, offset):
+    """The decoder's causal mask over ``nt`` new queries after ``offset``
+    cached positions, as it was spelled before one rule built every mask."""
+    return np.triu(np.full((nt, offset + nt), nm.NEG_MASK), k=offset + 1)
+
+
+def ref_pad_additive(pad):
+    """``TransformerModel.memory``'s (B, 1, 1, n) mask of a (B, n) pad map."""
+    return np.where(pad, nm.NEG_MASK, 0.0)[:, None, None, :]
+
+
+def ref_segment_additive(query, key, causal=False):
+    """``pack_pairs``' (R, 1, nq, nk) pair mask of per-position pair indices."""
+    allow = (query[:, :, None] == key[:, None, :]) | (query[:, :, None] < 0)
+    if causal:
+        allow &= np.tri(query.shape[1], dtype=bool)
+    return np.where(allow, 0.0, nm.NEG_MASK)[:, None]
+
+
+def ref_t_mask_vector(model, tokens, span, t):
+    """The paper's literal context-free span vector: blocks below ``t`` run
+    unrestricted over the whole sentence, every block from ``t`` up runs over
+    the whole sentence under a T-shaped mask in which the span's rows see
+    only the span (other rows stay unrestricted), then the final norm and a
+    mean over the span's rows."""
+    ids = pad_ids([tokens], model.vocab.pad)
+    n = ids.shape[1]
+    start, end = span
+    allow = np.ones((n, n), dtype=bool)
+    allow[start : end + 1] = False
+    allow[start : end + 1, start : end + 1] = True
+    t_mask_additive = np.where(allow, 0.0, nm.NEG_MASK)[None, None]
+    with nm.no_tape():
+        x = model.encoder_states_t(ids, upto=t)[-1]
+        for i in range(t, model.config.enc_layers):
+            x = model.encoder_block(i, x, t_mask_additive)
+        final = model.final_norm(x).value[0]
+    return final[start : end + 1].mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

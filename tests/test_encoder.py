@@ -21,7 +21,15 @@ from spantree.errors import CheckpointError, ContractViolation
 from spantree.spanrep import build_sci_chart
 from spantree.training import make_mlm_batch, masked_prediction_accuracy
 
-from helpers import fd_grad, full_prefix_greedy, ref_seq2seq_loss, rel_err
+from helpers import (
+    fd_grad,
+    full_prefix_greedy,
+    ref_causal_additive,
+    ref_pad_additive,
+    ref_segment_additive,
+    ref_seq2seq_loss,
+    rel_err,
+)
 
 
 def small_vocab(extra=8):
@@ -123,19 +131,69 @@ def test_sinusoidal_position_reference_values():
 
 def test_layer_mask_contracts():
     with pytest.raises(ContractViolation):
-        LayerMask([np.zeros((3, 3), dtype=bool)])  # fully masked rows
+        LayerMask(np.zeros((3, 3), dtype=bool), 1)  # fully masked rows
     with pytest.raises(ContractViolation):
-        LayerMask([np.ones((3, 2), dtype=bool)])  # not square
+        LayerMask(np.ones((3, 2), dtype=bool), 1)  # not square
     with pytest.raises(ContractViolation):
-        LayerMask([np.ones((3, 3), dtype=bool), np.ones((4, 4), dtype=bool)])
+        LayerMask(np.ones((2, 3, 3), dtype=bool), 2)  # one matrix, not one per layer
+
+
+def test_layer_mask_refuses_zero_layers():
+    for build in (
+        lambda: LayerMask.block_diagonal(2, 4, 0),
+        lambda: LayerMask.all_true(3, 0),
+        lambda: LayerMask(np.ones((3, 3), dtype=bool), -1),
+    ):
+        with pytest.raises(ContractViolation, match="at least one layer"):
+            build()
 
 
 def test_layer_mask_additive_values():
     mask = LayerMask.block_diagonal(2, 4, 1)
-    additive = mask.additive(0)
+    additive = enc._additive(mask.allow)
     assert additive[0, 1] == 0.0
     assert additive[0, 2] == enc.NEG_MASK
     assert mask.n == 4 and mask.layers == 1
+
+
+@pytest.mark.parametrize("kind", ["causal", "pad", "segment"])
+def test_additive_masks_keep_the_earlier_bytes(kind, monkeypatch):
+    """Every mask the model builds through ``_additive`` has the bytes of
+    its earlier spelling."""
+    rng = np.random.default_rng(7)
+    if kind == "causal":
+        # record the self-attention mask decoder_logits hands masked_softmax
+        m = small_model()  # one decoder layer: its first softmax is self-attention
+        seen = []
+        monkeypatch.setattr(enc, "masked_softmax",
+                            lambda s, a: seen.append(a) or nm.masked_softmax(s, a))
+        memory, additive = m.frozen_memory([[5, 6, 7]])
+        for nt in range(2, 9):
+            for offset in range(7):
+                cache = enc.DecoderCache(m, memory, additive)
+                with nm.no_tape():
+                    if offset:
+                        m.decoder_logits(np.full((1, offset), 5), cache)
+                    seen.clear()
+                    m.decoder_logits(np.full((1, nt), 5), cache)
+                assert seen[0].tobytes() == ref_causal_additive(nt, offset)[None, None].tobytes()
+    elif kind == "pad":
+        m = small_model()
+        pad = m.vocab.pad
+        for _ in range(20):
+            lengths = rng.integers(1, 7, size=int(rng.integers(1, 6)))
+            ids = enc.pad_ids([[5] * int(k) for k in lengths], pad)
+            with nm.no_tape():
+                _, additive = m.memory(ids)
+            assert additive.tobytes() == ref_pad_additive(ids == pad).tobytes()
+    else:
+        for seed in range(10):
+            batch = enc.pack_pairs(mirrored_pairs(seed, 12), small_vocab())
+            src, tgt = batch.src_pair, batch.target_pair
+            assert batch.enc_additive.tobytes() == ref_segment_additive(src, src).tobytes()
+            assert (batch.self_additive.tobytes()
+                    == ref_segment_additive(tgt, tgt, causal=True).tobytes())
+            assert batch.cross_additive.tobytes() == ref_segment_additive(tgt, src).tobytes()
 
 
 def test_block_diagonal_boundary_contract():
@@ -362,8 +420,7 @@ def packed_pair_logits(m, pairs, encoder=None):
     assert max(len(set(row[row >= 0].tolist())) for row in batch.target_pair) >= 2
     with nm.no_tape():
         if encoder is None:
-            states = m.encoder_states_t(batch.src_ids, [batch.enc_additive] * m.config.enc_layers,
-                                        positions=batch.src_pos)
+            states = m.encoder_states_t(batch.src_ids, batch.enc_additive, positions=batch.src_pos)
             memory = m.final_norm(states[-1])
         else:
             frozen = training._frozen_batches(encoder, [src for src, _ in pairs])

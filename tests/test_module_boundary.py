@@ -103,3 +103,20 @@ def test_paper_map_names_resolve():
         for path, name in tests:
             source = (ROOT / "tests" / path).read_text(encoding="utf-8")
             assert f"def {name}(" in source, checked
+
+
+def test_export_list_resolves():
+    """``spantree.__all__`` names exactly the public names ``__init__``
+    imports, once each, and every one of them resolves."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    public = sorted(name for name in imported if not name.startswith("_"))
+    assert sorted(spantree.__all__) == public
+    assert len(set(spantree.__all__)) == len(spantree.__all__)
+    for name in spantree.__all__:
+        assert getattr(spantree, name) is not None, name

@@ -14,10 +14,11 @@ from spantree.numerics import cosine_distance
 from spantree.spanrep import (
     Span,
     build_sci_chart,
-    build_t_mask,
     context_free_vector,
     contextual_span_vector,
 )
+
+from helpers import ref_t_mask_vector
 
 
 def make_model(layers=2, d=8, seed=0, max_len=16, heads=2, d_ff=16):
@@ -43,7 +44,7 @@ def naive_chart(model, tokens, t, pooling="mean"):
 
 
 # ---------------------------------------------------------------------------
-# spans and masks
+# spans
 # ---------------------------------------------------------------------------
 
 
@@ -54,36 +55,6 @@ def test_span_validation():
     with pytest.raises(ContractViolation):
         Span(0, 5).validate(5)
     assert Span(1, 3).length == 3
-
-
-def test_t_mask_layout():
-    mask = build_t_mask((1, 2), t=1, n=4, layers=3)
-    # below the cut: unrestricted
-    assert mask.allow[0].all()
-    # at and above the cut: span rows see only the span, outside rows see all
-    for layer in (1, 2):
-        a = mask.allow[layer]
-        assert a[1].tolist() == [False, True, True, False]
-        assert a[2].tolist() == [False, True, True, False]
-        assert a[0].all() and a[3].all()
-
-
-def test_t_mask_extremes():
-    # t = L: no restriction anywhere
-    assert all(a.all() for a in build_t_mask((0, 1), t=2, n=3, layers=2).allow)
-    # t = 0: restricted at every layer
-    assert not any(a.all() for a in build_t_mask((0, 1), t=0, n=3, layers=2).allow)
-    # whole-sentence span: "restriction" is vacuous
-    assert all(a.all() for a in build_t_mask((0, 2), t=0, n=3, layers=2).allow)
-
-
-def test_t_mask_contracts():
-    with pytest.raises(ContractViolation):
-        build_t_mask((0, 1), t=3, n=4, layers=2)
-    with pytest.raises(ContractViolation):
-        build_t_mask((0, 1), t=-1, n=4, layers=2)
-    with pytest.raises(ContractViolation):
-        build_t_mask((0, 4), t=1, n=4, layers=2)
 
 
 # ---------------------------------------------------------------------------
@@ -149,18 +120,22 @@ def test_outside_replacement_matters_above_t0():
 
 
 def test_masked_full_encode_agrees_with_span_slice():
-    """Independent route: a full-length encode under the T-mask, followed by
-    pooling the span positions, computes the same function as the span-sliced
-    tail (same math, different array shapes), so values agree to float noise."""
-    m = make_model(layers=3)
-    tokens = [5, 6, 7, 8, 9, 10]
-    for span in [(1, 3), (0, 0), (2, 5)]:
-        for t in range(0, 4):
-            mask = build_t_mask(span, t, 6, 3)
-            states = m.encode(tokens, mask=mask)
-            via_mask = states[-1][span[0] : span[1] + 1].mean(axis=0)
-            via_slice = context_free_vector(m, tokens, span, t)
-            assert np.allclose(via_mask, via_slice, atol=1e-12)
+    """Independent route: the paper's full-length encode under the T-mask,
+    followed by pooling the span positions, computes the same function as the
+    span-sliced tail (same math, different array shapes), so values agree to
+    float noise, for every span and every threshold."""
+    for layers in (1, 2, 3):
+        for seed in range(3):
+            m = make_model(layers=layers, seed=seed)
+            rng = np.random.default_rng([layers, seed])
+            for n in range(2, 12):
+                tokens = rng.integers(5, 15, size=n).tolist()
+                for i in range(n):
+                    for j in range(i, n):
+                        for t in range(layers + 1):
+                            via_mask = ref_t_mask_vector(m, tokens, (i, j), t)
+                            via_slice = context_free_vector(m, tokens, (i, j), t)
+                            assert np.allclose(via_mask, via_slice, atol=1e-12)
 
 
 def test_context_free_contracts():
