@@ -29,7 +29,7 @@ for trial in range(20):
     n = int(rng.integers(5, 13))
     boundary = int(rng.integers(2, n - 1))
     tokens = rng.integers(5, len(vocab), size=n).tolist()
-    mask = LayerMask.block_diagonal(boundary, n, config.enc_layers)
+    mask = LayerMask.block_diagonal(boundary, n)
     chart = build_sci_chart(model, tokens, t=0, contextual_mask=mask)
     first = greedy_project(chart, rng=trial).split_trace[0]
     ok = first.k == boundary - 1
@@ -43,7 +43,7 @@ print("perturbation arms, 200 pairs, sigma^2 = 0.01:")
 sentences = [rng.integers(5, len(vocab), size=4).tolist() for _ in range(6)]
 report = perturbation_analysis(
     model, sentences, [((0, 1), (2, 3))] * 6, sigma2=0.01, pairs=200, seed=4,
-    masks=[LayerMask.block_diagonal(2, 4, config.enc_layers)] * 6,
+    masks=[LayerMask.block_diagonal(2, 4)] * 6,
 )
 arm = report.main
 print(f"  inside-constituent shift  delta_ic = {arm.delta_ic:.6f}")

@@ -320,7 +320,7 @@ def cmd_chart(args) -> int:
     payload = {
         "n": chart.n,
         "t": chart.threshold,
-        "checkpoint": chart.provenance["checkpoint"],
+        "checkpoint": args.checkpoint,
         "entries": [[i, j, float(chart.values[i, j])] for i, j in chart.spans()],
     }
     _write_json(payload, args.out)
@@ -589,6 +589,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dynamics.add_argument("--probe", action="store_true",
                           help="also train a fresh probe per checkpoint (slow)")
+    dynamics.description = (
+        "Score every checkpoint of a training run.  Accuracies are re-scored on "
+        f"the first --eval-limit examples of each split (default {EVAL_LIMIT}), "
+        "whatever limit train recorded with: pass the --eval-limit that train "
+        "used to report the same accuracies."
+    )
     return parser
 
 

@@ -23,6 +23,7 @@ rest is split 90/10 into train and iid validation.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
 
@@ -316,8 +317,6 @@ SPLIT_FILES = {"train": "train.tsv", "iid_val": "iid_val.tsv", "cg_test": "cg_te
 
 
 def save_corpus(corpus: Corpus, out_dir) -> None:
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     for split, filename in SPLIT_FILES.items():
         write_tsv(corpus.splits()[split], os.path.join(out_dir, filename))
@@ -329,8 +328,6 @@ def load_corpus(data_dir) -> Corpus:
     A data directory that does not exist is an I/O error; one that exists
     but lacks a usable train split is a contract violation.
     """
-    import os
-
     if not os.path.isdir(data_dir):
         raise FileNotFoundError(f"data directory not found: {data_dir}")
     splits = {}

@@ -1,11 +1,13 @@
 """Pre-layer-norm transformer encoder-decoder on the float64 tape.
 
-An encoder pass applies one attention mask at every block; ``mask=None``
-adds the scalar 0.0 and an all-true mask adds a zeros array, so the two
-produce bit-identical output.  ``_additive`` is the one rule that turns
-boolean permissions into 0.0 / ``NEG_MASK``.  Sinusoidal absolute positions
-are added once at layer 0, so a pass over a subset of positions keeps each
-token's original position simply by slicing layer-0 states.
+An encoder pass applies one attention mask at every block, so a
+``LayerMask`` is one boolean matrix and fits an encoder of any depth;
+``mask=None`` adds the scalar 0.0 and an all-true mask adds a zeros array,
+so the two produce bit-identical output.  ``_additive`` is the one rule
+that turns boolean permissions into 0.0 / ``NEG_MASK``.  Sinusoidal
+absolute positions are added once at layer 0, so a pass over a subset of
+positions keeps each token's original position simply by slicing layer-0
+states.
 
 Token ids enter the model one way: ``pad_ids`` builds every (B, n) id batch,
 targets included, and is the one place an empty batch or sentence is refused.
@@ -123,40 +125,36 @@ def _additive(allow: Array) -> Array:
 
 class LayerMask:
     """Boolean attention permissions allow[q][k] for one sentence, applied
-    at every one of the ``layers`` encoder blocks it was built for.
+    at every encoder block.
 
-    Every row must keep at least one permitted key, and a mask needs at
-    least one layer; ``encode`` refuses a mask built for another sentence
-    length or layer count.
+    ``allow`` must be square and keep at least one permitted key in every
+    row; ``encode`` refuses a mask built for another sentence length.
     """
 
-    def __init__(self, allow: Array, layers: int):
+    def __init__(self, allow: Array):
         self.allow = np.asarray(allow, dtype=bool)
         if self.allow.ndim != 2 or self.allow.shape[0] != self.allow.shape[1]:
             raise ContractViolation(f"mask is not square: {self.allow.shape}")
         if not self.allow.any(axis=1).all():
             raise ContractViolation("mask has a fully masked row")
-        if layers < 1:
-            raise ContractViolation(f"a mask needs at least one layer, got {layers}")
-        self.layers = layers
 
     @property
     def n(self) -> int:
         return self.allow.shape[0]
 
     @classmethod
-    def all_true(cls, n: int, layers: int) -> "LayerMask":
-        return cls(np.ones((n, n), dtype=bool), layers)
+    def all_true(cls, n: int) -> "LayerMask":
+        return cls(np.ones((n, n), dtype=bool))
 
     @classmethod
-    def block_diagonal(cls, boundary: int, n: int, layers: int) -> "LayerMask":
+    def block_diagonal(cls, boundary: int, n: int) -> "LayerMask":
         """Two independent segments [0, boundary) and [boundary, n)."""
         if not 0 < boundary < n:
             raise ContractViolation(f"boundary {boundary} outside (0, {n})")
         allow = np.zeros((n, n), dtype=bool)
         allow[:boundary, :boundary] = True
         allow[boundary:, boundary:] = True
-        return cls(allow, layers)
+        return cls(allow)
 
 
 def pad_ids(rows: list[list[int]], pad: int) -> Array:
@@ -319,7 +317,7 @@ def _init_value(name: str, shape: tuple[int, int], rng: np.random.Generator) -> 
         return np.ones(shape)
     if name.endswith(".emb"):
         return rng.normal(0.0, 1.0 / math.sqrt(cols), size=shape)
-    if name.split(".")[-1].startswith("b") or name.endswith(".b"):
+    if name.split(".")[-1].startswith("b"):
         return np.zeros(shape)
     return rng.normal(0.0, math.sqrt(2.0 / (rows + cols)), size=shape)
 
@@ -357,7 +355,6 @@ class TransformerModel:
         self.vocab = vocab
         self.task = task
         self.step = step
-        self.tag = "unsaved"
         self.positions = sinusoidal_positions(config.max_len, config.d_model)
         specs = expected_param_specs(config, task)
         if params is None:
@@ -384,11 +381,9 @@ class TransformerModel:
         params = {
             name: parameter(p.value.copy(), name=name) for name, p in self.params.items()
         }
-        model = TransformerModel(
+        return TransformerModel(
             self.config, self.vocab, self.task, params=params, step=self.step
         )
-        model.tag = self.tag
-        return model
 
     def _p(self, name: str) -> Tensor:
         return self.params[name]
@@ -470,10 +465,11 @@ class TransformerModel:
         """Raw per-layer states for a (B, n) id batch from ``pad_ids``, on the
         tape unless built under ``no_tape``.
 
-        ``additive`` is the one additive attention mask every block applies,
-        built by ``encode`` from a ``LayerMask``, by ``memory`` or by
-        ``pack_pairs`` so that every row keeps a permitted key; None adds the
-        scalar 0.0 (unrestricted).
+        ``additive`` is the one additive attention mask that every block, up
+        to ``upto``, applies; ``encode`` builds it from a ``LayerMask``,
+        ``memory`` from the pad positions and ``pack_pairs`` from the
+        segments, each so that every row keeps a permitted key.  None adds
+        the scalar 0.0 (unrestricted).
         ``positions`` are per-token position ids (packed rows restart them at
         each pair); None numbers every row 0..n-1.  ``upto=t``
         stops after block t-1 (None runs every block).  The final layer norm
@@ -525,8 +521,9 @@ class TransformerModel:
         """Per-layer hidden states (n, d) for one sentence, layer 0 included,
         the final layer norm applied to the last.
 
-        ``mask`` restricts encoder self-attention at every block; None means
-        unrestricted, and an all-true mask is bit-identical to None.
+        ``mask``, a ``LayerMask`` of the sentence's length, restricts encoder
+        self-attention at every block; None means unrestricted, and an
+        all-true mask is bit-identical to None.
         """
         ids = pad_ids([tokens], self.vocab.pad)
         n = ids.shape[1]
@@ -534,10 +531,6 @@ class TransformerModel:
         if mask is not None:
             if mask.n != n:
                 raise ContractViolation(f"mask is for n={mask.n}, sentence has n={n}")
-            if mask.layers != self.config.enc_layers:
-                raise ContractViolation(
-                    f"mask has {mask.layers} layers, encoder has {self.config.enc_layers}"
-                )
             additive = _additive(mask.allow)[None, None]
         delta = None if layer0_delta is None else np.asarray(layer0_delta)[None]
         with no_tape():
@@ -757,7 +750,6 @@ def save_checkpoint(model: TransformerModel, path) -> str:
         for name in names:
             value = np.ascontiguousarray(model.params[name].value, dtype="<f8")
             fh.write(value.tobytes())
-    model.tag = str(path)
     return str(path)
 
 
@@ -855,8 +847,6 @@ def load_checkpoint(path) -> TransformerModel:
         count = entry["rows"] * entry["cols"]
         flat = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         offset += count * 8
-        value = flat.reshape(entry["rows"], entry["cols"]).astype(np.float64)
+        value = flat.reshape(entry["rows"], entry["cols"])
         params[entry["name"]] = parameter(value, name=entry["name"])
-    model = TransformerModel(config, vocab, task, params=params, step=step)
-    model.tag = str(path)
-    return model
+    return TransformerModel(config, vocab, task, params=params, step=step)

@@ -97,7 +97,7 @@ def no_tape():
 
 
 class Tensor:
-    """One tape node: a float64 ndarray plus provenance for backprop.
+    """One tape node: a float64 ndarray plus what backprop needs.
 
     Leaf tensors (parameters, constants) have no parents.  ``grad`` is
     populated by ``backward`` and mirrors ``value``'s shape.  A tensor built

@@ -28,7 +28,7 @@ row-wise norm settles the plain rows and ``cosine_distance`` the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -121,12 +121,13 @@ def context_free_vector(
 
 @dataclass
 class SciChart:
-    """Upper-triangular span chart: values[i, j] = SCI of span (i, j)."""
+    """Upper-triangular span chart of one sentence: values[i, j] = SCI of
+    span (i, j) at threshold ``threshold``.  It holds no checkpoint path or
+    token ids; the caller that built it already has both."""
 
     n: int
     threshold: int
     values: Array
-    provenance: dict = field(default_factory=dict)
 
     def sci(self, i: int, j: int) -> float:
         span = _as_span((i, j), self.n)
@@ -197,10 +198,5 @@ def build_sci_chart(
             values[starts, starts + k - 1] = [
                 cosine_distance(c, f) for c, f in zip(contextual, context_free)
             ]
-    return SciChart(
-        n=n,
-        threshold=t,
-        values=values,
-        provenance={"checkpoint": model.tag, "sentence": ids[0].tolist()},
-    )
+    return SciChart(n=n, threshold=t, values=values)
 

@@ -20,21 +20,20 @@ OPEN, CLOSE = "(", ")"
 
 
 def parseval_f1(pred, gold, include_root: bool = True) -> tuple[float, float, float]:
-    """(precision, recall, F1) of predicted vs gold brackets for one sentence."""
-    n_pred, n_gold = trees.leaf_count(pred), trees.leaf_count(gold)
-    if n_pred != n_gold:
-        raise ContractViolation(f"leaf count mismatch: pred {n_pred} vs gold {n_gold}")
-    p = trees.brackets(pred, include_root)
-    g = trees.brackets(gold, include_root)
-    return _prf(len(p & g), len(p), len(g))
+    """(precision, recall, F1) of predicted vs gold brackets for one sentence:
+    ``corpus_parseval`` of the one pair."""
+    return corpus_parseval([(pred, gold)], include_root)
 
 
 def corpus_parseval(pairs, include_root: bool = True) -> tuple[float, float, float]:
     """Micro-averaged (precision, recall, F1) over (pred, gold) tree pairs."""
     matched = n_pred = n_gold = 0
-    for pred, gold in pairs:
-        if trees.leaf_count(pred) != trees.leaf_count(gold):
-            raise ContractViolation("leaf count mismatch inside corpus")
+    for i, (pred, gold) in enumerate(pairs):
+        leaves_pred, leaves_gold = trees.leaf_count(pred), trees.leaf_count(gold)
+        if leaves_pred != leaves_gold:
+            raise ContractViolation(
+                f"leaf count mismatch in pair {i}: pred {leaves_pred} vs gold {leaves_gold}"
+            )
         p = trees.brackets(pred, include_root)
         g = trees.brackets(gold, include_root)
         matched += len(p & g)

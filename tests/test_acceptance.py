@@ -391,7 +391,6 @@ def test_criterion_07_block_diagonal_oracle(capfd):
     with criterion(7, capfd):
         model = fresh_model(n_tokens=25, enc_layers=2, d_model=24, heads=2,
                             max_len=16, seed=11)
-        layers = model.config.enc_layers
         v = len(model.vocab)
         rng = np.random.default_rng(77)
         hits = 0
@@ -399,7 +398,7 @@ def test_criterion_07_block_diagonal_oracle(capfd):
             n = int(rng.integers(5, 13))
             boundary = int(rng.integers(2, n - 1))
             tokens = rng.integers(RESERVED, v, size=n).tolist()
-            mask = LayerMask.block_diagonal(boundary, n, layers)
+            mask = LayerMask.block_diagonal(boundary, n)
             chart = build_sci_chart(model, tokens, t=0, contextual_mask=mask)
             hits += greedy_project(chart, rng=trial).split_trace[0].k == boundary - 1
         assert hits == 20
@@ -410,7 +409,7 @@ def test_criterion_07_block_diagonal_oracle(capfd):
         rng2 = np.random.default_rng(8)
         sentences = [rng2.integers(RESERVED, pv, size=4).tolist() for _ in range(6)]
         gold = [((0, 1), (2, 3))] * 6
-        masks = [LayerMask.block_diagonal(2, 4, 2)] * 6
+        masks = [LayerMask.block_diagonal(2, 4)] * 6
         report = perturbation_analysis(
             probe, sentences, gold, sigma2=0.01, pairs=200, seed=4, masks=masks,
         )

@@ -109,6 +109,7 @@ def test_chart_command_json(pipeline, tmp_path):
     ])
     n = len(first.source)
     assert payload["n"] == n and payload["t"] == 1
+    assert payload["checkpoint"] == pipeline["ckpt"]
     assert len(payload["entries"]) == n * (n + 1) // 2
     assert all(0.0 <= v <= 2.0 for _, _, v in payload["entries"])
     out = tmp_path / "chart.json"

@@ -96,7 +96,7 @@ def test_hard_partitioned_encoder_shields_the_other_block():
     sents = [["a", "b", "c", "d"], ["c", "d", "e", "f"], ["f", "a", "b", "e"]]
     ids = [model.vocab.encode(s) for s in sents]
     gold = [((0, 1), (2, 3))] * 3
-    masks = [LayerMask.block_diagonal(2, 4, model.config.enc_layers)] * 3
+    masks = [LayerMask.block_diagonal(2, 4)] * 3
     report = perturbation_analysis(
         model, ids, gold, sigma2=0.01, pairs=200, seed=0, masks=masks
     )

@@ -224,7 +224,7 @@ def test_chart_scale_invariance():
 def test_chart_contextual_mask_route():
     m = make_model(layers=2)
     tokens = [5, 6, 7, 8]
-    mask = LayerMask.block_diagonal(2, 4, 2)
+    mask = LayerMask.block_diagonal(2, 4)
     chart = build_sci_chart(m, tokens, t=0, contextual_mask=mask)
     # contextual side now comes from the masked encode
     masked_states = m.encode(tokens, mask=mask)
@@ -234,7 +234,7 @@ def test_chart_contextual_mask_route():
     )
     assert chart.sci(0, 1) == expected
     with pytest.raises(ContractViolation):
-        build_sci_chart(m, tokens, t=0, contextual_mask=LayerMask.all_true(3, 2))
+        build_sci_chart(m, tokens, t=0, contextual_mask=LayerMask.all_true(3))
 
 
 def test_chart_contracts():
@@ -250,11 +250,9 @@ def test_chart_contracts():
         chart.sci(0, 2)
 
 
-def test_chart_provenance_and_spans():
+def test_chart_spans():
     m = make_model(layers=2)
     chart = build_sci_chart(m, [5, 6, 7], t=1)
-    assert chart.provenance["checkpoint"] == "unsaved"
-    assert chart.provenance["sentence"] == [5, 6, 7]
     assert list(chart.spans()) == [
         Span(0, 0), Span(0, 1), Span(0, 2), Span(1, 1), Span(1, 2), Span(2, 2),
     ]

@@ -58,6 +58,10 @@ def test_precision_recall_swap_under_argument_swap():
 def test_leaf_count_mismatch_rejected():
     with pytest.raises(ContractViolation):
         treeval.parseval_f1((0, 1), ((0, 1), 2))
+    # a corpus names the mismatched pair and both leaf counts
+    pairs = [(((0, 1), 2), ((0, 1), 2)), ((0, 1), ((0, 1), 2))]
+    with pytest.raises(ContractViolation, match=r"in pair 1: pred 2 vs gold 3$"):
+        treeval.corpus_parseval(pairs)
 
 
 def test_corpus_is_micro_averaged():
