@@ -87,6 +87,44 @@ DEFAULTS = {
 # Each key's type is its default's: config values and flags are cast to it.
 CASTERS = {key: type(value) for key, value in DEFAULTS.items()}
 
+# Each key's meaning; its flag's help text adds the default.
+HELP = {
+    "seed": f"top-level seed, expanded per component; without the flag, {SEED_ENV} "
+            "or the config file sets it",
+    "steps": "training steps",
+    "checkpoint_every": "steps between saved checkpoints",
+    "batch_size": "examples per training batch",
+    "lr": "peak learning rate",
+    "warmup": "learning-rate warmup steps",
+    "weight_decay": "AdamW weight decay",
+    "d_model": "model width",
+    "heads": "attention heads per layer",
+    "enc_layers": "encoder layers",
+    "dec_layers": "decoder layers",
+    "d_ff": "feed-forward width",
+    "max_len": "longest sequence the model takes, in tokens",
+    "count": "expressions to generate",
+    "depth_min": "smallest expression depth",
+    "depth_max": "largest expression depth",
+    "alphabet": "distinct leaf symbols",
+    "val_frac": "fraction of the seen examples held out as iid validation",
+    "threshold": "SCI threshold t: layers from t up see only the span",
+    "mode": "tree projection, greedy or exact",
+    "samples_per_node": "random split points per node in the t-score baseline",
+    "pairs": "sampled perturbation pairs",
+    "sigma2": "variance of the added noise",
+    "span_samples": "spans sampled per sentence",
+    "eval_limit": "examples scored per split for accuracy",
+    "eval_sentences": "iid validation sentences charted per checkpoint",
+    "tune_sentences": "train sentences used to tune the threshold",
+    "probe_steps": "bracketing probe training steps",
+    "fixed_t": "threshold when --threshold-mode is fixed",
+    "sentences": "iid validation sentences analysed",
+    "index": "which input sentence to chart, counted from 0",
+    "mask_frac": "fraction of tokens masked per sentence",
+    "threshold_mode": "fixed, or tuned per checkpoint by parseval or score",
+}
+
 
 def component_seed(seed: int, name: str) -> int:
     """Stable per-component seed derived from the top-level seed."""
@@ -532,7 +570,8 @@ def cmd_dynamics(args) -> int:
 def _add_settings_flags(parser: argparse.ArgumentParser, keys: list[str]) -> None:
     for key in keys:
         flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, dest=key, type=CASTERS[key], default=None)
+        parser.add_argument(flag, dest=key, type=CASTERS[key], default=None,
+                            help=f"{HELP[key]} (default {DEFAULTS[key]})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -542,50 +581,62 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, keys, **paths):
+    def command(name, func, keys, **flags):
         """Subparser with --config, one flag per settings key (``keys`` is
-        space-separated) and the given path arguments."""
+        space-separated) and one flag per further argument, each given as
+        its ``add_argument`` keywords."""
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key = value settings file")
         _add_settings_flags(p, keys.split())
-        for flag, kwargs in paths.items():
+        for flag, kwargs in flags.items():
             p.add_argument("--" + flag.replace("_", "-"), **kwargs)
         p.set_defaults(func=func, settings_keys=keys.split())
         return p
 
-    required = {"required": True}
+    def required(text):
+        return {"required": True, "help": text}
+
+    checkpoint = required("checkpoint directory")
+    data = required("corpus directory written by gen-data")
+    run_dir = required("run directory: checkpoints/ and reports/ go under it")
+    sentence = {"default": None, "help": "one sentence of space-separated tokens"}
     command("gen-data", cmd_gen_data, "seed count depth_min depth_max alphabet val_frac",
-            out=required)
+            out=required("directory to write the corpus to"))
     train_keys = ("seed steps checkpoint_every batch_size lr warmup weight_decay "
                   "d_model heads enc_layers d_ff max_len")
     command("train", cmd_train, train_keys + " dec_layers eval_limit",
-            data=required, run_dir=required)
+            data=data, run_dir=run_dir)
     command("train-mlm", cmd_train_mlm, train_keys + " mask_frac",
-            data=required, run_dir=required)
-    chart = command("chart", cmd_chart, "threshold index",
-                    checkpoint=required, out={"default": None})
-    chart.add_argument("--input", default=None)
-    chart.add_argument("--sentence", default=None, help="space-separated tokens")
-    project = command("project", cmd_project, "seed threshold mode samples_per_node",
-                      checkpoint=required, out_dir=required)
-    project.add_argument("--input", default=None)
-    project.add_argument("--sentence", default=None, help="space-separated tokens")
+            data=data, run_dir=run_dir)
+    tsv_input = {"default": None, "help": "TSV file of sentences (or --sentence)"}
+    command("chart", cmd_chart, "threshold index", checkpoint=checkpoint,
+            out={"default": None, "help": "JSON file to write (default stdout)"},
+            input=tsv_input, sentence=sentence)
+    command("project", cmd_project, "seed threshold mode samples_per_node",
+            checkpoint=checkpoint,
+            out_dir=required("directory for trees.sexpr and scores.json"),
+            input=tsv_input, sentence=sentence)
     eval_trees = sub.add_parser("eval-trees")
-    eval_trees.add_argument("--pred", required=True)
-    eval_trees.add_argument("--gold", required=True)
-    eval_trees.add_argument("--exclude-root", action="store_true")
+    eval_trees.add_argument("--pred", required=True,
+                            help="predicted trees, one s-expression per line")
+    eval_trees.add_argument("--gold", required=True,
+                            help="gold trees, in the same order as --pred")
+    eval_trees.add_argument("--exclude-root", action="store_true",
+                            help="leave each whole-sentence bracket out of the scores")
     eval_trees.set_defaults(func=cmd_eval_trees)
     command("probe", cmd_probe, "seed probe_steps batch_size lr warmup",
-            checkpoint=required, data=required, run_dir=required)
+            checkpoint=required("encoder checkpoint to probe"), data=data, run_dir=run_dir)
+    csv_out = required("CSV file to write")
     command("perturb", cmd_perturb, "seed pairs sigma2 sentences",
-            checkpoint=required, data=required, out=required)
+            checkpoint=checkpoint, data=data, out=csv_out)
     command("gap", cmd_gap, "seed span_samples sentences",
-            checkpoint=required, data=required, out=required)
+            checkpoint=checkpoint, data=data, out=csv_out)
     dynamics = command(
         "dynamics", cmd_dynamics,
         "seed threshold_mode fixed_t eval_sentences tune_sentences samples_per_node "
         "eval_limit probe_steps",
-        run_dir=required, data=required,
+        run_dir=required("training run directory: reads checkpoints/, writes reports/"),
+        data=data,
     )
     dynamics.add_argument("--probe", action="store_true",
                           help="also train a fresh probe per checkpoint (slow)")

@@ -640,26 +640,51 @@ class TransformerModel:
 
     # -- decoding ----------------------------------------------------------
 
-    def greedy_decode(self, sources: list[list[int]], max_new: int) -> list[list[int]]:
-        """Batched argmax decoding until EOS (ties take the lowest id)."""
-        return self.decode_with_memory(*self.frozen_memory(sources), max_new)
+    def greedy_decode(
+        self, sources: list[list[int]], max_new: int, targets: list[list[int]] | None = None
+    ) -> list[list[int]]:
+        """Batched argmax decoding until EOS (ties take the lowest id); with
+        ``targets``, a row also stops at its first wrong token, as in
+        ``decode_with_memory``."""
+        return self.decode_with_memory(*self.frozen_memory(sources), max_new, targets)
 
     def decode_with_memory(
-        self, memory: Tensor, cross_additive: Array, max_new: int
+        self,
+        memory: Tensor,
+        cross_additive: Array,
+        max_new: int,
+        targets: list[list[int]] | None = None,
     ) -> list[list[int]]:
-        """Argmax decoding from BOS, off the tape; each row's tokens before
-        its first EOS.
+        """Argmax decoding from BOS, off the tape, for at most
+        ``min(max_new, max_len - 1)`` steps; each row's tokens before its
+        first EOS.
 
         Each step feeds only the newest token of each live row through
         ``decoder_logits``.  A row that emits EOS leaves the live set: its
         cache rows are dropped, and since a stacked matmul computes each
         batch item on its own, the rows that remain keep their exact bits.
+
+        ``targets`` (one id list per row, without EOS) serve exact match: a
+        row also leaves at its first token that differs from its target
+        followed by EOS, and its decode ends with that token.  A row that
+        never differs decodes exactly as it would without targets, so a
+        decode equals its target exactly when the untargeted decode does.
         """
+        rows = memory.value.shape[0]
+        if max_new < 1:
+            raise ContractViolation(f"decode: max_new must be >= 1, got {max_new}")
+        if targets is not None and len(targets) != rows:
+            raise ContractViolation(f"decode: {len(targets)} targets for {rows} rows")
         eos = self.vocab.eos
         steps = min(max_new, self.config.max_len - 1)
-        tokens = np.full((memory.value.shape[0], steps), eos, dtype=np.int64)
-        live = np.arange(memory.value.shape[0])
-        last = np.full((live.size, 1), self.vocab.bos, dtype=np.int64)
+        tokens = np.full((rows, steps), eos, dtype=np.int64)
+        if targets is not None:
+            # -1 past a target's end: a row there leaves at EOS or any token
+            expected = np.full((rows, steps), -1, dtype=np.int64)
+            for row, target in enumerate(targets):
+                expected[row, : min(len(target), steps)] = target[:steps]
+        live = np.arange(rows)
+        last = np.full((rows, 1), self.vocab.bos, dtype=np.int64)
         with no_tape():
             cache = DecoderCache(self, memory, cross_additive)
             for step in range(steps):
@@ -667,14 +692,15 @@ class TransformerModel:
                 last = logits.value[:, -1:, :].argmax(axis=-1)
                 tokens[live, step] = last[:, 0]
                 going = last[:, 0] != eos
+                if targets is not None:
+                    going &= last[:, 0] == expected[live, step]
                 if not going.all():
                     if not going.any():
                         break
                     keep = np.flatnonzero(going)
                     live, last = live[keep], last[keep]
                     cache.keep(keep)
-        rows = tokens.tolist()
-        return [row[: row.index(eos)] if eos in row else row for row in rows]
+        return [row[: row.index(eos)] if eos in row else row for row in tokens.tolist()]
 
 
 class DecoderCache:

@@ -223,7 +223,9 @@ def exact_match_accuracy(model: TransformerModel, examples: list[TransductionExa
     ``max_new`` is fixed on all the examples, which are then decoded in
     ``_length_chunks``.  The count does not depend on the order.  A decode
     can move by rounding only, since the padding a row's memory shares with
-    its chunk changes.
+    its chunk changes.  Each row is decoded against its target and stops at
+    its first wrong token, after which it cannot match; a row that can still
+    match decodes exactly as it would to EOS, so no count changes.
     """
     if not examples:
         raise ContractViolation("exact_match_accuracy: empty evaluation split")
@@ -232,10 +234,10 @@ def exact_match_accuracy(model: TransformerModel, examples: list[TransductionExa
     correct = 0
     for chunk in _length_chunks([len(ex.source) for ex in examples]):
         batch = [examples[i] for i in chunk]
-        decoded = model.greedy_decode([vocab.encode(ex.source) for ex in batch], max_new)
-        for out, ex in zip(decoded, batch):
-            if out == vocab.encode(ex.target):
-                correct += 1
+        targets = [vocab.encode(ex.target) for ex in batch]
+        decoded = model.greedy_decode([vocab.encode(ex.source) for ex in batch], max_new,
+                                      targets)
+        correct += sum(out == target for out, target in zip(decoded, targets))
     return correct / len(examples)
 
 

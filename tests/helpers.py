@@ -246,6 +246,17 @@ def ref_seq2seq_loss(model, pairs):
     return ref_target_loss(model, memory, additive, [t for _, t in pairs])
 
 
+def ref_cut_decode(full, target, eos):
+    """A decode run to EOS cut after its first token that differs from
+    ``target`` followed by EOS: what decoding against ``target`` returns.
+    A decode that never differs (it equals the target, or it ran out of
+    steps on a prefix of it) is returned whole."""
+    for k, (got, want) in enumerate(zip(full + [eos], target + [eos])):
+        if got != want:
+            return full[: k + 1]
+    return full
+
+
 def ref_exact_match(model, examples):
     """Exact-match accuracy and every example's greedy decode, decoding
     chunks of ``EVAL_CHUNK`` examples in the order given."""

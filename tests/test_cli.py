@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline plus settings-resolution rules."""
 
+import argparse
 import contextlib
 import inspect
 import io
@@ -15,6 +16,7 @@ import pytest
 from spantree import datasets, treeval
 from spantree.cli import (
     DEFAULTS,
+    HELP,
     build_parser,
     component_seed,
     main,
@@ -222,6 +224,25 @@ def test_probe_defaults_match_the_cli():
     for param, key in (("steps", "probe_steps"), ("batch_size", "batch_size"),
                        ("base_lr", "lr"), ("warmup_steps", "warmup")):
         assert params[param].default == DEFAULTS[key], param
+
+
+def test_every_flag_has_help_text(capsys):
+    # each settings key has one meaning, and every subcommand's --help
+    # explains each flag it lists, a settings flag with its default
+    assert HELP.keys() == DEFAULTS.keys()
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    for name, parser in commands.choices.items():
+        with pytest.raises(SystemExit) as stop:
+            main([name, "--help"])
+        assert stop.value.code == 0
+        shown = "".join(capsys.readouterr().out.split())
+        for action in parser._actions:
+            where = (name, action.option_strings)
+            assert action.help, where
+            assert "".join(action.help.split()) in shown, where
+            if action.dest in DEFAULTS:
+                assert action.help == f"{HELP[action.dest]} (default {DEFAULTS[action.dest]})"
 
 
 def test_perturb_command(pipeline, tmp_path):

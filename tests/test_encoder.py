@@ -25,6 +25,7 @@ from helpers import (
     fd_grad,
     full_prefix_greedy,
     ref_causal_additive,
+    ref_cut_decode,
     ref_pad_additive,
     ref_segment_additive,
     ref_seq2seq_loss,
@@ -535,6 +536,69 @@ def test_probe_decode_matches_full_prefix_oracle(arch):
     assert len(lengths) > 2, lengths
 
 
+def targets_for(outs, rng, vocab_size, eos):
+    """Targets that each full decode in ``outs`` meets differently: equal to
+    it, one token changed, cut short, or one token longer."""
+    targets = []
+    for i, out in enumerate(outs):
+        kind = i % 4
+        if kind == 0 or (kind in (1, 2) and not out):
+            targets.append(list(out))
+        elif kind == 1:
+            target = list(out)
+            pos = int(rng.integers(len(out)))
+            target[pos] = next(t for t in range(5, vocab_size) if t not in (out[pos], eos))
+            targets.append(target)
+        elif kind == 2:
+            targets.append(out[: int(rng.integers(len(out)))])
+        else:
+            targets.append(out + [int(rng.integers(5, vocab_size))])
+    return targets
+
+
+@pytest.mark.parametrize("arch", sorted(DECODE_ARCHS))
+def test_targeted_decode_is_the_full_decode_cut_at_its_first_wrong_token(arch):
+    # rows leave at different steps: at EOS, at a wrong token, or at the end
+    # of the budget; each row's decode is the untargeted one, cut after its
+    # first token that differs from target + EOS
+    leave_lengths = set()
+    for seed in range(4):
+        for eos_bias in (0.0, 0.5, 1.0):
+            m = decode_model(arch, seed, eos_bias)
+            sources = mixed_sources(seed)
+            rng = np.random.default_rng(seed)
+            for max_new in (6, 50):
+                full = m.greedy_decode(sources, max_new)
+                targets = targets_for(full, rng, len(m.vocab), m.vocab.eos)
+                got = m.greedy_decode(sources, max_new, targets)
+                want = [ref_cut_decode(out, t, m.vocab.eos) for out, t in zip(full, targets)]
+                assert got == want, (seed, eos_bias, max_new)
+                leave_lengths.update(len(o) for o, f in zip(got, full) if o != f)
+    assert len(leave_lengths) > 3, leave_lengths
+
+
+def test_targeted_decode_edge_cases():
+    # some rows emit EOS first, others run all 6 = max_new steps with no EOS
+    m = decode_model("small", 0, 0.5)
+    sources = mixed_sources(0)
+    full = m.greedy_decode(sources, 6)
+    empty, whole = full.index([]), next(i for i, o in enumerate(full) if len(o) == 6)
+
+    def decode(row, target):
+        targets = [list(o) for o in full]
+        targets[row] = target
+        return m.greedy_decode(sources, 6, targets)[row]
+
+    # a target of exactly max_new tokens matches with no EOS after it
+    assert decode(whole, full[whole]) == full[whole]
+    # a target longer than max_new never matches, and the decode stops at the budget
+    assert decode(whole, full[whole] + [5]) == full[whole]
+    # an empty target matches only a row whose first token is EOS
+    assert decode(empty, []) == []
+    assert decode(whole, []) == full[whole][:1]
+    assert decode(empty, [5]) == []
+
+
 @pytest.mark.parametrize("arch", sorted(DECODE_ARCHS))
 def test_cached_step_logits_match_full_prefix(arch):
     # each cached step computes one position per row; its logits equal the
@@ -598,6 +662,15 @@ def test_pad_ids_is_the_one_padding_rule():
         lambda: make_mlm_batch(rng, [[5, 6], []], m.vocab),
     ):
         with pytest.raises(ContractViolation, match="empty"):
+            refused()
+    # so does a decode of no steps or with one target per row too few or many
+    for refused, message in (
+        (lambda: m.greedy_decode([[5]], 0), "max_new must be >= 1"),
+        (lambda: m.greedy_decode([[5]], -1), "max_new must be >= 1"),
+        (lambda: m.greedy_decode([[5], [6]], 4, [[5]]), "1 targets for 2 rows"),
+        (lambda: m.greedy_decode([[5]], 4, [[5], [6]]), "2 targets for 1 rows"),
+    ):
+        with pytest.raises(ContractViolation, match=message):
             refused()
 
 

@@ -11,7 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import ref_affine, ref_evaluate_probe, ref_exact_match, ref_target_loss
+from helpers import (
+    ref_affine,
+    ref_cut_decode,
+    ref_evaluate_probe,
+    ref_exact_match,
+    ref_target_loss,
+)
 from spantree import training, treeval, trees
 from spantree.datasets import (
     DEFAULT_UNSEEN,
@@ -258,8 +264,8 @@ def test_exact_match_sorted_chunks_match_given_order(monkeypatch):
     # gives every example the decode it gets in chunks taken in given order
     examples = generate_expressions(150, depth_range=(1, 3), seed=5, alphabet_size=6)
     vocab = Vocab(t for ex in examples for t in ex.source + ex.target)
+    # most rows emit EOS first, the others run 2-18 tokens
     model = TransformerModel(tiny_config(vocab_size=len(vocab), max_len=40), vocab, rng=5)
-    model.params["out.b"].value[0, vocab.eos] += 2.0  # rows stop after a few tokens
     _, decodes = ref_exact_match(model, examples)
     # every third example whose decode stopped short becomes its own target,
     # so the count is neither 0 nor all; max_new is unchanged
@@ -274,8 +280,8 @@ def test_exact_match_sorted_chunks_match_given_order(monkeypatch):
     calls = []
     original = TransformerModel.greedy_decode
 
-    def recorded(self, sources, max_new):
-        outs = original(self, sources, max_new)
+    def recorded(self, sources, max_new, targets):
+        outs = original(self, sources, max_new, targets)
         calls.append(list(zip(map(tuple, sources), map(tuple, outs))))
         return outs
 
@@ -285,8 +291,14 @@ def test_exact_match_sorted_chunks_match_given_order(monkeypatch):
     got = [row for call in calls for row in call]
     lengths = [len(source) for source, _ in got]
     assert lengths == sorted(lengths)
+    # each row stops at its first wrong token; the decode of a row that
+    # matches is the whole decode of the in-order reference
+    cut = [ref_cut_decode(out, vocab.encode(ex.target), vocab.eos)
+           for ex, out in zip(examples, want)]
+    assert sum(c != out for c, out in zip(cut, want)) > 20
+    assert any(out and out == vocab.encode(ex.target) for ex, out in zip(examples, want))
     assert sorted(got) == sorted(
-        (tuple(vocab.encode(ex.source)), tuple(out)) for ex, out in zip(examples, want)
+        (tuple(vocab.encode(ex.source)), tuple(c)) for ex, c in zip(examples, cut)
     )
 
 
