@@ -33,8 +33,8 @@ echo "== how often do the two parsers agree?"
 spantree eval-trees --pred "$OUT/proj-greedy/trees.sexpr" \
     --gold "$OUT/proj-exact/trees.sexpr"
 
-echo "== per-checkpoint dynamics"
+echo "== per-checkpoint dynamics (accuracies at the --eval-limit train recorded)"
 spantree dynamics --run-dir "$OUT/run" --data "$OUT/data" \
-    --fixed-t 1 --eval-sentences 8 --samples-per-node 2 --eval-limit 20 --seed 1
+    --fixed-t 1 --eval-sentences 8 --samples-per-node 2 --seed 1
 
 echo "done; see $OUT/"

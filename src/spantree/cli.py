@@ -3,8 +3,11 @@
 One executable, ten subcommands covering the pipeline: generate data, train
 (transduction or masked-token), dump SCI charts, project trees, score trees,
 train the bracketing probe, and run the perturbation / span-gap / dynamics
-analyses.  Settings resolve in three layers: built-in defaults, then a flat
-``key = value`` config file (unknown keys rejected), then command-line flags.
+analyses.  Each setting has one entry in ``SETTINGS``, its default and
+meaning.  ``main`` resolves the subcommand's settings once, in three layers:
+built-in defaults, then a flat ``key = value`` config file (unknown keys
+rejected), then command-line flags; ``dynamics`` puts the ``eval_limit``
+that ``train`` recorded in the run directory between the first two.
 The single top-level seed (flag > SPANTREE_SEED env > config > default) is
 expanded per component through sha256.  ``gen-data``, ``train``,
 ``train-mlm``, ``project`` and ``probe`` write the fully resolved settings
@@ -48,81 +51,44 @@ log = logging.getLogger("spantree.cli")
 
 SEED_ENV = "SPANTREE_SEED"
 
-DEFAULTS = {
-    "seed": 0,
-    "steps": 3000,
-    "checkpoint_every": 200,
-    "batch_size": 32,
-    "lr": 3e-4,
-    "warmup": 300,
-    "weight_decay": 0.01,
-    "d_model": 64,
-    "heads": 4,
-    "enc_layers": 2,
-    "dec_layers": 2,
-    "d_ff": 256,
-    "max_len": 64,
-    "count": 3000,
-    "depth_min": 1,
-    "depth_max": 3,
-    "alphabet": 20,
-    "val_frac": 0.1,
-    "threshold": 1,
-    "mode": "greedy",
-    "samples_per_node": 4,
-    "pairs": 500,
-    "sigma2": 0.01,
-    "span_samples": 50,
-    "eval_limit": EVAL_LIMIT,
-    "eval_sentences": 40,
-    "tune_sentences": 16,
-    "probe_steps": 1500,
-    "fixed_t": 1,
-    "sentences": 40,
-    "index": 0,
-    "mask_frac": 0.15,
-    "threshold_mode": "fixed",
-}
-
-# Each key's type is its default's: config values and flags are cast to it.
-CASTERS = {key: type(value) for key, value in DEFAULTS.items()}
-
-# Each key's meaning; its flag's help text adds the default.
-HELP = {
-    "seed": f"top-level seed, expanded per component; without the flag, {SEED_ENV} "
-            "or the config file sets it",
-    "steps": "training steps",
-    "checkpoint_every": "steps between saved checkpoints",
-    "batch_size": "examples per training batch",
-    "lr": "peak learning rate",
-    "warmup": "learning-rate warmup steps",
-    "weight_decay": "AdamW weight decay",
-    "d_model": "model width",
-    "heads": "attention heads per layer",
-    "enc_layers": "encoder layers",
-    "dec_layers": "decoder layers",
-    "d_ff": "feed-forward width",
-    "max_len": "longest sequence the model takes, in tokens",
-    "count": "expressions to generate",
-    "depth_min": "smallest expression depth",
-    "depth_max": "largest expression depth",
-    "alphabet": "distinct leaf symbols",
-    "val_frac": "fraction of the seen examples held out as iid validation",
-    "threshold": "SCI threshold t: layers from t up see only the span",
-    "mode": "tree projection, greedy or exact",
-    "samples_per_node": "random split points per node in the t-score baseline",
-    "pairs": "sampled perturbation pairs",
-    "sigma2": "variance of the added noise",
-    "span_samples": "spans sampled per sentence",
-    "eval_limit": "examples scored per split for accuracy",
-    "eval_sentences": "iid validation sentences charted per checkpoint",
-    "tune_sentences": "train sentences used to tune the threshold",
-    "probe_steps": "bracketing probe training steps",
-    "fixed_t": "threshold when --threshold-mode is fixed",
-    "sentences": "iid validation sentences analysed",
-    "index": "which input sentence to chart, counted from 0",
-    "mask_frac": "fraction of tokens masked per sentence",
-    "threshold_mode": "fixed, or tuned per checkpoint by parseval or score",
+# Each settings key's default and meaning.  The default's type is the key's:
+# config values and flags are cast to it.  A flag's help text is the meaning
+# followed by the default.
+SETTINGS = {
+    "seed": (0, f"top-level seed, expanded per component; without the flag, {SEED_ENV} "
+                "or the config file sets it"),
+    "steps": (3000, "training steps"),
+    "checkpoint_every": (200, "steps between saved checkpoints"),
+    "batch_size": (32, "examples per training batch"),
+    "lr": (3e-4, "peak learning rate"),
+    "warmup": (300, "learning-rate warmup steps"),
+    "weight_decay": (0.01, "AdamW weight decay"),
+    "d_model": (64, "model width"),
+    "heads": (4, "attention heads per layer"),
+    "enc_layers": (2, "encoder layers"),
+    "dec_layers": (2, "decoder layers"),
+    "d_ff": (256, "feed-forward width"),
+    "max_len": (64, "longest sequence the model takes, in tokens"),
+    "count": (3000, "expressions to generate"),
+    "depth_min": (1, "smallest expression depth"),
+    "depth_max": (3, "largest expression depth"),
+    "alphabet": (20, "distinct leaf symbols"),
+    "val_frac": (0.1, "fraction of the seen examples held out as iid validation"),
+    "threshold": (1, "SCI threshold t: layers from t up see only the span"),
+    "mode": ("greedy", "tree projection, greedy or exact"),
+    "samples_per_node": (4, "random split points per node in the t-score baseline"),
+    "pairs": (500, "sampled perturbation pairs"),
+    "sigma2": (0.01, "variance of the added noise"),
+    "span_samples": (50, "spans sampled per sentence"),
+    "eval_limit": (EVAL_LIMIT, "examples scored per split for accuracy"),
+    "eval_sentences": (40, "iid validation sentences charted per checkpoint"),
+    "tune_sentences": (16, "train sentences used to tune the threshold"),
+    "probe_steps": (1500, "bracketing probe training steps"),
+    "fixed_t": (1, "threshold when --threshold-mode is fixed"),
+    "sentences": (40, "iid validation sentences analysed"),
+    "index": (0, "which input sentence to chart, counted from 0"),
+    "mask_frac": (0.15, "fraction of tokens masked per sentence"),
+    "threshold_mode": ("fixed", "fixed, or tuned per checkpoint by parseval or score"),
 }
 
 
@@ -132,9 +98,9 @@ def component_seed(seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; blank lines and # comments allowed."""
-    values = {}
+def _config_lines(path: str):
+    """``(lineno, key, value)`` per ``key = value`` line of a flat settings
+    file; blank lines and # comments allowed."""
     for lineno, raw in numbered_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -142,24 +108,46 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ContractViolation(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in CASTERS:
+        yield lineno, key.strip(), value.strip()
+
+
+def _cast(path: str, lineno: int, key: str, value: str):
+    try:
+        return type(SETTINGS[key][0])(value)
+    except ValueError as exc:
+        raise ContractViolation(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+
+
+def parse_config_file(path: str) -> dict:
+    """Flat ``key = value`` lines; blank lines and # comments allowed."""
+    values = {}
+    for lineno, key, value in _config_lines(path):
+        if key not in SETTINGS:
             raise ContractViolation(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = CASTERS[key](value)
-        except ValueError as exc:
-            raise ContractViolation(
-                f"{path}:{lineno}: bad value for {key}: {value!r}"
-            ) from exc
+        values[key] = _cast(path, lineno, key, value)
     return values
+
+
+def _recorded_eval_limit(run_dir: str) -> dict:
+    """``{"eval_limit": N}`` from the ``resolved-config.txt`` that ``train``
+    wrote in ``run_dir``, or {} without that file or line (a ``train-mlm``
+    run scores at ``EVAL_LIMIT``).  No other key is read, so a record
+    written by another version still loads."""
+    path = os.path.join(run_dir, "resolved-config.txt")
+    if not os.path.exists(path):
+        return {}
+    return {key: _cast(path, lineno, key, value)
+            for lineno, key, value in _config_lines(path) if key == "eval_limit"}
 
 
 def resolve_settings(args: argparse.Namespace) -> dict:
     """The subcommand's settings (``args.settings_keys``, stored by
-    ``build_parser``): defaults < config file < flags; seed: flag > env >
-    config > default."""
+    ``build_parser``): defaults < the eval limit a ``dynamics`` run recorded
+    < config file < flags; seed: flag > env > config > default."""
     wanted = args.settings_keys
-    settings = {key: DEFAULTS[key] for key in wanted}
+    settings = {key: SETTINGS[key][0] for key in wanted}
+    if args.command == "dynamics":
+        settings.update(_recorded_eval_limit(args.run_dir))
     from_file = parse_config_file(args.config) if getattr(args, "config", None) else {}
     for key in wanted:
         if key in from_file:
@@ -227,13 +215,27 @@ def _encoder_config(s: dict, dec_layers: int | None = None) -> EncoderConfig:
     )
 
 
+def _trainer_args(args, s: dict) -> dict:
+    """The trainer arguments ``train`` and ``train-mlm`` share; the run's
+    settings are recorded once the trainer has checked them."""
+    return {
+        "steps": s["steps"],
+        "checkpoint_every": s["checkpoint_every"],
+        "batch_size": s["batch_size"],
+        "base_lr": s["lr"],
+        "warmup_steps": s["warmup"],
+        "weight_decay": s["weight_decay"],
+        "out_dir": os.path.join(args.run_dir, "checkpoints"),
+        "on_start": lambda: write_resolved(args.run_dir, s),
+    }
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_data(args) -> int:
-    s = resolve_settings(args)
+def cmd_gen_data(args, s) -> int:
     examples = datasets.generate_expressions(
         s["count"],
         depth_range=(s["depth_min"], s["depth_max"]),
@@ -260,22 +262,14 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    s = resolve_settings(args)
+def cmd_train(args, s) -> int:
     corpus = datasets.load_corpus(args.data)
     series = train_seq2seq(
         _encoder_config(s),
         corpus,
-        steps=s["steps"],
-        checkpoint_every=s["checkpoint_every"],
         seed=component_seed(s["seed"], "train"),
-        batch_size=s["batch_size"],
-        base_lr=s["lr"],
-        warmup_steps=s["warmup"],
-        weight_decay=s["weight_decay"],
         eval_limit=s["eval_limit"],
-        out_dir=os.path.join(args.run_dir, "checkpoints"),
-        on_start=lambda: write_resolved(args.run_dir, s),
+        **_trainer_args(args, s),
     )
     final = series[-1]
     payload = {
@@ -290,22 +284,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_train_mlm(args) -> int:
-    s = resolve_settings(args)
+def cmd_train_mlm(args, s) -> int:
     corpus = datasets.load_corpus(args.data)
     series = train_mlm(
         _encoder_config(s, dec_layers=0),
         corpus,
-        steps=s["steps"],
-        checkpoint_every=s["checkpoint_every"],
         seed=component_seed(s["seed"], "train-mlm"),
-        batch_size=s["batch_size"],
-        base_lr=s["lr"],
-        warmup_steps=s["warmup"],
-        weight_decay=s["weight_decay"],
         mask_frac=s["mask_frac"],
-        out_dir=os.path.join(args.run_dir, "checkpoints"),
-        on_start=lambda: write_resolved(args.run_dir, s),
+        **_trainer_args(args, s),
     )
     final = series[-1]
     _write_json(
@@ -347,8 +333,7 @@ def _input_sentences(args, vocab) -> list[tuple[list[str], list[int]]]:
     ]
 
 
-def cmd_chart(args) -> int:
-    s = resolve_settings(args)
+def cmd_chart(args, s) -> int:
     model = load_checkpoint(args.checkpoint)
     sentences = _input_sentences(args, model.vocab)
     if not 0 <= s["index"] < len(sentences):
@@ -365,8 +350,7 @@ def cmd_chart(args) -> int:
     return 0
 
 
-def cmd_project(args) -> int:
-    s = resolve_settings(args)
+def cmd_project(args, s) -> int:
     if s["mode"] not in ("greedy", "exact"):
         raise ContractViolation(f"--mode must be greedy or exact, got {s['mode']!r}")
     model = load_checkpoint(args.checkpoint)
@@ -406,7 +390,7 @@ def cmd_project(args) -> int:
     return 0
 
 
-def cmd_eval_trees(args) -> int:
+def cmd_eval_trees(args, s) -> int:
     pred = treeval.load_trees(args.pred)
     gold = treeval.load_trees(args.gold)
     if not gold:
@@ -431,8 +415,7 @@ def cmd_eval_trees(args) -> int:
     return 0
 
 
-def cmd_probe(args) -> int:
-    s = resolve_settings(args)
+def cmd_probe(args, s) -> int:
     encoder = load_checkpoint(args.checkpoint)
     corpus = datasets.load_corpus(args.data)
     result = train_probe(
@@ -468,8 +451,7 @@ def _first_sentences(items: list, count: int) -> list:
     return items[:count]
 
 
-def cmd_perturb(args) -> int:
-    s = resolve_settings(args)
+def cmd_perturb(args, s) -> int:
     model = load_checkpoint(args.checkpoint)
     corpus = datasets.load_corpus(args.data)
     examples = _first_sentences(
@@ -502,8 +484,7 @@ def cmd_perturb(args) -> int:
     return 0
 
 
-def cmd_gap(args) -> int:
-    s = resolve_settings(args)
+def cmd_gap(args, s) -> int:
     model = load_checkpoint(args.checkpoint)
     corpus = datasets.load_corpus(args.data)
     sentences = [ex.source for ex in _first_sentences(corpus.iid_val, s["sentences"])]
@@ -531,8 +512,7 @@ def cmd_gap(args) -> int:
     return 0
 
 
-def cmd_dynamics(args) -> int:
-    s = resolve_settings(args)
+def cmd_dynamics(args, s) -> int:
     if args.probe and s["probe_steps"] < 1:
         raise ContractViolation(f"--probe needs probe_steps >= 1, got {s['probe_steps']}")
     corpus = datasets.load_corpus(args.data)
@@ -569,9 +549,9 @@ def cmd_dynamics(args) -> int:
 
 def _add_settings_flags(parser: argparse.ArgumentParser, keys: list[str]) -> None:
     for key in keys:
-        flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, dest=key, type=CASTERS[key], default=None,
-                            help=f"{HELP[key]} (default {DEFAULTS[key]})")
+        default, meaning = SETTINGS[key]
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                            default=None, help=f"{meaning} (default {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -623,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="gold trees, in the same order as --pred")
     eval_trees.add_argument("--exclude-root", action="store_true",
                             help="leave each whole-sentence bracket out of the scores")
-    eval_trees.set_defaults(func=cmd_eval_trees)
+    eval_trees.set_defaults(func=cmd_eval_trees, settings_keys=[])
     command("probe", cmd_probe, "seed probe_steps batch_size lr warmup",
             checkpoint=required("encoder checkpoint to probe"), data=data, run_dir=run_dir)
     csv_out = required("CSV file to write")
@@ -642,9 +622,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also train a fresh probe per checkpoint (slow)")
     dynamics.description = (
         "Score every checkpoint of a training run.  Accuracies are re-scored on "
-        f"the first --eval-limit examples of each split (default {EVAL_LIMIT}), "
-        "whatever limit train recorded with: pass the --eval-limit that train "
-        "used to report the same accuracies."
+        "the first --eval-limit examples of each split.  Without the flag or a "
+        "--config value, that is the limit train recorded in the run's "
+        f"resolved-config.txt, or {EVAL_LIMIT} if it recorded none."
     )
     return parser
 
@@ -655,7 +635,7 @@ def main(argv=None) -> int:
     )
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, resolve_settings(args))
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -103,6 +103,13 @@ class Corpus:
         return {"train": self.train, "iid_val": self.iid_val, "cg_test": self.cg_test}
 
 
+def _corpus(train, iid_val, cg_test) -> Corpus:
+    """The three splits under one vocabulary, built from the train split's
+    sources and targets only."""
+    vocab = Vocab(t for ex in train for t in ex.source + ex.target)
+    return Corpus(train=train, iid_val=iid_val, cg_test=cg_test, vocab=vocab)
+
+
 # ---------------------------------------------------------------------------
 # generation
 # ---------------------------------------------------------------------------
@@ -242,7 +249,7 @@ def make_cg_split(
     """Hold out examples whose outermost (parent, child-head) pair is unseen.
 
     The remainder is shuffled deterministically and split into train and iid
-    validation.  The vocabulary is built from train sources and targets only.
+    validation.  The vocabulary comes from train only, as in ``load_corpus``.
     """
     if not 0 <= val_frac < 1:
         raise ContractViolation(f"val_frac must lie in [0, 1), got {val_frac}")
@@ -262,8 +269,7 @@ def make_cg_split(
     iid_val = [kept[i] for i in range(len(kept)) if i in val_idx]
     if not train:
         raise ContractViolation("holdout left the train split empty")
-    vocab = Vocab(t for ex in train for t in ex.source + ex.target)
-    return Corpus(train=train, iid_val=iid_val, cg_test=held, vocab=vocab)
+    return _corpus(train, iid_val, held)
 
 
 DEFAULT_UNSEEN = (("repeat", "reverse"), ("append", "shift"))
@@ -336,5 +342,4 @@ def load_corpus(data_dir) -> Corpus:
         splits[split] = load_tsv(path) if os.path.exists(path) else []
     if not splits["train"]:
         raise ContractViolation(f"no train examples found under {data_dir}")
-    vocab = Vocab(t for ex in splits["train"] for t in ex.source + ex.target)
-    return Corpus(vocab=vocab, **splits)
+    return _corpus(**splits)

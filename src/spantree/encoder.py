@@ -459,35 +459,29 @@ class TransformerModel:
         ids: Array,
         additive: Array | None = None,
         layer0_delta: Array | None = None,
-        upto: int | None = None,
         positions: Array | None = None,
     ) -> list[Tensor]:
         """Raw per-layer states for a (B, n) id batch from ``pad_ids``, on the
         tape unless built under ``no_tape``.
 
-        ``additive`` is the one additive attention mask that every block, up
-        to ``upto``, applies; ``encode`` builds it from a ``LayerMask``,
+        ``additive`` is the one additive attention mask that every block
+        applies; ``encode`` builds it from a ``LayerMask``,
         ``memory`` from the pad positions and ``pack_pairs`` from the
         segments, each so that every row keeps a permitted key.  None adds
         the scalar 0.0 (unrestricted).
         ``positions`` are per-token position ids (packed rows restart them at
-        each pair); None numbers every row 0..n-1.  ``upto=t``
-        stops after block t-1 (None runs every block).  The final layer norm
-        is never applied here: callers that read final states apply
+        each pair); None numbers every row 0..n-1.  The final layer norm is
+        never applied here: callers that read final states apply
         ``final_norm`` to the last entry.
         """
-        cfg = self.config
         if self.task == "probe":
             raise ContractViolation("probe models have no encoder")
         ids = np.asarray(ids)
         if ids.ndim != 2:
             raise ContractViolation("encoder expects a (batch, length) id array")
         states = [self.embed_source(ids, layer0_delta, positions)]
-        n_blocks = cfg.enc_layers if upto is None else upto
-        if not 0 <= n_blocks <= cfg.enc_layers:
-            raise ContractViolation(f"upto must lie in [0, {cfg.enc_layers}]")
         additive = 0.0 if additive is None else additive
-        for i in range(n_blocks):
+        for i in range(self.config.enc_layers):
             states.append(self.encoder_block(i, states[-1], additive))
         return states
 

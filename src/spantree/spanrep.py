@@ -114,7 +114,7 @@ def context_free_vector(
     if not 0 <= t <= model.config.enc_layers:
         raise ContractViolation(f"threshold {t} outside [0, {model.config.enc_layers}]")
     with no_tape():
-        prefix = model.encoder_states_t(ids, None, upto=t)[-1].value
+        prefix = model.encoder_states_t(ids, None)[t].value
         tail = _span_tails(model, prefix[:, span.start : span.end + 1], t)
     return _pool(tail, pooling)[0]
 

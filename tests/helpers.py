@@ -215,7 +215,7 @@ def ref_t_mask_vector(model, tokens, span, t):
     allow[start : end + 1, start : end + 1] = True
     t_mask_additive = np.where(allow, 0.0, nm.NEG_MASK)[None, None]
     with nm.no_tape():
-        x = model.encoder_states_t(ids, upto=t)[-1]
+        x = model.encoder_states_t(ids)[t]
         for i in range(t, model.config.enc_layers):
             x = model.encoder_block(i, x, t_mask_additive)
         final = model.final_norm(x).value[0]

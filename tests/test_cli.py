@@ -13,13 +13,13 @@ import sys
 import numpy as np
 import pytest
 
-from spantree import datasets, treeval
+from spantree import cli, datasets, treeval
 from spantree.cli import (
-    DEFAULTS,
-    HELP,
+    SETTINGS,
     build_parser,
     component_seed,
     main,
+    parse_config_file,
     resolve_settings,
 )
 from spantree.encoder import load_checkpoint
@@ -223,13 +223,12 @@ def test_probe_defaults_match_the_cli():
     params = inspect.signature(train_probe).parameters
     for param, key in (("steps", "probe_steps"), ("batch_size", "batch_size"),
                        ("base_lr", "lr"), ("warmup_steps", "warmup")):
-        assert params[param].default == DEFAULTS[key], param
+        assert params[param].default == SETTINGS[key][0], param
 
 
 def test_every_flag_has_help_text(capsys):
-    # each settings key has one meaning, and every subcommand's --help
-    # explains each flag it lists, a settings flag with its default
-    assert HELP.keys() == DEFAULTS.keys()
+    # every subcommand's --help explains each flag it lists, a settings flag
+    # with its meaning and default
     (commands,) = [action for action in build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction)]
     for name, parser in commands.choices.items():
@@ -241,8 +240,9 @@ def test_every_flag_has_help_text(capsys):
             where = (name, action.option_strings)
             assert action.help, where
             assert "".join(action.help.split()) in shown, where
-            if action.dest in DEFAULTS:
-                assert action.help == f"{HELP[action.dest]} (default {DEFAULTS[action.dest]})"
+            if action.dest in SETTINGS:
+                default, meaning = SETTINGS[action.dest]
+                assert action.help == f"{meaning} (default {default})"
 
 
 def test_perturb_command(pipeline, tmp_path):
@@ -310,6 +310,35 @@ def test_dynamics_without_cg_split_leaves_cg_cells_empty(pipeline, tmp_path, com
     assert all(row.split(",")[4] for row in rows)
 
 
+def test_dynamics_rescores_at_the_eval_limit_train_recorded(tmp_path, monkeypatch):
+    # train scores each checkpoint on the first --eval-limit examples of a
+    # split; dynamics without the flag re-scores at that recorded limit, so
+    # it reports the accuracies train did (at 200 it read 0.4 here, not 0.75)
+    data, run = str(tmp_path / "data"), str(tmp_path / "run")
+    run_json(["gen-data", "--out", data, "--count", "300", "--depth-min", "1",
+              "--depth-max", "2", "--alphabet", "4", "--seed", "0"])
+    train = run_json([
+        "train", "--data", data, "--run-dir", run, "--steps", "400",
+        "--checkpoint-every", "200", "--batch-size", "16", "--d-model", "32",
+        "--heads", "2", "--enc-layers", "1", "--dec-layers", "1", "--d-ff", "64",
+        "--max-len", "32", "--lr", "0.003", "--warmup", "20", "--eval-limit", "4",
+        "--seed", "0",
+    ])
+    limits = []
+
+    def spy(*args, **kwargs):
+        limits.append(kwargs["eval_limit"])
+        return dynamics_report(*args, **kwargs)
+
+    dynamics_report = cli.dynamics_report
+    monkeypatch.setattr(cli, "dynamics_report", spy)
+    payload = run_json(["dynamics", "--run-dir", run, "--data", data,
+                        "--eval-sentences", "2", "--tune-sentences", "2", "--fixed-t", "1"])
+    assert limits == [4]
+    last = open(payload["csv"]).read().splitlines()[-1].split(",")
+    assert [float(last[4]), float(last[5])] == [train["final_iid_acc"], train["final_cg_acc"]]
+
+
 # ---------------------------------------------------------------------------
 # settings resolution
 # ---------------------------------------------------------------------------
@@ -374,6 +403,64 @@ def test_env_seed_equivalent_to_flag(tmp_path, monkeypatch):
               "--depth-min", "1", "--depth-max", "2"])
     read = lambda d: open(os.path.join(d, "train.tsv"), "rb").read()
     assert read(a) == read(b)
+
+
+def test_dynamics_eval_limit_precedence(tmp_path, capsys):
+    # flag > --config > the limit the run recorded > 200
+    run = tmp_path / "run"
+    run.mkdir()
+    record = run / "resolved-config.txt"
+    cfg = tmp_path / "limit.cfg"
+    cfg.write_text("eval_limit = 3\n")
+    argv = ["dynamics", "--run-dir", str(run), "--data", str(tmp_path / "data")]
+
+    def limit(*extra):
+        return resolve_settings(parse(argv + list(extra)))["eval_limit"]
+
+    assert limit() == 200  # no record
+    record.write_text("mask_frac = 0.15\nsteps = 2\n")  # train-mlm records no limit
+    assert limit() == 200
+    # only eval_limit is read: a key this version lacks does not stop it
+    record.write_text("bogus = 1\neval_limit = 4\nlr = 0.001\n")
+    assert limit() == 4
+    assert limit("--config", str(cfg)) == 3
+    assert limit("--config", str(cfg), "--eval-limit", "2") == 2
+    record.write_text("seed = 0\neval_limit = four\n")
+    rc, _ = run_cli(argv)
+    assert rc == 1
+    assert f"error: {record}:2: bad value for eval_limit" in capsys.readouterr().err
+
+
+def test_resolved_config_round_trips(pipeline, tmp_path, monkeypatch):
+    # each resolved-config.txt parses back to the settings that were written
+    written = {}
+
+    def spy(run_dir, settings):
+        written[run_dir] = dict(settings)
+        write_resolved(run_dir, settings)
+
+    write_resolved = cli.write_resolved
+    monkeypatch.setattr(cli, "write_resolved", spy)
+    data, ckpt = pipeline["data"], pipeline["ckpt"]
+    model = ["--steps", "2", "--checkpoint-every", "1", "--batch-size", "4",
+             "--d-model", "16", "--heads", "2", "--enc-layers", "1", "--d-ff", "32",
+             "--max-len", "32", "--lr", "0.001", "--weight-decay", "0.02", "--seed", "3"]
+    for argv in (
+        ["gen-data", "--out", str(tmp_path / "data"), "--count", "40", "--val-frac", "0.15",
+         "--depth-min", "1", "--depth-max", "2"],
+        ["train", "--data", data, "--run-dir", str(tmp_path / "train"), "--eval-limit", "4",
+         "--dec-layers", "1", *model],
+        ["train-mlm", "--data", data, "--run-dir", str(tmp_path / "mlm"),
+         "--mask-frac", "0.2", *model],
+        ["project", "--checkpoint", ckpt, "--input", os.path.join(data, "iid_val.tsv"),
+         "--out-dir", str(tmp_path / "project"), "--mode", "exact", "--threshold", "0"],
+        ["probe", "--checkpoint", ckpt, "--data", data, "--run-dir", str(tmp_path / "probe"),
+         "--probe-steps", "2", "--batch-size", "4", "--lr", "0.002", "--warmup", "1"],
+    ):
+        run_json(argv)
+    assert len(written) == 5
+    for run_dir, settings in written.items():
+        assert parse_config_file(os.path.join(run_dir, "resolved-config.txt")) == settings
 
 
 def test_component_seed_frozen_values():
