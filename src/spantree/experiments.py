@@ -516,6 +516,11 @@ def dynamics_report(
     eval_examples = corpus.iid_val[:eval_sentences]
     if not eval_examples:
         raise ContractViolation("dynamics_report: empty iid-val split")
+    if threshold_mode != "fixed" and not corpus.train:
+        raise ContractViolation(
+            f"dynamics_report: empty train split, so {threshold_mode} mode has no "
+            "sentences to tune the threshold on"
+        )
     records = []
     for info in series:
         model = info.model

@@ -12,18 +12,21 @@ Because the restricted part of the computation touches only span positions,
 a sentence's whole chart shares one unrestricted prefix: the full per-layer
 states are computed once, and the spans of each length k are gathered from
 the cached layer-t states into one (n-k+1, k, d) stack whose tails run in a
-single pass, n passes per chart at t < L rather than one per span.
+single pass, n - 1 passes per chart at t < L rather than one per span.
 ``context_free_vector`` recomputes that prefix on every call and runs the
 same tail function on a stack of one, so the chart and a naive per-span
 rebuild agree bit-for-bit.  Both run under ``no_tape``.  The paper's literal
 form, a full-length encode under a T-shaped attention mask, is kept as the
 test reference ``tests/helpers.ref_t_mask_vector``.
 
-At t = L with no contextual mask the tail runs no layer, only the final
-norm, so the context-free vector equals the contextual one bit for bit and
-every entry is ``cosine_distance(v, v)``: 0.0, or 1.0 for a near-zero norm,
-or a ContractViolation for a non-finite v.  That chart runs no tail pass; a
-row-wise norm settles the plain rows and ``cosine_distance`` the rest.
+With no contextual mask, a span whose context-free side is its contextual
+side runs no tail: its entry is ``cosine_distance(v, v)``, that is 0.0, or
+1.0 for a near-zero norm, or a ContractViolation for a non-finite v, and a
+row-wise norm settles the plain rows and ``cosine_distance`` the rest.  That
+holds for every span at t = L, where the tail runs no layer, only the final
+norm; and for the whole sentence at every t, whose tail runs the unrestricted
+pass's own blocks on its own layer-t states, so the chart's one pass already
+holds its context-free vector.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ Array = np.ndarray
 
 POOLINGS = ("mean", "sum")
 
-# Rows of a t = L chart whose row-wise norm lies below this many times
-# DEGENERATE_NORM go through cosine_distance itself.
+# Rows read off the contextual side whose row-wise norm lies below this many
+# times DEGENERATE_NORM go through cosine_distance itself.
 _NEAR_DEGENERATE = 4.0
 
 
@@ -166,12 +169,14 @@ def build_sci_chart(
     The full per-layer states are computed once; for each length k the
     context-free tails of all n-k+1 spans run as one stack gathered from the
     cached layer-t states, so per-span work is O((L-t) * |span|^2 * d) rather
-    than a full re-encode, in n tail passes.  At t = L without
-    ``contextual_mask`` the chart is read off the contextual side in closed
-    form (see the module docstring).  ``contextual_mask`` optionally
-    restricts the *contextual* side's encode (used by the synthetic
-    two-segment analyses); the context-free side always uses the
-    unrestricted prefix.
+    than a full re-encode, in n - 1 tail passes.  Without
+    ``contextual_mask``, a span whose context-free side is its contextual
+    side (every span at t = L, the whole sentence at every t) runs no tail
+    and its entry is read off the contextual side (see the module
+    docstring).  ``contextual_mask`` optionally restricts the *contextual*
+    side's encode (used by the synthetic two-segment analyses); the
+    context-free side always uses the unrestricted prefix, and then every
+    span, the whole sentence too, runs its tail.
     """
     ids = pad_ids([tokens], model.vocab.pad)
     n = ids.shape[1]
@@ -179,7 +184,6 @@ def build_sci_chart(
     if not 0 <= t <= layers:
         raise ContractViolation(f"threshold {t} outside [0, {layers}]")
     values = np.zeros((n, n))
-    closed_form = t == layers and contextual_mask is None
     with no_tape():
         raw = model.encoder_states_t(ids, None)
         prefix = raw[t].value[0]
@@ -191,7 +195,7 @@ def build_sci_chart(
             starts = np.arange(n - k + 1)
             windows = starts[:, None] + np.arange(k)
             contextual = _pool(final[windows], pooling)
-            if closed_form:
+            if contextual_mask is None and (t == layers or k == n):
                 values[starts, starts + k - 1] = _self_distances(contextual)
                 continue
             context_free = _pool(_span_tails(model, prefix[windows], t), pooling)

@@ -1,5 +1,6 @@
 """Perturbation study, repeated-span gap, and dynamics-report behavior."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -402,6 +403,70 @@ def test_dynamics_contracts():
                        vocab=corpus.vocab)
     with pytest.raises(ContractViolation):
         dynamics_report(series, empty_val, threshold_mode="fixed", fixed_t=1)
+
+
+def frozen_dynamics_series():
+    """Three seeded checkpoints at the benchmark's architecture and splits of
+    1-12 tokens, so one- and two-token charts are scored too.  Recorded
+    accuracies keep the report to its charts; no decode runs."""
+    words = [f"w{i}" for i in range(12)]
+    vocab = Vocab(words)
+    config = EncoderConfig(enc_layers=2, dec_layers=1, heads=4, d_model=32, d_ff=128,
+                           vocab_size=len(vocab), max_len=40)
+    rng = np.random.default_rng(25)
+
+    def split(lengths):
+        out = []
+        for n in lengths:
+            tokens = [words[i] for i in rng.integers(0, len(words), size=n)]
+            out.append(TransductionExample(tokens, tokens, trees.random_tree(n, rng)))
+        return out
+
+    corpus = Corpus(train=split((1, 2, 3, 5, 8, 12)), iid_val=split((1, 2, 4, 6, 9, 12)),
+                    cg_test=split((3,)), vocab=vocab)
+    series = [
+        CheckpointInfo(step=100 * i, model=TransformerModel(config, vocab, "seq2seq", rng=25 + i),
+                       iid_acc=0.1 * i, cg_acc=0.05 * (i * i % 3))
+        for i in range(3)
+    ]
+    return corpus, series
+
+
+# sha256 of the dynamics CSV bytes and the correlations' repr, per threshold
+# mode, recorded before the whole-sentence span stopped running a tail pass.
+# The naive-route criteria compare two routes through the same kernels, so
+# only a frozen record catches a change that moves the report on both.
+FROZEN_DYNAMICS_SHA256 = {
+    "parseval": "af915d837cba9475529faf6094fd502cbd6266b7936697736a7b9ecf468ad16d",
+    "score": "7c057379792cc4fab14a87e5c1054b3e8999576dad5ba6c0befbc98c640819ae",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(FROZEN_DYNAMICS_SHA256))
+def test_dynamics_report_frozen_bytes(mode, tmp_path):
+    corpus, series = frozen_dynamics_series()
+    result = dynamics_report(series, corpus, threshold_mode=mode, eval_sentences=6,
+                             tune_sentences=6, samples_per_node=2, seed=25)
+    path = tmp_path / "dynamics.csv"
+    write_dynamics_csv(result.records, str(path))
+    digest = hashlib.sha256(path.read_bytes())
+    digest.update(repr(sorted(result.correlations.items())).encode())
+    assert digest.hexdigest() == FROZEN_DYNAMICS_SHA256[mode]
+
+
+@pytest.mark.parametrize("mode", ["parseval", "score"])
+def test_tuning_on_an_empty_train_split_is_refused_by_name(mode):
+    # the tuning slice was empty, yet the error blamed t_score's chart count
+    # in one mode and missing gold trees in the other
+    _, corpus, series = dynamics_fixture()
+    no_train = Corpus(train=[], iid_val=corpus.iid_val, cg_test=corpus.cg_test,
+                      vocab=corpus.vocab)
+    with pytest.raises(ContractViolation, match="empty train split"):
+        dynamics_report(series, no_train, threshold_mode=mode, eval_sentences=2,
+                        samples_per_node=2, seed=0)
+    # a fixed threshold tunes nothing, so it needs no train split
+    dynamics_report(series, no_train, threshold_mode="fixed", fixed_t=1,
+                    eval_sentences=2, samples_per_node=2, seed=0)
 
 
 def test_correlations_need_three_points():

@@ -266,26 +266,30 @@ def test_chart_from_model_with_nan_parameter_raises():
             build_sci_chart(m, [5, 6, 7], t=t)
 
 
-def test_chart_t_equals_l_with_zero_final_norm_matches_naive(caplog):
+def test_chart_with_zero_final_norm_matches_naive_at_every_t(caplog):
     # a zero final-norm gain and bias make every span vector zero: each
-    # entry is the degenerate-norm 1.0, and the warning is logged once
+    # entry is the degenerate-norm 1.0, and the warning is logged once; at
+    # t < L the whole-sentence entry is read off the contextual side
     m = make_model(layers=2)
     m.params["enc.ln_f.g"].value[:] = 0.0
     m.params["enc.ln_f.b"].value[:] = 0.0
     tokens = [5, 6, 7, 8, 9]
-    numerics.reset_degenerate_warning()
-    with caplog.at_level(logging.WARNING, logger="spantree.numerics"):
-        chart = build_sci_chart(m, tokens, t=2)
-    hits = [r for r in caplog.records if "near-zero norm" in r.getMessage()]
-    assert len(hits) == 1
-    assert np.array_equal(chart.values, naive_chart(m, tokens, 2))
-    assert np.array_equal(chart.values, np.triu(np.ones((5, 5))))
+    for t in (0, 1, 2):
+        numerics.reset_degenerate_warning()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="spantree.numerics"):
+            chart = build_sci_chart(m, tokens, t=t)
+        hits = [r for r in caplog.records if "near-zero norm" in r.getMessage()]
+        assert len(hits) == 1, t
+        assert np.array_equal(chart.values, naive_chart(m, tokens, t)), t
+        assert np.array_equal(chart.values, np.triu(np.ones((5, 5)))), t
     numerics.reset_degenerate_warning()
 
 
-def test_chart_t_equals_l_near_the_degenerate_norm_matches_naive():
+def test_chart_near_the_degenerate_norm_matches_naive_at_every_t():
     # rows whose norm straddles DEGENERATE_NORM are left to cosine_distance,
-    # so the closed form gives its 1.0 below the cut and 0.0 above it
+    # so a row read off the contextual side (every row at t = L, the whole
+    # sentence at t < L) gives its 1.0 below the cut and 0.0 above it
     m = make_model(layers=2)
     tokens = [5, 6, 7, 8, 9, 10]
     final = m.encode(tokens)[-1]
@@ -295,9 +299,61 @@ def test_chart_t_equals_l_near_the_degenerate_norm_matches_naive():
         scale = target * numerics.DEGENERATE_NORM / norm
         scaled.params["enc.ln_f.g"].value *= scale
         scaled.params["enc.ln_f.b"].value *= scale
-        chart = build_sci_chart(scaled, tokens, t=2)
-        assert np.array_equal(chart.values, naive_chart(scaled, tokens, 2)), target
-        assert chart.sci(0, 5) == (1.0 if target < 1.0 else 0.0), target
+        for t in (0, 1, 2):
+            chart = build_sci_chart(scaled, tokens, t=t)
+            naive = naive_chart(scaled, tokens, t)
+            assert np.array_equal(chart.values, naive), (target, t)
+            assert chart.sci(0, 5) == (1.0 if target < 1.0 else 0.0), (target, t)
+
+
+def spy_tail_stacks(monkeypatch):
+    """Record the (spans, k, d) shape of every stack a chart sends through
+    ``_span_tails``."""
+    shapes = []
+    tails = spanrep._span_tails
+
+    def spy(model, stack, t):
+        shapes.append(stack.shape)
+        return tails(model, stack, t)
+
+    monkeypatch.setattr(spanrep, "_span_tails", spy)
+    return shapes
+
+
+def test_chart_runs_no_tail_for_the_whole_sentence(monkeypatch):
+    # the whole sentence's context-free side is its contextual side at every
+    # t, so an n-token chart runs one tail pass per span length k < n at
+    # t < L, and none at t = L
+    m = make_model(layers=2)
+    shapes = spy_tail_stacks(monkeypatch)
+    for n in (1, 2, 3, 7):
+        tokens = list(range(5, 5 + n))
+        for t in (0, 1):
+            shapes.clear()
+            build_sci_chart(m, tokens, t)
+            assert [k for _, k, _ in shapes] == list(range(1, n)), (n, t)
+            assert [spans for spans, _, _ in shapes] == list(range(n, 1, -1)), (n, t)
+        shapes.clear()
+        build_sci_chart(m, tokens, 2)
+        assert shapes == [], n
+
+
+def test_chart_with_contextual_mask_runs_the_whole_sentence_tail(monkeypatch):
+    m = make_model(layers=2)
+    tokens = [5, 6, 7, 8]
+    mask = LayerMask.block_diagonal(2, 4)
+    masked_states = m.encode(tokens, mask=mask)
+    shapes = spy_tail_stacks(monkeypatch)
+    for t in (0, 1, 2):
+        shapes.clear()
+        chart = build_sci_chart(m, tokens, t, contextual_mask=mask)
+        assert [k for _, k, _ in shapes] == [1, 2, 3, 4], t
+        expected = cosine_distance(
+            contextual_span_vector(masked_states, (0, 3)),
+            context_free_vector(m, tokens, (0, 3), t),
+        )
+        assert chart.sci(0, 3) == expected, t
+        assert expected > 0.0, t
 
 
 # sha256 of build_sci_chart(...).values.tobytes() on the benchmark's
