@@ -16,7 +16,9 @@ once every setting has been checked (``train``, ``train-mlm`` and ``probe``
 by their trainer), so a refused run leaves none.
 
 Exit codes: 0 success, 1 contract violation (bad inputs, malformed files,
-diverged training), 2 I/O failure.
+diverged training), 2 I/O failure.  Commands run with numpy's floating-point
+warnings off: an overflow or NaN that reaches a result is refused by the
+package's own finiteness checks, with an ``error:`` line.
 """
 
 from __future__ import annotations
@@ -635,7 +637,8 @@ def main(argv=None) -> int:
     )
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, resolve_settings(args))
+        with np.errstate(all="ignore"):
+            return args.func(args, resolve_settings(args))
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

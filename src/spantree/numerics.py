@@ -4,7 +4,10 @@ Everything runs in double precision on C-contiguous numpy arrays; a "matrix"
 throughout the package is a 2-d float64 ndarray in row-major order.  Tensors
 form a tape: each op records its parents and a vector-Jacobian closure, and
 ``backward`` replays the tape in reverse topological order.  A tape is pure
-given its inputs and is meant to be used from a single thread.
+given its inputs and is meant to be used from a single thread.  Backward
+frees each interior node's gradient as soon as its VJP has consumed it, so
+only the leaves' gradients (parameters, constants) outlive it; the parents
+and closures stay until the caller drops the loss, which ends the tape.
 
 Inference runs inside ``no_tape()``: ops there compute their values from the
 same numpy expressions but keep neither parents nor VJP closures, so no
@@ -159,7 +162,9 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor, params=None) -> None:
-    """Populate ``grad`` on every tensor reachable from ``loss``.
+    """Populate ``grad`` on every leaf reachable from ``loss``.  An interior
+    node's gradient is dropped as soon as its VJP has used it; leaves keep
+    theirs.
 
     ``loss`` must be scalar.  Gradients left over from earlier passes are
     cleared first (parameters outlive any single graph).  Parameters passed
@@ -186,6 +191,7 @@ def backward(loss: Tensor, params=None) -> None:
         if node.vjp is None or node.grad is None:
             continue
         grads = node.vjp(node.grad)
+        node.grad = None
         for parent, g in zip(node.parents, grads):
             if g is None:
                 continue

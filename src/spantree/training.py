@@ -87,7 +87,10 @@ def _updates(model: TransformerModel, state: OptimizerState, batch_loss, batches
     ``batch_size`` indices below ``pool`` from ``batch_rng``, and
     ``batch_loss(idx)`` returns their loss on the tape.  A non-finite loss
     raises TrainingDiverged carrying ``series``, the checkpoints kept so far.
-    Callers check the settings first, with ``_check_updates``.
+    Each step drops its loss, and with it the step's tape, once ``backward``
+    has filled the parameters' gradients: no graph outlives its update into
+    the next forward or a caller's checkpoint evaluation.  Callers check the
+    settings first, with ``_check_updates``.
     """
     batch_rng, pool, batch_size = batches
     params = list(model.params.values())
@@ -95,11 +98,14 @@ def _updates(model: TransformerModel, state: OptimizerState, batch_loss, batches
         loss = batch_loss(batch_rng.integers(0, pool, size=batch_size))
         value = float(loss.value)
         if not np.isfinite(value):
+            kept = len(series)
             raise TrainingDiverged(
-                f"non-finite loss at step {step}; keeping {len(series)} checkpoints",
+                f"non-finite loss at step {step}; keeping {kept} "
+                f"checkpoint{'' if kept == 1 else 's'}",
                 checkpoints=series,
             )
         backward(loss, params)
+        del loss
         optimizer_step(model.params, state)
         model.step = step
         yield step, value

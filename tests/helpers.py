@@ -17,7 +17,9 @@ the teacher-forced loss of a batch padded to its longest target and
 ``ref_seq2seq_loss`` runs it on the whole batch padded as one group,
 ``ref_exact_match`` and
 ``ref_evaluate_probe`` decode evaluation chunks in the order given, and
-``ref_optimizer_step`` updates one parameter at a time with per-name moments.  ``ref_parse_sexpr`` (recursive descent)
+``ref_optimizer_step`` updates one parameter at a time with per-name moments.
+``ref_backward`` is the tape walk from before backward freed interior
+gradients: every node it reaches keeps its gradient.  ``ref_parse_sexpr`` (recursive descent)
 and ``ref_delinearize`` (a balanced-prefix scan, a stack parse, then leaf
 numbering) are the two tree parsers from before both went through one
 reader.
@@ -290,6 +292,31 @@ def ref_evaluate_probe(probe, encoder, examples):
             pairs.append((tree, ex.tree))
     precision, recall, f1 = treeval.corpus_parseval(pairs)
     return precision, recall, f1, repaired_count, coerced_count
+
+
+def ref_backward(loss, params):
+    """``numerics.backward`` keeping every gradient it computes, interior
+    nodes' included; ``params`` maps names to tensors."""
+    order = nm._topo_order(loss)
+    for node in order:
+        node.grad = None
+    for p in params.values():
+        p.grad = None
+    loss.grad = np.ones_like(loss.value)
+    for node in reversed(order):
+        if node.vjp is None or node.grad is None:
+            continue
+        grads = node.vjp(node.grad)
+        for parent, g in zip(node.parents, grads):
+            if g is None:
+                continue
+            if parent.grad is None:
+                parent.grad = g
+            else:
+                parent.grad = parent.grad + g
+    for p in params.values():
+        if p.grad is None:
+            p.grad = np.zeros_like(p.value)
 
 
 def ref_optimizer_step(params, state, m, v):

@@ -22,7 +22,7 @@ from spantree.cli import (
     parse_config_file,
     resolve_settings,
 )
-from spantree.encoder import load_checkpoint
+from spantree.encoder import load_checkpoint, save_checkpoint
 from spantree.errors import ContractViolation
 from spantree.spanrep import build_sci_chart
 from spantree.training import train_probe
@@ -544,7 +544,7 @@ MANIFEST_CORRUPTIONS = {
 
 def assert_clean_error(argv, code=1, prefix="error:"):
     """``python -m spantree argv`` exits ``code`` with a line starting with
-    ``prefix`` and no traceback."""
+    ``prefix``, no traceback and no numpy warning; returns stderr's lines."""
     proc = subprocess.run(
         [sys.executable, "-m", "spantree", *argv],
         capture_output=True, text=True, timeout=120,
@@ -552,6 +552,8 @@ def assert_clean_error(argv, code=1, prefix="error:"):
     assert proc.returncode == code, proc.stderr
     assert any(line.startswith(prefix) for line in proc.stderr.splitlines()), proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    return proc.stderr.splitlines()
 
 
 @pytest.mark.parametrize("case", sorted(MANIFEST_CORRUPTIONS))
@@ -572,6 +574,21 @@ def test_non_finite_optimizer_setting_writes_no_checkpoint(pipeline, tmp_path, a
     # as 0.0 before the loss stopped the run
     assert_clean_error(_train(pipeline, tmp_path, argv[0]) + argv[1:])
     assert not (tmp_path / "run" / "checkpoints").exists()
+
+
+def test_diverged_training_is_one_error_line(pipeline, tmp_path):
+    # numpy's overflow warnings, with package paths and source lines, used
+    # to come before the error line, which counted "1 checkpoints"
+    lines = assert_clean_error(_train(pipeline, tmp_path) + ["--steps", "5", "--lr", "1e300"])
+    assert "error: non-finite loss at step 3; keeping 1 checkpoint" in lines
+
+
+def test_chart_of_an_overflowing_checkpoint_is_one_error_line(pipeline, tmp_path):
+    model = load_checkpoint(pipeline["ckpt"])
+    model.params["enc.0.attn.wq"].value[...] = 1e308
+    ckpt = save_checkpoint(model, str(tmp_path / "ckpt"))
+    lines = assert_clean_error(["chart", "--checkpoint", ckpt, "--sentence", "A1 B1"])
+    assert any(line.startswith("error: cosine_distance: non-finite input") for line in lines)
 
 
 NOT_UTF8 = b"A1 B1\tA1 B1\n\xff\xfe\n"

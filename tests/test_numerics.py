@@ -11,6 +11,7 @@ from helpers import (
     fd_grad,
     kink_free,
     ref_affine,
+    ref_backward,
     ref_cross_entropy,
     ref_layer_norm,
     ref_masked_softmax,
@@ -432,14 +433,8 @@ def test_affine_matches_two_node_layer(mode, layout, x_shape, m):
         assert np.abs(gw - ref_gw).max() <= AFFINE_WEIGHT_GRAD_BOUND * np.abs(ref_gw).max()
 
 
-def test_seq2seq_loss_records_one_node_per_linear_layer(monkeypatch):
-    # the benchmark's architecture on a fixed batch of 32 pairs, which the
-    # loss packs into rows and runs as one group: its 23 linear layers
-    # (encoder and decoder attention and feed-forward, cross-attention keys
-    # and values, the output head) take one node each; the 19 with a bias
-    # used to take two, and the 4 key projections, which have none, one
-    # matmul.  The counts were 271 and 309 while the loss ran two
-    # length-grouped halves, which paid every node twice.
+def bench_model_and_pairs():
+    """A model at the benchmark's architecture and 32 seeded pairs."""
     words = [f"w{i}" for i in range(10)]
     vocab = Vocab(words)
     config = EncoderConfig(enc_layers=2, dec_layers=1, heads=4, d_model=32, d_ff=128,
@@ -452,6 +447,33 @@ def test_seq2seq_loss_records_one_node_per_linear_layer(monkeypatch):
          [ids[i] for i in rng.integers(0, 10, size=rng.integers(1, 9))])
         for _ in range(32)
     ]
+    return model, pairs
+
+
+def test_backward_frees_interior_gradients_and_keeps_parameter_bits():
+    # each interior node's gradient goes as soon as its VJP has used it;
+    # the parameters' gradients keep the bits of a walk that keeps them all
+    model, pairs = bench_model_and_pairs()
+    loss = model.seq2seq_loss(pairs)
+    interior = [node for node in nm._topo_order(loss) if node.vjp is not None]
+    nm.backward(loss, model.params)
+    assert interior and all(node.grad is None for node in interior)
+    freed = {name: p.grad.copy() for name, p in model.params.items()}
+    ref_backward(loss, model.params)  # the same graph: its closures are kept
+    assert all(node.grad is not None for node in interior)
+    for name, p in model.params.items():
+        assert freed[name].tobytes() == p.grad.tobytes(), name
+
+
+def test_seq2seq_loss_records_one_node_per_linear_layer(monkeypatch):
+    # the benchmark's architecture on a fixed batch of 32 pairs, which the
+    # loss packs into rows and runs as one group: its 23 linear layers
+    # (encoder and decoder attention and feed-forward, cross-attention keys
+    # and values, the output head) take one node each; the 19 with a bias
+    # used to take two, and the 4 key projections, which have none, one
+    # matmul.  The counts were 271 and 309 while the loss ran two
+    # length-grouped halves, which paid every node twice.
+    model, pairs = bench_model_and_pairs()
     linear = [name for name in model.params if name.rsplit(".", 1)[1] in
               ("w", "wq", "wk", "wv", "wo", "w1", "w2")]
     assert len(linear) == 23

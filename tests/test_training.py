@@ -1,5 +1,6 @@
 """Training loops: transduction memorization, masked pretraining, probing."""
 
+import gc
 import hashlib
 import math
 import os
@@ -35,7 +36,7 @@ from spantree.encoder import (
     save_checkpoint,
 )
 from spantree.errors import ContractViolation, TrainingDiverged
-from spantree.numerics import OptimizerState, backward, constant, optimizer_step
+from spantree.numerics import OptimizerState, Tensor, backward, constant, optimizer_step
 from spantree.training import (
     ProbeResult,
     exact_match_accuracy,
@@ -842,6 +843,48 @@ def test_train_seq2seq_draws_the_same_batches(monkeypatch):
     rng = np.random.default_rng([4, 1])
     want = [[pairs[i] for i in rng.integers(0, len(pairs), size=6)] for _ in range(5)]
     assert seen == want
+
+
+def _taped_tensors() -> int:
+    """Live tensors that still hold a tape: those recorded with parents."""
+    return sum(1 for obj in gc.get_objects() if type(obj) is Tensor and obj.parents)
+
+
+def _spy(monkeypatch, owner, name, counts):
+    """Wrap ``owner.name`` to append the live taped-tensor count at each call."""
+    original = getattr(owner, name)
+
+    def spied(*args, **kwargs):
+        counts.append(_taped_tensors())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spied)
+
+
+def test_no_tape_outlives_its_update(monkeypatch):
+    # a step drops its loss once backward has run, so neither the next
+    # step's forward nor a checkpoint evaluation runs beside a dead tape.
+    # Keeping it read [0, 77, 77, 77] and [0, 0, 77, 77, 77, 77] (seq2seq),
+    # [0] and [0, 0, 30, 30] (mlm), and [0, 49] (probe)
+    corpus = memorization_corpus()
+    kw = dict(seed=4, batch_size=6, base_lr=1e-3, warmup_steps=1)
+    forwards, evals = [], []
+    _spy(monkeypatch, training, "split_accuracy", evals)
+    _spy(monkeypatch, TransformerModel, "seq2seq_loss", forwards)
+    train_seq2seq(tiny_config(), corpus, steps=4, checkpoint_every=2, **kw)
+    assert (forwards, evals) == ([0] * 4, [0] * 6)
+
+    forwards.clear()
+    evals.clear()
+    _spy(monkeypatch, TransformerModel, "mlm_loss", forwards)
+    train_mlm(tiny_config(), corpus, steps=1, checkpoint_every=1, **kw)
+    assert (forwards, evals) == ([0], [0] * 4)
+
+    forwards.clear()
+    _spy(monkeypatch, TransformerModel, "packed_loss", forwards)  # the probe's loss
+    encoder = TransformerModel(tiny_config(vocab_size=len(corpus.vocab)), corpus.vocab, rng=0)
+    train_probe(encoder, corpus.train, corpus.iid_val[:4], steps=2, **kw)
+    assert forwards == [0, 0]
 
 
 def test_one_config_serves_two_corpora(tmp_path):
