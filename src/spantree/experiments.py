@@ -31,7 +31,7 @@ from .encoder import LayerMask, TransformerModel
 from .errors import ContractViolation
 from .numerics import cosine_distance
 from .projector import exact_project, t_score
-from .spanrep import Span, build_sci_chart, contextual_span_vector
+from .spanrep import Span, build_sci_chart, build_sci_charts, contextual_span_vector
 from .stats import spearman, welch_ttest
 from .training import EVAL_LIMIT, CheckpointInfo, split_accuracy, train_probe
 from .training import exact_match_accuracy  # unused here; bench/tracing.py wraps this name
@@ -405,13 +405,6 @@ class DynamicsResult:
 THRESHOLD_MODES = ("fixed", "parseval", "score")
 
 
-def _charts_for(model, examples, t, limit):
-    subset = examples[:limit]
-    return subset, [
-        build_sci_chart(model, model.vocab.encode(ex.source), t) for ex in subset
-    ]
-
-
 def _t_parseval(charts, subset) -> float | None:
     # the induced tree is the argmin of cumulative SCI; at these sentence
     # lengths the exact DP is cheap, so score it rather than the greedy
@@ -434,8 +427,12 @@ def tune_threshold(
     seed: int = 0,
     limit: int = 16,
 ) -> int:
-    """Grid-search t in [0, L-1] maximizing train t_parseval or t_score.
+    """Grid-search t in [0, L-1] maximizing t_parseval or t_score on the
+    first ``limit`` examples; the lowest t wins a tie.
 
+    One ``build_sci_charts`` call charts every example at every t: one
+    encode per sentence, one tail stack per (t, k).  A ``limit`` below 1 and
+    an empty slice are refused by name, and parseval mode needs a gold tree.
     t = L is left out: its chart is all zeros by construction, so every split
     ties and the projected tree is whatever the tie rule picks, which
     right-branching gold trees reward with a high t_parseval.  Its t_score is
@@ -443,18 +440,24 @@ def tune_threshold(
     """
     if mode not in ("parseval", "score"):
         raise ContractViolation(f"tune_threshold: bad mode {mode!r}")
+    if limit < 1:
+        raise ContractViolation(f"tune_threshold: limit must be >= 1, got {limit}")
+    subset = examples[:limit]
+    if not subset:
+        raise ContractViolation("tune_threshold: no examples to tune on")
+    if mode == "parseval" and all(ex.tree is None for ex in subset):
+        raise ContractViolation("threshold tuning by t_parseval needs gold trees")
+    layers = model.config.enc_layers
+    charts = build_sci_charts(
+        model, [model.vocab.encode(ex.source) for ex in subset], range(layers)
+    )
     best_t, best_val = 0, -math.inf
-    for t in range(model.config.enc_layers):
-        subset, charts = _charts_for(model, examples, t, limit)
+    for t in range(layers):
         if mode == "parseval":
-            val = _t_parseval(charts, subset)
-            if val is None:
-                raise ContractViolation(
-                    "threshold tuning by t_parseval needs gold trees"
-                )
+            val = _t_parseval(charts[t], subset)
         else:
             val = t_score(
-                charts, samples_per_node, rng=np.random.default_rng([seed, 31, t])
+                charts[t], samples_per_node, rng=np.random.default_rng([seed, 31, t])
             )
         if val > best_val:
             best_t, best_val = t, val
@@ -469,11 +472,14 @@ def evaluate_checkpoint(
     seed: int = 0,
 ) -> tuple[float, float | None]:
     """(t_score, t_parseval) on the evaluation sentences at threshold t."""
-    subset, charts = _charts_for(model, eval_examples, t, len(eval_examples))
+    # per sentence: the benchmark's tracer counts calls of experiments.build_sci_chart
+    charts = [
+        build_sci_chart(model, model.vocab.encode(ex.source), t) for ex in eval_examples
+    ]
     score = t_score(
         charts, samples_per_node, rng=np.random.default_rng([seed, 32])
     )
-    return score, _t_parseval(charts, subset)
+    return score, _t_parseval(charts, eval_examples)
 
 
 def dynamics_report(

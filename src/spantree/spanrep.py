@@ -9,10 +9,14 @@ distance between the two vectors — near zero when context barely shapes the
 span's representation.
 
 Because the restricted part of the computation touches only span positions,
-a sentence's whole chart shares one unrestricted prefix: the full per-layer
-states are computed once, and the spans of each length k are gathered from
-the cached layer-t states into one (n-k+1, k, d) stack whose tails run in a
-single pass, n - 1 passes per chart at t < L rather than one per span.
+a sentence's charts share one unrestricted prefix: the full per-layer states
+are computed once, and they serve the contextual side and every threshold.
+The spans of each length k are gathered from the cached layer-t states into
+one (spans, k, d) stack whose tails run in a single pass.
+``build_sci_chart`` stacks one sentence's n-k+1 spans, so a chart at t < L
+runs n - 1 passes rather than one per span; ``build_sci_charts`` stacks the
+length-k spans of many sentences, one pass per (t, k).  A span's tail reads
+only its own rows, so its bits do not depend on which spans share its stack.
 ``context_free_vector`` recomputes that prefix on every call and runs the
 same tail function on a stack of one, so the chart and a naive per-span
 rebuild agree bit-for-bit.  Both run under ``no_tape``.  The paper's literal
@@ -102,6 +106,11 @@ def _span_tails(model: TransformerModel, stack: Array, t: int) -> Array:
     return model.final_norm(x).value
 
 
+def _check_threshold(t: int, layers: int) -> None:
+    if not 0 <= t <= layers:
+        raise ContractViolation(f"threshold {t} outside [0, {layers}]")
+
+
 def context_free_vector(
     model: TransformerModel, tokens, span, t: int, pooling: str = "mean"
 ) -> Array:
@@ -114,8 +123,7 @@ def context_free_vector(
     """
     ids = pad_ids([tokens], model.vocab.pad)
     span = _as_span(span, ids.shape[1])
-    if not 0 <= t <= model.config.enc_layers:
-        raise ContractViolation(f"threshold {t} outside [0, {model.config.enc_layers}]")
+    _check_threshold(t, model.config.enc_layers)
     with no_tape():
         prefix = model.encoder_states_t(ids, None)[t].value
         tail = _span_tails(model, prefix[:, span.start : span.end + 1], t)
@@ -157,6 +165,48 @@ def _self_distances(vectors: Array) -> Array:
     return out
 
 
+def _charts(model, raws, finals, thresholds, pooling) -> dict[int, list[SciChart]]:
+    """Each threshold's charts of the sentences whose unrestricted per-layer
+    states are ``raws``.  ``finals`` are the contextual side's (n, d) final
+    states, or None to read them off ``raws``; then a span whose context-free
+    side is its contextual side runs no tail."""
+    layers = model.config.enc_layers
+    own = finals is None
+    if own:
+        finals = [model.final_norm(raw[layers]).value[0] for raw in raws]
+    lengths = [final.shape[0] for final in finals]
+    values = {t: [np.zeros((n, n)) for n in lengths] for t in thresholds}
+    for k in range(1, max(lengths) + 1):
+        # (sentence, length-k windows, contextual vectors), pooled once for every t
+        spans = []
+        for s, n in enumerate(lengths):
+            if n >= k:
+                w = np.arange(n - k + 1)[:, None] + np.arange(k)
+                spans.append((s, w, _pool(finals[s][w], pooling)))
+        for t in thresholds:
+            tails = []
+            for s, w, contextual in spans:
+                if own and (t == layers or lengths[s] == k):
+                    values[t][s][w[:, 0], w[:, -1]] = _self_distances(contextual)
+                else:
+                    tails.append((s, w, contextual))
+            if not tails:
+                continue
+            parts = [raws[s][t].value[0][w] for s, w, _ in tails]
+            stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            free = _pool(_span_tails(model, stack, t), pooling)
+            end = 0
+            for s, w, contextual in tails:
+                rows, end = free[end : end + len(w)], end + len(w)
+                values[t][s][w[:, 0], w[:, -1]] = [
+                    cosine_distance(c, f) for c, f in zip(contextual, rows)
+                ]
+    return {
+        t: [SciChart(n=n, threshold=t, values=v) for n, v in zip(lengths, values[t])]
+        for t in thresholds
+    }
+
+
 def build_sci_chart(
     model: TransformerModel,
     tokens,
@@ -169,38 +219,49 @@ def build_sci_chart(
     The full per-layer states are computed once; for each length k the
     context-free tails of all n-k+1 spans run as one stack gathered from the
     cached layer-t states, so per-span work is O((L-t) * |span|^2 * d) rather
-    than a full re-encode, in n - 1 tail passes.  Without
-    ``contextual_mask``, a span whose context-free side is its contextual
-    side (every span at t = L, the whole sentence at every t) runs no tail
-    and its entry is read off the contextual side (see the module
-    docstring).  ``contextual_mask`` optionally restricts the *contextual*
-    side's encode (used by the synthetic two-segment analyses); the
-    context-free side always uses the unrestricted prefix, and then every
-    span, the whole sentence too, runs its tail.
+    than a full re-encode.  Without ``contextual_mask``, a span whose
+    context-free side is its contextual side (every span at t = L, the whole
+    sentence at every t) runs no tail and its entry is read off the
+    contextual side (see the module docstring), so a chart at t < L runs
+    n - 1 tail stacks.  ``contextual_mask`` optionally restricts the
+    *contextual* side's encode (used by the synthetic two-segment analyses);
+    the context-free side always uses the unrestricted prefix, and then every
+    span, the whole sentence too, runs its tail.  ``build_sci_charts`` runs
+    the same tails for many sentences and thresholds at once.
     """
     ids = pad_ids([tokens], model.vocab.pad)
-    n = ids.shape[1]
-    layers = model.config.enc_layers
-    if not 0 <= t <= layers:
-        raise ContractViolation(f"threshold {t} outside [0, {layers}]")
-    values = np.zeros((n, n))
+    _check_threshold(t, model.config.enc_layers)
     with no_tape():
         raw = model.encoder_states_t(ids, None)
-        prefix = raw[t].value[0]
-        if contextual_mask is None:
-            final = model.final_norm(raw[layers]).value[0]
-        else:
-            final = model.encode(tokens, contextual_mask)[-1]
-        for k in range(1, n + 1):
-            starts = np.arange(n - k + 1)
-            windows = starts[:, None] + np.arange(k)
-            contextual = _pool(final[windows], pooling)
-            if contextual_mask is None and (t == layers or k == n):
-                values[starts, starts + k - 1] = _self_distances(contextual)
-                continue
-            context_free = _pool(_span_tails(model, prefix[windows], t), pooling)
-            values[starts, starts + k - 1] = [
-                cosine_distance(c, f) for c, f in zip(contextual, context_free)
-            ]
-    return SciChart(n=n, threshold=t, values=values)
+        finals = None
+        if contextual_mask is not None:
+            finals = [model.encode(tokens, contextual_mask)[-1]]
+        return _charts(model, [raw], finals, (t,), pooling)[t][0]
 
+
+def build_sci_charts(
+    model: TransformerModel,
+    sentences,
+    thresholds,
+    pooling: str = "mean",
+) -> dict[int, list[SciChart]]:
+    """Each threshold's charts of ``sentences``, in sentence order; each chart
+    has the bits of ``build_sci_chart`` on its sentence alone.
+
+    One unrestricted encode per sentence serves its contextual side and every
+    threshold's prefix, and for each (t, k) one tail stack holds the length-k
+    spans of every sentence that needs a tail.  Sentences are never padded
+    into one encode: padding would change the bits.  Every sentence's
+    per-layer states are held at once.
+    """
+    batches = [pad_ids([tokens], model.vocab.pad) for tokens in sentences]
+    thresholds = list(dict.fromkeys(thresholds))
+    if not batches:
+        raise ContractViolation("build_sci_charts: no sentences")
+    if not thresholds:
+        raise ContractViolation("build_sci_charts: no thresholds")
+    for t in thresholds:
+        _check_threshold(t, model.config.enc_layers)
+    with no_tape():
+        raws = [model.encoder_states_t(ids, None) for ids in batches]
+        return _charts(model, raws, None, thresholds, pooling)

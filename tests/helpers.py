@@ -19,11 +19,15 @@ the teacher-forced loss of a batch padded to its longest target and
 ``ref_evaluate_probe`` decode evaluation chunks in the order given, and
 ``ref_optimizer_step`` updates one parameter at a time with per-name moments.
 ``ref_backward`` is the tape walk from before backward freed interior
-gradients: every node it reaches keeps its gradient.  ``ref_parse_sexpr`` (recursive descent)
+gradients: every node it reaches keeps its gradient.  ``ref_tune_threshold``
+is threshold tuning from before one call charted every t: one
+``build_sci_chart`` per sentence and t.  ``ref_parse_sexpr`` (recursive descent)
 and ``ref_delinearize`` (a balanced-prefix scan, a stack parse, then leaf
 numbering) are the two tree parsers from before both went through one
 reader.
 """
+
+import math
 
 import numpy as np
 
@@ -31,6 +35,8 @@ from spantree import numerics as nm
 from spantree import training, treeval, trees
 from spantree.encoder import DecoderCache, pad_ids
 from spantree.errors import ContractViolation
+from spantree.projector import exact_project, t_score
+from spantree.spanrep import build_sci_chart
 from spantree.training import EVAL_CHUNK
 
 
@@ -222,6 +228,27 @@ def ref_t_mask_vector(model, tokens, span, t):
             x = model.encoder_block(i, x, t_mask_additive)
         final = model.final_norm(x).value[0]
     return final[start : end + 1].mean(axis=0)
+
+
+def ref_tune_threshold(model, examples, mode, samples_per_node=4, seed=0, limit=16):
+    """Grid search over t in [0, L-1] that charts the first ``limit``
+    examples one ``build_sci_chart`` call per sentence, once per t."""
+    best_t, best_val = 0, -math.inf
+    for t in range(model.config.enc_layers):
+        subset = examples[:limit]
+        charts = [build_sci_chart(model, model.vocab.encode(ex.source), t) for ex in subset]
+        if mode == "parseval":
+            pairs = [
+                (exact_project(chart)[0], ex.tree)
+                for chart, ex in zip(charts, subset)
+                if ex.tree is not None
+            ]
+            val = treeval.corpus_parseval(pairs)[2]
+        else:
+            val = t_score(charts, samples_per_node, rng=np.random.default_rng([seed, 31, t]))
+        if val > best_val:
+            best_t, best_val = t, val
+    return best_t
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Perturbation study, repeated-span gap, and dynamics-report behavior."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from spantree import experiments, training, trees, treeval
+from spantree import experiments, spanrep, training, trees, treeval
 from spantree.datasets import (
     DEFAULT_UNSEEN,
     Corpus,
@@ -31,6 +32,8 @@ from spantree.experiments import (
 )
 from spantree.numerics import cosine_distance
 from spantree.training import CheckpointInfo, load_series, train_mlm
+
+from helpers import ref_tune_threshold
 
 
 def make_model(tokens, enc_layers=2, d_model=16, seed=0, max_len=16):
@@ -368,6 +371,66 @@ def test_parseval_tuning_skips_the_all_zero_top_layer():
         for seed in range(3):
             model = make_model(["w1", "w2", "w3", "w4", "w5"], enc_layers=layers, seed=seed)
             assert tune_threshold(model, corpus.train, "parseval") < layers
+
+
+def test_tuning_picks_the_threshold_of_the_per_threshold_loop():
+    _, small, _ = dynamics_fixture()
+    frozen, _ = frozen_dynamics_series()
+    picked = set()
+    words = [f"w{i}" for i in range(12)]
+    for corpus, layers, seed in itertools.product((small, frozen), (1, 2, 3), range(4)):
+        model = make_model(words, enc_layers=layers, seed=seed)
+        for mode in ("parseval", "score"):
+            kwargs = dict(samples_per_node=2, seed=seed)
+            t = tune_threshold(model, corpus.train, mode, **kwargs)
+            assert t == ref_tune_threshold(model, corpus.train, mode, **kwargs), (
+                layers, seed, mode,
+            )
+            picked.add(t)
+    # the tuned t varies, so a route that always returned 0 would fail here
+    assert len(picked) > 1
+
+
+def test_tuning_encodes_each_sentence_once_and_stacks_each_tail_length(monkeypatch):
+    # the per-t loop ran 12 encodes and 50 tail stacks on this slice
+    corpus, series = frozen_dynamics_series()
+    model = series[2].model
+    layers = model.config.enc_layers
+    encodes, stacks = [], []
+    states_t, tails = TransformerModel.encoder_states_t, spanrep._span_tails
+
+    def spy_states(self, ids, *args, **kwargs):
+        encodes.append(ids.shape)
+        return states_t(self, ids, *args, **kwargs)
+
+    def spy_tails(model, stack, t):
+        stacks.append((t, stack.shape[:2]))
+        return tails(model, stack, t)
+
+    monkeypatch.setattr(TransformerModel, "encoder_states_t", spy_states)
+    monkeypatch.setattr(spanrep, "_span_tails", spy_tails)
+    tune_threshold(model, corpus.train, "score", samples_per_node=2, seed=25)
+    lengths = [len(ex.source) for ex in corpus.train]
+    assert encodes == [(1, n) for n in lengths]
+    # one stack per (t, k) with a span to run: the whole sentence runs none
+    assert stacks == [
+        (t, (sum(n - k + 1 for n in lengths if n > k), k))
+        for k in range(1, max(lengths))
+        for t in range(layers)
+    ]
+    assert (len(encodes), len(stacks)) == (6, 22)
+
+
+@pytest.mark.parametrize("mode", ["parseval", "score"])
+def test_tuning_refuses_a_limit_below_one_and_an_empty_slice_by_name(mode):
+    # limit -3 tuned on all but the last three sentences; limit 0 and no
+    # examples blamed t_score's chart count or missing gold trees
+    model, corpus, _ = dynamics_fixture()
+    for limit in (-3, 0):
+        with pytest.raises(ContractViolation, match="limit must be >= 1"):
+            tune_threshold(model, corpus.train, mode, limit=limit)
+    with pytest.raises(ContractViolation, match="no examples to tune on"):
+        tune_threshold(model, [], mode)
 
 
 def test_dynamics_probe_column():

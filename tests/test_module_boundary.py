@@ -88,7 +88,7 @@ def paper_map_rows() -> list[tuple[str, str]]:
 
 def test_paper_map_names_resolve():
     rows = paper_map_rows()
-    assert len(rows) == 10
+    assert len(rows) == 11
     acceptance = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
     for computed, checked in rows:
         names = re.findall(r"`(\w+)\.(\w+)`", computed)

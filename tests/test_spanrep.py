@@ -14,6 +14,7 @@ from spantree.numerics import cosine_distance
 from spantree.spanrep import (
     Span,
     build_sci_chart,
+    build_sci_charts,
     context_free_vector,
     contextual_span_vector,
 )
@@ -354,6 +355,55 @@ def test_chart_with_contextual_mask_runs_the_whole_sentence_tail(monkeypatch):
         )
         assert chart.sci(0, 3) == expected, t
         assert expected > 0.0, t
+
+
+def test_charts_of_many_sentences_match_one_chart_each_bit_exact():
+    # one encode per sentence and one tail stack per (t, k) across sentences;
+    # a sentence's chart keeps its bits alone, shuffled and among others
+    m = make_model(layers=2, d=32, max_len=40, heads=4, d_ff=128, seed=7)
+    rng = np.random.default_rng(11)
+    sentences = [rng.integers(5, 15, size=n).tolist() for n in (1, 2, 3, 3, 7, 17)]
+    thresholds = range(m.config.enc_layers + 1)
+    order = [4, 0, 5, 2, 1, 3]
+    for pooling in ("mean", "sum"):
+        together = build_sci_charts(m, sentences, thresholds, pooling)
+        shuffled = build_sci_charts(
+            m, [sentences[i] for i in order], thresholds, pooling
+        )
+        others = build_sci_charts(
+            m, [[9, 8], sentences[3], sentences[5]], thresholds, pooling
+        )
+        assert list(together) == list(thresholds)
+        for t in thresholds:
+            alone = []
+            for tokens in sentences:
+                chart = build_sci_chart(m, tokens, t, pooling=pooling)
+                [single] = build_sci_charts(m, [tokens], [t], pooling)[t]
+                assert (single.n, single.threshold) == (chart.n, chart.threshold)
+                assert (chart.n, chart.threshold) == (len(tokens), t)
+                assert single.values.tobytes() == chart.values.tobytes(), (pooling, t)
+                alone.append(chart.values.tobytes())
+            assert [c.values.tobytes() for c in together[t]] == alone, (pooling, t)
+            assert [c.values.tobytes() for c in shuffled[t]] == [
+                alone[i] for i in order
+            ]
+            assert [c.values.tobytes() for c in others[t][1:]] == [alone[3], alone[5]]
+
+
+def test_charts_of_many_sentences_refuse_bad_input_before_encoding(monkeypatch):
+    m = make_model(layers=2)
+    encodes = []
+    monkeypatch.setattr(m, "encoder_states_t", lambda *a, **k: encodes.append(a))
+    for sentences, thresholds, match in (
+        ([], [0], "no sentences"),
+        ([[5, 6]], [], "no thresholds"),
+        ([[5, 6]], [0, 3], "threshold 3 outside"),
+        ([[5, 6], [5]], [-1, 1], "threshold -1 outside"),
+        ([[5, 6], []], [0], "empty"),
+    ):
+        with pytest.raises(ContractViolation, match=match):
+            build_sci_charts(m, sentences, thresholds)
+    assert encodes == []
 
 
 # sha256 of build_sci_chart(...).values.tobytes() on the benchmark's
