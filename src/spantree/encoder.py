@@ -37,14 +37,17 @@ sources.  ``seq2seq_loss`` encodes that memory in one packed encoder pass; the
 probe gathers it from sources it encoded once.  Masked-token training and
 every inference caller number positions 0..n-1 per row.
 
-Checkpoints (format v2) are directories holding ``manifest.json`` (config,
-vocab, step, tensor names and shapes; every field and config key required)
-and ``data.bin`` (the tensors' raw little-endian float64 bytes concatenated
-in manifest order), reloading bit-exactly.  v1, with key biases, is refused.
+Checkpoints (format v3) are directories holding ``data.bin`` (the tensors'
+raw little-endian float64 bytes in ``expected_param_specs`` order, which the
+config and task fix) and ``manifest.json`` (format, task, step, config, vocab
+and the SHA-256 of ``data.bin``; every field and config key required).  A
+``data.bin`` of another size or digest is refused; checkpoints reload
+bit-exactly.  v1 and v2 are refused by their format tag.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -74,7 +77,7 @@ from .numerics import (
 
 Array = np.ndarray
 
-CHECKPOINT_FORMAT = "spantree-checkpoint-v2"
+CHECKPOINT_FORMAT = "spantree-checkpoint-v3"
 MANIFEST_FILE = "manifest.json"
 DATA_FILE = "data.bin"
 
@@ -745,31 +748,29 @@ class DecoderCache:
 
 
 def save_checkpoint(model: TransformerModel, path) -> str:
-    """Write manifest.json + data.bin under ``path`` (created if needed)."""
+    """Write data.bin and its manifest.json under ``path`` (created if needed).
+
+    data.bin holds the tensors in ``expected_param_specs`` order, the order
+    ``load_checkpoint`` slices them in; the manifest records its SHA-256.
+    """
     os.makedirs(path, exist_ok=True)
-    names = list(model.params)
+    blob = b"".join(
+        np.ascontiguousarray(model.params[name].value, dtype="<f8").tobytes()
+        for name in expected_param_specs(model.config, model.task)
+    )
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "task": model.task,
         "step": model.step,
         "config": asdict(model.config),
         "vocab": model.vocab.id_to_token,
-        "tensors": [
-            {
-                "name": name,
-                "rows": model.params[name].value.shape[0],
-                "cols": model.params[name].value.shape[1],
-            }
-            for name in names
-        ],
+        "sha256": hashlib.sha256(blob).hexdigest(),
     }
     with open(os.path.join(path, MANIFEST_FILE), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
     with open(os.path.join(path, DATA_FILE), "wb") as fh:
-        for name in names:
-            value = np.ascontiguousarray(model.params[name].value, dtype="<f8")
-            fh.write(value.tobytes())
+        fh.write(blob)
     return str(path)
 
 
@@ -802,10 +803,11 @@ def _manifest_config(raw: dict, path) -> EncoderConfig:
 
 
 def load_checkpoint(path) -> TransformerModel:
-    """Reload a checkpoint directory, validating shapes against its config.
+    """Reload a checkpoint directory, each tensor's shape read off its config.
 
-    Every malformed manifest (a missing or mistyped field, an unknown key,
-    a shape or size that disagrees with the config) raises CheckpointError.
+    A malformed manifest (a missing or mistyped field, an unknown key, a
+    negative step) and a data.bin whose size the config does not imply or
+    whose SHA-256 is not the manifest's raise CheckpointError.
     """
     manifest_path = os.path.join(path, MANIFEST_FILE)
     try:
@@ -832,41 +834,24 @@ def load_checkpoint(path) -> TransformerModel:
     if task not in TASKS:
         raise CheckpointError(f"{path}: unknown task {task!r}")
     step = _field(manifest, "step", int, manifest_path)
+    if step < 0:
+        raise CheckpointError(f"{path}: step must be >= 0, got {step}")
+    digest = _field(manifest, "sha256", str, manifest_path)
     specs = expected_param_specs(config, task)
-    entries = _field(manifest, "tensors", list, manifest_path)
-    for entry in entries:
-        if type(entry) is not dict:
-            raise CheckpointError(f"{path}: tensor entry must be an object, got {entry!r}")
-        for key, kind in (("name", str), ("rows", int), ("cols", int)):
-            _field(entry, key, kind, f"{path}: tensor entry")
-    listed = [t["name"] for t in entries]
-    unknown = sorted(set(listed) - set(specs))
-    missing = sorted(set(specs) - set(listed))
-    if unknown:
-        raise CheckpointError(f"{path}: unknown tensor {unknown[0]!r} in manifest")
-    if missing:
-        raise CheckpointError(f"{path}: manifest is missing tensor {missing[0]!r}")
-    for entry in entries:
-        expect = specs[entry["name"]]
-        if (entry["rows"], entry["cols"]) != expect:
-            raise CheckpointError(
-                f"{path}: tensor {entry['name']!r} has shape "
-                f"({entry['rows']}, {entry['cols']}), config implies {expect}"
-            )
     blob_path = os.path.join(path, DATA_FILE)
     with open(blob_path, "rb") as fh:
         blob = fh.read()
-    expected_bytes = sum(t["rows"] * t["cols"] * 8 for t in entries)
+    expected_bytes = 8 * sum(rows * cols for rows, cols in specs.values())
     if len(blob) != expected_bytes:
         raise CheckpointError(
-            f"{blob_path}: has {len(blob)} bytes, manifest implies {expected_bytes}"
+            f"{blob_path}: has {len(blob)} bytes, config implies {expected_bytes}"
         )
+    if hashlib.sha256(blob).hexdigest() != digest:
+        raise CheckpointError(f"{blob_path}: SHA-256 differs from the manifest's sha256")
     params: dict[str, Tensor] = {}
     offset = 0
-    for entry in entries:
-        count = entry["rows"] * entry["cols"]
-        flat = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        value = flat.reshape(entry["rows"], entry["cols"])
-        params[entry["name"]] = parameter(value, name=entry["name"])
+    for name, (rows, cols) in specs.items():
+        flat = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=offset)
+        offset += rows * cols * 8
+        params[name] = parameter(flat.reshape(rows, cols), name=name)
     return TransformerModel(config, vocab, task, params=params, step=step)

@@ -163,7 +163,7 @@ def _train_series(
 
 def load_series(checkpoint_dir: str) -> list[CheckpointInfo]:
     """The ``step-NNNNN`` checkpoints ``_train_series`` wrote under
-    ``checkpoint_dir``, in step order."""
+    ``checkpoint_dir``, in step order; two that hold one step are refused."""
     if not os.path.isdir(checkpoint_dir):
         raise ContractViolation(f"no checkpoint directory {checkpoint_dir}")
     series = []
@@ -175,7 +175,13 @@ def load_series(checkpoint_dir: str) -> list[CheckpointInfo]:
     if not series:
         raise ContractViolation(f"{checkpoint_dir} contains no step-* checkpoints")
     # by step, not by name: "step-100000" sorts before "step-20000"
-    return sorted(series, key=lambda info: info.step)
+    series.sort(key=lambda info: info.step)
+    for before, after in zip(series, series[1:]):
+        if before.step == after.step:
+            raise ContractViolation(
+                f"{before.path} and {after.path} both hold step {before.step}"
+            )
+    return series
 
 
 def _length_chunks(lengths) -> list[np.ndarray]:

@@ -511,33 +511,22 @@ def _edit(*keys, value=_DROP):
     return corrupt
 
 
-def _v1_layout(manifest):
-    """The manifest as format v1 wrote it: its tag, a ``positional`` config
-    key and a key bias after every query bias."""
-    tensors = []
-    for entry in manifest["tensors"]:
-        tensors.append(entry)
-        if entry["name"].endswith(".bq"):
-            tensors.append({**entry, "name": entry["name"][:-2] + "bk"})
-    manifest["config"]["positional"] = "sinusoidal"
-    return {**manifest, "format": "spantree-checkpoint-v1", "tensors": tensors}
-
-
 MANIFEST_CORRUPTIONS = {
     "missing config": _edit("config"),
     "missing vocab": _edit("vocab"),
     "unknown config key": _edit("config", "colour", value="red"),
     "mistyped config value": _edit("config", "d_model", value="16"),
     "zero heads": _edit("config", "heads", value=0),
-    "tensors not a list": _edit("tensors", value={"enc.emb": [1, 2]}),
-    "tensor entry without rows": _edit("tensors", 0, "rows"),
-    "tensor entry not an object": _edit("tensors", 0, value="enc.emb"),
+    "missing sha256": _edit("sha256"),
+    "sha256 not a string": _edit("sha256", value=0),
     "vocab an int": _edit("vocab", value=7),
     "step not an integer": _edit("step", value="four"),
     # a missing key or step used to load as its default (max_len 64, step 0)
     "missing config key": _edit("config", "max_len"),
     "missing step": _edit("step"),
-    "v1 format": _v1_layout,
+    # v1 also held a positional config key and key biases; its tag is all
+    # the refusal reads
+    "v1 format": _edit("format", value="spantree-checkpoint-v1"),
     "manifest a list": lambda manifest: [manifest],
 }
 
@@ -652,6 +641,32 @@ def _dynamics(pipeline):
     return ["dynamics", "--run-dir", pipeline["run"], "--data", pipeline["data"]]
 
 
+def _chart_with_blob(edit):
+    """``chart`` on a copy of the pipeline checkpoint whose data.bin ``edit`` changed."""
+
+    def argv(pipeline, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(pipeline["ckpt"], ckpt)
+        edit(ckpt / "data.bin")
+        return ["chart", "--checkpoint", str(ckpt), "--sentence", "A1 B1"]
+
+    return argv
+
+
+def _flip_one_bit(blob):
+    data = bytearray(blob.read_bytes())
+    data[len(data) // 2] ^= 1
+    blob.write_bytes(data)
+
+
+def _dynamics_with_a_repeated_step(pipeline, tmp_path):
+    run = tmp_path / "series"
+    shutil.copytree(pipeline["run"], run)
+    checkpoints = run / "checkpoints"
+    shutil.copytree(checkpoints / "step-00004", checkpoints / "step-00004-copy")
+    return ["dynamics", "--run-dir", str(run), "--data", pipeline["data"]]
+
+
 # Each case: (pipeline, tmp_path) -> argv that must fail cleanly.
 BAD_INPUTS = {
     "train --checkpoint-every 0": lambda p, t: _train(p, t) + ["--checkpoint-every", "0"],
@@ -729,6 +744,10 @@ BAD_INPUTS = {
         lambda p, t: _dynamics(p) + ["--probe", "--probe-steps", "0"],
     "dynamics --probe --probe-steps -1":
         lambda p, t: _dynamics(p) + ["--probe", "--probe-steps", "-1"],
+    # a flipped bit used to load and chart a model that was never trained
+    "chart with one bit of data.bin flipped": _chart_with_blob(_flip_one_bit),
+    # a copied checkpoint directory used to enter the rank correlations twice
+    "dynamics on a series with a repeated step": _dynamics_with_a_repeated_step,
 }
 
 
@@ -742,6 +761,13 @@ def test_bad_input_is_a_clean_error(pipeline, tmp_path, case):
         assert not (tmp_path / out / "resolved-config.txt").exists(), out
 
 
+def test_flipped_data_bin_error_names_the_file(pipeline, tmp_path, capsys):
+    argv = BAD_INPUTS["chart with one bit of data.bin flipped"](pipeline, tmp_path)
+    assert main(argv) == 1
+    blob = tmp_path / "ckpt" / "data.bin"
+    assert f"error: {blob}: SHA-256 differs" in capsys.readouterr().err
+
+
 def test_unknown_word_error_names_token_and_position(pipeline, tmp_path, capsys):
     rc = main(["chart", "--checkpoint", pipeline["ckpt"], "--sentence", "A1 zzz qqq"])
     assert rc == 1
@@ -752,18 +778,6 @@ def test_unknown_word_error_names_token_and_position(pipeline, tmp_path, capsys)
     assert rc == 1
     assert f"error: {src}, sentence 1: token 'zzz' at position 1 " in capsys.readouterr().err
     assert not (tmp_path / "proj").exists()
-
-
-def _chart_with_blob(edit):
-    """``chart`` on a copy of the pipeline checkpoint whose data.bin ``edit`` changed."""
-
-    def argv(pipeline, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        shutil.copytree(pipeline["ckpt"], ckpt)
-        edit(ckpt / "data.bin")
-        return ["chart", "--checkpoint", str(ckpt), "--sentence", "A1 B1"]
-
-    return argv
 
 
 def _four_column_tsv(pipeline, tmp_path):

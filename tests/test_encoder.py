@@ -790,12 +790,18 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 
 @pytest.mark.parametrize("task", enc.TASKS)
-def test_checkpoint_v2_round_trip_has_no_key_bias(tmp_path, task):
+def test_checkpoint_v3_round_trip_has_no_key_bias(tmp_path, task):
     m = small_model(task=task, seed=5)
     m.step = 7
     assert not [name for name in enc.expected_param_specs(m.config, task) if "bk" in name]
     loaded = load_checkpoint(save_checkpoint(m, tmp_path / "ck"))
-    assert manifest_of(tmp_path / "ck")["format"] == "spantree-checkpoint-v2"
+    manifest = manifest_of(tmp_path / "ck")
+    assert sorted(manifest) == ["config", "format", "sha256", "step", "task", "vocab"]
+    assert manifest["format"] == "spantree-checkpoint-v3"
+    # data.bin is every tensor's bytes in spec order, as format v2 wrote it
+    assert (tmp_path / "ck" / "data.bin").read_bytes() == b"".join(
+        p.value.astype("<f8").tobytes() for p in m.params.values()
+    )
     assert (loaded.task, loaded.step, list(loaded.params)) == (task, 7, list(m.params))
     for name, p in m.params.items():
         value = loaded.params[name].value
@@ -855,33 +861,55 @@ def test_load_rejects_malformed_json(tmp_path):
         load_checkpoint(tmp_path)
 
 
-def test_load_rejects_unknown_tensor(tmp_path):
-    m = small_model()
-    save_checkpoint(m, tmp_path)
-    man = manifest_of(tmp_path)
-    man["tensors"][0]["name"] = "enc.surprise"
-    rewrite_manifest(tmp_path, man)
-    with pytest.raises(CheckpointError, match="enc.surprise"):
-        load_checkpoint(tmp_path)
-
-
-def test_load_rejects_missing_tensor(tmp_path):
-    m = small_model()
-    save_checkpoint(m, tmp_path)
-    man = manifest_of(tmp_path)
-    dropped = man["tensors"].pop()
-    rewrite_manifest(tmp_path, man)
-    with pytest.raises(CheckpointError, match=dropped["name"]):
-        load_checkpoint(tmp_path)
-
-
 def test_load_rejects_shape_mismatch(tmp_path):
+    # the config fixes every tensor's shape, so an edit to it changes the size
+    save_checkpoint(small_model(), tmp_path)
+    man = manifest_of(tmp_path)
+    man["config"]["d_ff"] += 1
+    rewrite_manifest(tmp_path, man)
+    with pytest.raises(CheckpointError, match="data.bin: has 19432 bytes, config implies 19840"):
+        load_checkpoint(tmp_path)
+
+
+def test_load_refuses_v2_by_format(tmp_path):
     m = small_model()
     save_checkpoint(m, tmp_path)
     man = manifest_of(tmp_path)
-    man["tensors"][0]["rows"] += 1
+    del man["sha256"]
+    man["format"] = "spantree-checkpoint-v2"
+    man["tensors"] = [
+        {"name": name, "rows": p.value.shape[0], "cols": p.value.shape[1]}
+        for name, p in m.params.items()
+    ]
     rewrite_manifest(tmp_path, man)
-    with pytest.raises(CheckpointError, match="shape"):
+    with pytest.raises(CheckpointError, match="format 'spantree-checkpoint-v2' is not"):
+        load_checkpoint(tmp_path)
+
+
+def test_load_refuses_every_flipped_bit_of_data_bin(tmp_path):
+    # one flip every 1,754 bytes, as in the fault-injection sweep, each at a
+    # different bit; without a digest every one of them loaded
+    save_checkpoint(small_model(d_model=32, d_ff=64, heads=4), tmp_path)
+    blob_path = tmp_path / "data.bin"
+    blob = blob_path.read_bytes()
+    offsets = range(0, len(blob), 1754)
+    assert len(offsets) == 143
+    for i, offset in enumerate(offsets):
+        flipped = bytearray(blob)
+        flipped[offset] ^= 1 << (i % 8)
+        blob_path.write_bytes(flipped)
+        with pytest.raises(CheckpointError, match="data.bin: SHA-256 differs"):
+            load_checkpoint(tmp_path)
+    blob_path.write_bytes(blob)
+    load_checkpoint(tmp_path)
+
+
+def test_load_rejects_negative_step(tmp_path):
+    save_checkpoint(small_model(), tmp_path)
+    man = manifest_of(tmp_path)
+    man["step"] = -5
+    rewrite_manifest(tmp_path, man)
+    with pytest.raises(CheckpointError, match="step must be >= 0, got -5"):
         load_checkpoint(tmp_path)
 
 

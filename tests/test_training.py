@@ -4,6 +4,7 @@ import gc
 import hashlib
 import math
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -230,6 +231,20 @@ def test_load_series_is_in_step_order(tmp_path):
         load_series(str(tmp_path / "missing"))
     with pytest.raises(ContractViolation, match="no step-"):
         load_series(str(tmp_path / "step-00000"))
+
+
+def test_load_series_refuses_a_repeated_step(tmp_path):
+    # a copied checkpoint directory used to load twice: steps [0, 100, 100]
+    corpus = memorization_corpus()
+    model = TransformerModel(tiny_config(vocab_size=len(corpus.vocab)), corpus.vocab, rng=0)
+    for step in (0, 100):
+        model.step = step
+        save_checkpoint(model, tmp_path / f"step-{step:05d}")
+    shutil.copytree(tmp_path / "step-00100", tmp_path / "step-00100-copy")
+    first, second = tmp_path / "step-00100", tmp_path / "step-00100-copy"
+    with pytest.raises(ContractViolation) as refused:
+        load_series(str(tmp_path))
+    assert str(refused.value) == f"{first} and {second} both hold step 100"
 
 
 def test_train_requires_examples():
