@@ -15,7 +15,11 @@ targets included, and is the one place an empty batch or sentence is refused.
 plus positions) and never applies the final layer norm; ``memory``,
 ``encode`` and the SCI charts apply it through ``final_norm``.
 ``frozen_memory`` is the one no-gradient encode, ``mlm_logits`` the one
-masked-token head.
+masked-token head.  Every method runs the same ``numerics`` kernels, called
+by their names here, on the tape and off it: under ``no_tape`` ``_p`` hands
+out parameter values and every state is a plain ndarray, so ``encode``,
+``memory`` / ``frozen_memory``, a ``DecoderCache`` and ``decode_with_memory``
+take and return arrays and inference builds no ``Tensor``.
 
 The decoder has one path: ``decoder_logits(ids, cache)`` on a
 ``DecoderCache``, which projects every layer's cross-attention keys and
@@ -59,9 +63,11 @@ from .datasets import RESERVED, Vocab
 from .errors import CheckpointError, ContractViolation
 from .numerics import (
     NEG_MASK,
+    Operand,
     Tensor,
     add,
     affine,
+    constant,
     cross_entropy,
     embedding,
     layer_norm,
@@ -73,6 +79,7 @@ from .numerics import (
     relu,
     reshape,
     scale,
+    taping,
 )
 
 Array = np.ndarray
@@ -388,38 +395,40 @@ class TransformerModel:
             self.config, self.vocab, self.task, params=params, step=self.step
         )
 
-    def _p(self, name: str) -> Tensor:
-        return self.params[name]
+    def _p(self, name: str) -> Operand:
+        """Parameter ``name``: its tape leaf, or under ``no_tape`` its array."""
+        p = self.params[name]
+        return p if taping() else p.value
 
-    def _affine(self, x: Tensor, w: str, b: str | None = None) -> Tensor:
+    def _affine(self, x: Operand, w: str, b: str | None = None) -> Operand:
         """``x @ w + b`` (``x @ w`` for keys) as one ``affine`` tape node.
         Every linear layer runs through here: attention projections (the
         cross-attention keys and values a ``DecoderCache`` projects
         included), feed-forward layers and the output and MLM heads."""
         return affine(x, self._p(w), None if b is None else self._p(b))
 
-    def _ln(self, x: Tensor, prefix: str) -> Tensor:
+    def _ln(self, x: Operand, prefix: str) -> Operand:
         return layer_norm(x, self._p(f"{prefix}.g"), self._p(f"{prefix}.b"))
 
-    def _heads(self, x: Tensor) -> Tensor:
+    def _heads(self, x: Operand) -> Operand:
         """(B, n, d) -> (B, h, n, d / h)."""
         cfg = self.config
-        bsz, n = x.value.shape[0], x.value.shape[1]
+        bsz, n = x.shape[0], x.shape[1]
         return permute(reshape(x, (bsz, n, cfg.heads, cfg.d_model // cfg.heads)), (0, 2, 1, 3))
 
-    def _keys_values(self, prefix: str, xkv: Tensor) -> tuple[Tensor, Tensor]:
+    def _keys_values(self, prefix: str, xkv: Operand) -> tuple[Operand, Operand]:
         """Head-split attention keys and values (B, h, nk, dh) of ``xkv``."""
         k = self._affine(xkv, f"{prefix}.wk")
         v = self._affine(xkv, f"{prefix}.wv", f"{prefix}.bv")
         return self._heads(k), self._heads(v)
 
     def _attention(
-        self, prefix: str, xq: Tensor, kv: tuple[Tensor, Tensor], additive: Array | float
-    ) -> Tensor:
+        self, prefix: str, xq: Operand, kv: tuple[Operand, Operand], additive: Array | float
+    ) -> Operand:
         """Multi-head attention of ``xq`` over keys and values from
         ``_keys_values``; ``additive`` broadcasts to (B, h, nq, nk)."""
         cfg = self.config
-        bq, nq = xq.value.shape[0], xq.value.shape[1]
+        bq, nq = xq.shape[0], xq.shape[1]
         dh = cfg.d_model // cfg.heads
         q = self._heads(self._affine(xq, f"{prefix}.wq", f"{prefix}.bq"))
         k, v = kv
@@ -429,11 +438,11 @@ class TransformerModel:
         ctx = reshape(permute(ctx, (0, 2, 1, 3)), (bq, nq, cfg.d_model))
         return self._affine(ctx, f"{prefix}.wo", f"{prefix}.bo")
 
-    def _ff(self, prefix: str, x: Tensor) -> Tensor:
+    def _ff(self, prefix: str, x: Operand) -> Operand:
         hidden = relu(self._affine(x, f"{prefix}.w1", f"{prefix}.b1"))
         return self._affine(hidden, f"{prefix}.w2", f"{prefix}.b2")
 
-    def encoder_block(self, i: int, x: Tensor, additive: Array | float) -> Tensor:
+    def encoder_block(self, i: int, x: Operand, additive: Array | float) -> Operand:
         h = self._ln(x, f"enc.{i}.ln1")
         kv = self._keys_values(f"enc.{i}.attn", h)
         x = add(x, self._attention(f"enc.{i}.attn", h, kv, additive))
@@ -444,7 +453,7 @@ class TransformerModel:
 
     def embed_source(
         self, ids: Array, layer0_delta: Array | None = None, positions: Array | None = None
-    ) -> Tensor:
+    ) -> Operand:
         """Layer-0 states: scaled embeddings plus absolute positions, the
         position ids ``positions`` (shaped like ``ids``) or else 0..n-1."""
         ids = np.asarray(ids)
@@ -455,7 +464,7 @@ class TransformerModel:
         pos = self.positions[:n] if positions is None else self.positions[positions]
         if layer0_delta is not None:
             pos = pos + np.asarray(layer0_delta, dtype=np.float64)
-        return add(x, Tensor(pos))
+        return add(x, constant(pos))
 
     def encoder_states_t(
         self,
@@ -463,9 +472,9 @@ class TransformerModel:
         additive: Array | None = None,
         layer0_delta: Array | None = None,
         positions: Array | None = None,
-    ) -> list[Tensor]:
-        """Raw per-layer states for a (B, n) id batch from ``pad_ids``, on the
-        tape unless built under ``no_tape``.
+    ) -> list[Operand]:
+        """Raw per-layer states for a (B, n) id batch from ``pad_ids``:
+        tape nodes, or plain arrays under ``no_tape``.
 
         ``additive`` is the one additive attention mask that every block
         applies; ``encode`` builds it from a ``LayerMask``,
@@ -488,12 +497,13 @@ class TransformerModel:
             states.append(self.encoder_block(i, states[-1], additive))
         return states
 
-    def final_norm(self, x: Tensor) -> Tensor:
+    def final_norm(self, x: Operand) -> Operand:
         return self._ln(x, "enc.ln_f")
 
-    def memory(self, ids: Array) -> tuple[Tensor, Array]:
-        """Final-normed encoder states of a (B, n) id batch from ``pad_ids``,
-        plus the additive (B, 1, 1, n) mask that hides its pad positions from
+    def memory(self, ids: Array) -> tuple[Operand, Array]:
+        """Final-normed encoder states (B, n, d) of a (B, n) id batch from
+        ``pad_ids``, a tape node or under ``no_tape`` an array, plus the
+        additive (B, 1, 1, n) mask that hides its pad positions from
         attention.  A row that is all padding would leave attention no key,
         so it is rejected."""
         pad = np.asarray(ids) == self.vocab.pad
@@ -503,9 +513,10 @@ class TransformerModel:
         states = self.encoder_states_t(ids, additive)
         return self.final_norm(states[-1]), additive
 
-    def frozen_memory(self, sources: list[list[int]]) -> tuple[Tensor, Array]:
-        """``memory`` of the padded ``sources``, built off the tape so that no
-        gradient reaches the encoder: the memory decoding and the probe read."""
+    def frozen_memory(self, sources: list[list[int]]) -> tuple[Array, Array]:
+        """``memory`` of the padded ``sources`` as a plain array, built off the
+        tape so that no gradient reaches the encoder: the memory decoding and
+        the probe read."""
         with no_tape():
             return self.memory(pad_ids(sources, self.vocab.pad))
 
@@ -533,7 +544,7 @@ class TransformerModel:
         with no_tape():
             states = self.encoder_states_t(ids, additive, delta)
             states[-1] = self.final_norm(states[-1])
-        return [s.value[0] for s in states]
+        return [s[0] for s in states]
 
     # -- decoder -----------------------------------------------------------
 
@@ -543,7 +554,7 @@ class TransformerModel:
         cache: DecoderCache,
         positions: Array | None = None,
         self_additive: Array | None = None,
-    ) -> Tensor:
+    ) -> Operand:
         """Next-token logits (B, nt, V) for the target ids (B, nt) at
         positions ``cache.offset`` onward, or at the per-token position ids
         ``positions`` under the causal additive mask ``self_additive`` (a
@@ -560,8 +571,9 @@ class TransformerModel:
         (about 1e-15 relative).
 
         On the tape the cache must be fresh and built on the tape: a fed
-        cache holds earlier keys and values as values only, and a cache built
-        under ``no_tape`` holds cross-attention keys no gradient reaches.
+        cache holds earlier keys and values as plain arrays, and so does a
+        cache built under ``no_tape`` for its cross-attention keys, which no
+        gradient reaches.
         """
         cfg = self.config
         tgt_ids = np.asarray(tgt_ids)
@@ -570,12 +582,12 @@ class TransformerModel:
         if offset + nt > cfg.max_len:
             raise ContractViolation(f"target length {offset + nt} exceeds max_len")
         x = scale(embedding(self._p("dec.emb"), tgt_ids), math.sqrt(cfg.d_model))
-        if x.taped and (offset or not cache.cross[0][0].taped):
+        if type(x) is Tensor and (offset or type(cache.cross[0][0]) is not Tensor):
             raise ContractViolation(
                 "decoder_logits: on the tape, use a fresh cache built on the tape"
             )
-        x = add(x, Tensor(self.positions[offset : offset + nt] if positions is None
-                          else self.positions[positions]))
+        x = add(x, constant(self.positions[offset : offset + nt] if positions is None
+                            else self.positions[positions]))
         causal = self_additive
         if causal is None:  # a single query row may see every key so far
             causal = (0.0 if nt == 1 else
@@ -647,14 +659,14 @@ class TransformerModel:
 
     def decode_with_memory(
         self,
-        memory: Tensor,
+        memory: Array,
         cross_additive: Array,
         max_new: int,
         targets: list[list[int]] | None = None,
     ) -> list[list[int]]:
-        """Argmax decoding from BOS, off the tape, for at most
-        ``min(max_new, max_len - 1)`` steps; each row's tokens before its
-        first EOS.
+        """Argmax decoding from BOS over the (B, n, d) ``memory`` array, off
+        the tape, for at most ``min(max_new, max_len - 1)`` steps; each row's
+        tokens before its first EOS.
 
         Each step feeds only the newest token of each live row through
         ``decoder_logits``.  A row that emits EOS leaves the live set: its
@@ -667,7 +679,7 @@ class TransformerModel:
         never differs decodes exactly as it would without targets, so a
         decode equals its target exactly when the untargeted decode does.
         """
-        rows = memory.value.shape[0]
+        rows = memory.shape[0]
         if max_new < 1:
             raise ContractViolation(f"decode: max_new must be >= 1, got {max_new}")
         if targets is not None and len(targets) != rows:
@@ -686,7 +698,7 @@ class TransformerModel:
             cache = DecoderCache(self, memory, cross_additive)
             for step in range(steps):
                 logits = self.decoder_logits(last, cache)
-                last = logits.value[:, -1:, :].argmax(axis=-1)
+                last = logits[:, -1:, :].argmax(axis=-1)
                 tokens[live, step] = last[:, 0]
                 going = last[:, 0] != eos
                 if targets is not None:
@@ -707,24 +719,25 @@ class DecoderCache:
     (B, 1, 1, nk) pad mask, or a packed batch's (B, 1, nq, nk) pair mask), and
     self-attention keys and values of the ``offset`` positions fed so far.
     Every key and value is (B, h, n, dh) over the same rows, and every
-    ``decoder_logits`` call runs on one."""
+    ``decoder_logits`` call runs on one.  Built from a memory array under
+    ``no_tape``, the cache holds plain arrays; ``extend`` past the first
+    call and ``keep`` run only there."""
 
-    def __init__(self, model: TransformerModel, memory: Tensor, cross_additive: Array):
+    def __init__(self, model: TransformerModel, memory: Operand, cross_additive: Array):
         self.offset = 0
         self.cross_additive = cross_additive
         self.cross = [
             model._keys_values(f"dec.{i}.cross", memory)
             for i in range(model.config.dec_layers)
         ]
-        self.past: list[tuple[Tensor, Tensor]] = []
+        self.past: list[tuple[Operand, Operand]] = []
 
-    def extend(self, layer: int, kv: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
+    def extend(self, layer: int, kv: tuple[Operand, Operand]) -> tuple[Operand, Operand]:
         """Append one layer's new self-attention keys and values along the
         position axis and return the whole cached run."""
         if layer < len(self.past):
             kv = tuple(
-                Tensor(np.concatenate([old.value, new.value], axis=2))
-                for old, new in zip(self.past[layer], kv)
+                np.concatenate([old, new], axis=2) for old, new in zip(self.past[layer], kv)
             )
             self.past[layer] = kv
         else:
@@ -735,7 +748,7 @@ class DecoderCache:
         """Drop every row not listed in ``rows``."""
 
         def pick(kv):
-            return tuple(Tensor(t.value[rows]) for t in kv)
+            return tuple(t[rows] for t in kv)
 
         self.cross_additive = self.cross_additive[rows]
         self.cross = [pick(kv) for kv in self.cross]
@@ -806,8 +819,9 @@ def load_checkpoint(path) -> TransformerModel:
     """Reload a checkpoint directory, each tensor's shape read off its config.
 
     A malformed manifest (a missing or mistyped field, an unknown key, a
-    negative step) and a data.bin whose size the config does not imply or
-    whose SHA-256 is not the manifest's raise CheckpointError.
+    negative step, a config its task cannot use) and a data.bin whose size
+    the config does not imply or whose SHA-256 is not the manifest's raise
+    CheckpointError.
     """
     manifest_path = os.path.join(path, MANIFEST_FILE)
     try:
@@ -837,7 +851,10 @@ def load_checkpoint(path) -> TransformerModel:
     if step < 0:
         raise CheckpointError(f"{path}: step must be >= 0, got {step}")
     digest = _field(manifest, "sha256", str, manifest_path)
-    specs = expected_param_specs(config, task)
+    try:
+        specs = expected_param_specs(config, task)
+    except ContractViolation as exc:  # a seq2seq or probe config without decoder layers
+        raise CheckpointError(f"{path}: {exc}") from exc
     blob_path = os.path.join(path, DATA_FILE)
     with open(blob_path, "rb") as fh:
         blob = fh.read()

@@ -19,9 +19,11 @@ length-k spans of many sentences, one pass per (t, k).  A span's tail reads
 only its own rows, so its bits do not depend on which spans share its stack.
 ``context_free_vector`` recomputes that prefix on every call and runs the
 same tail function on a stack of one, so the chart and a naive per-span
-rebuild agree bit-for-bit.  Both run under ``no_tape``.  The paper's literal
-form, a full-length encode under a T-shaped attention mask, is kept as the
-test reference ``tests/helpers.ref_t_mask_vector``.
+rebuild agree bit-for-bit.  Both run under ``no_tape``, where the encoder's
+kernels take and return plain arrays: a tail stack goes in as the gathered
+ndarray, and no ``Tensor`` is built.  The paper's literal form, a full-length
+encode under a T-shaped attention mask, is kept as the test reference
+``tests/helpers.ref_t_mask_vector``.
 
 With no contextual mask, a span whose context-free side is its contextual
 side runs no tail: its entry is ``cosine_distance(v, v)``, that is 0.0, or
@@ -42,7 +44,7 @@ import numpy as np
 
 from .encoder import LayerMask, TransformerModel, pad_ids
 from .errors import ContractViolation
-from .numerics import DEGENERATE_NORM, Tensor, cosine_distance, no_tape
+from .numerics import DEGENERATE_NORM, cosine_distance, no_tape
 
 Array = np.ndarray
 
@@ -99,11 +101,10 @@ def contextual_span_vector(states, span, pooling: str = "mean") -> Array:
 def _span_tails(model: TransformerModel, stack: Array, t: int) -> Array:
     """Final states of a (spans, k, d) stack of equal-length spans' layer-t
     states after layers t..L-1 and the final norm, each span attending only
-    within itself."""
-    x = Tensor(stack)
+    within itself; run under ``no_tape``."""
     for layer in range(t, model.config.enc_layers):
-        x = model.encoder_block(layer, x, 0.0)
-    return model.final_norm(x).value
+        stack = model.encoder_block(layer, stack, 0.0)
+    return model.final_norm(stack)
 
 
 def _check_threshold(t: int, layers: int) -> None:
@@ -125,7 +126,7 @@ def context_free_vector(
     span = _as_span(span, ids.shape[1])
     _check_threshold(t, model.config.enc_layers)
     with no_tape():
-        prefix = model.encoder_states_t(ids, None)[t].value
+        prefix = model.encoder_states_t(ids, None)[t]
         tail = _span_tails(model, prefix[:, span.start : span.end + 1], t)
     return _pool(tail, pooling)[0]
 
@@ -173,7 +174,7 @@ def _charts(model, raws, finals, thresholds, pooling) -> dict[int, list[SciChart
     layers = model.config.enc_layers
     own = finals is None
     if own:
-        finals = [model.final_norm(raw[layers]).value[0] for raw in raws]
+        finals = [model.final_norm(raw[layers])[0] for raw in raws]
     lengths = [final.shape[0] for final in finals]
     values = {t: [np.zeros((n, n)) for n in lengths] for t in thresholds}
     for k in range(1, max(lengths) + 1):
@@ -192,7 +193,7 @@ def _charts(model, raws, finals, thresholds, pooling) -> dict[int, list[SciChart
                     tails.append((s, w, contextual))
             if not tails:
                 continue
-            parts = [raws[s][t].value[0][w] for s, w, _ in tails]
+            parts = [raws[s][t][0][w] for s, w, _ in tails]
             stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
             free = _pool(_span_tails(model, stack, t), pooling)
             end = 0

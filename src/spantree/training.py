@@ -338,7 +338,7 @@ def masked_prediction_accuracy(model: TransformerModel, sentences: list[list[int
             rng, sentences[lo : lo + EVAL_CHUNK], model.vocab, EVAL_MASK_FRAC
         )
         with no_tape():
-            pred = model.mlm_logits(masked).value.argmax(axis=-1)
+            pred = model.mlm_logits(masked).argmax(axis=-1)
         hit += int(((pred == original) & (loss_mask > 0)).sum())
         total += int(loss_mask.sum())
     return hit / total
@@ -473,7 +473,7 @@ def _frozen_batches(encoder: TransformerModel, sources: list[list[int]]):
     for chunk in _length_chunks(lengths):
         memory, _ = encoder.frozen_memory([sources[i] for i in chunk])
         for row, i in enumerate(chunk):
-            store[i, : lengths[i]] = memory.value[row, : lengths[i]]
+            store[i, : lengths[i]] = memory[row, : lengths[i]]
 
     def batch(idx, packed: PackedBatch) -> Tensor:
         return constant(store[idx[packed.src_pair], packed.src_pos])

@@ -102,11 +102,11 @@ def full_prefix_greedy(model, memory, cross_additive, max_new):
     (B, step + 1) prefix of every row on a fresh cache at each step, until
     every row has emitted EOS; each row's tokens before its first EOS."""
     eos = model.vocab.eos
-    ys = np.full((memory.value.shape[0], 1), model.vocab.bos, dtype=np.int64)
+    ys = np.full((memory.shape[0], 1), model.vocab.bos, dtype=np.int64)
     with nm.no_tape():
         for _ in range(min(max_new, model.config.max_len - 1)):
             logits = model.decoder_logits(ys, DecoderCache(model, memory, cross_additive))
-            ys = np.concatenate([ys, logits.value[:, -1:, :].argmax(axis=-1)], axis=1)
+            ys = np.concatenate([ys, logits[:, -1:, :].argmax(axis=-1)], axis=1)
             if (ys == eos).any(axis=1).all():
                 break
     rows = ys[:, 1:].tolist()
@@ -226,7 +226,7 @@ def ref_t_mask_vector(model, tokens, span, t):
         x = model.encoder_states_t(ids)[t]
         for i in range(t, model.config.enc_layers):
             x = model.encoder_block(i, x, t_mask_additive)
-        final = model.final_norm(x).value[0]
+        final = model.final_norm(x)[0]
     return final[start : end + 1].mean(axis=0)
 
 

@@ -517,6 +517,9 @@ MANIFEST_CORRUPTIONS = {
     "unknown config key": _edit("config", "colour", value="red"),
     "mistyped config value": _edit("config", "d_model", value="16"),
     "zero heads": _edit("config", "heads", value=0),
+    # a seq2seq model needs a decoder; this used to be an error line that
+    # did not name the checkpoint
+    "zero decoder layers": _edit("config", "dec_layers", value=0),
     "missing sha256": _edit("sha256"),
     "sha256 not a string": _edit("sha256", value=0),
     "vocab an int": _edit("vocab", value=7),
@@ -551,7 +554,9 @@ def test_malformed_manifest_is_a_clean_error(pipeline, tmp_path, case):
     shutil.copytree(pipeline["ckpt"], ckpt)
     manifest = json.loads((ckpt / "manifest.json").read_text())
     (ckpt / "manifest.json").write_text(json.dumps(MANIFEST_CORRUPTIONS[case](manifest)))
-    assert_clean_error(["chart", "--checkpoint", str(ckpt), "--sentence", "A1 B1"])
+    lines = assert_clean_error(["chart", "--checkpoint", str(ckpt), "--sentence", "A1 B1"])
+    # the error line names the checkpoint it refused
+    assert any(line.startswith("error:") and str(ckpt) in line for line in lines), lines
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,7 +18,7 @@ from spantree.encoder import (
     save_checkpoint,
 )
 from spantree.errors import CheckpointError, ContractViolation
-from spantree.spanrep import build_sci_chart
+from spantree.spanrep import build_sci_chart, build_sci_charts, context_free_vector
 from spantree.training import make_mlm_batch, masked_prediction_accuracy
 
 from helpers import (
@@ -243,9 +243,11 @@ def test_encoder_states_t_prefix_semantics():
     assert len(raw) == 3
     # no run applies the final layer norm; encode and memory apply it
     final = m.final_norm(raw[-1]).value
-    assert np.array_equal(np.asarray(m.encode([5, 6, 7])[-1]), final[0])
+    encoded = m.encode([5, 6, 7])[-1]
+    assert type(encoded) is np.ndarray and np.array_equal(encoded, final[0])
     with nm.no_tape():
-        assert np.array_equal(m.memory(ids)[0].value, final)
+        memory = m.memory(ids)[0]
+    assert type(memory) is np.ndarray and np.array_equal(memory, final)
 
 
 def test_layer0_delta_shifts_one_position():
@@ -406,7 +408,8 @@ def packed_pair_logits(m, pairs, encoder=None):
         else:
             frozen = training._frozen_batches(encoder, [src for src, _ in pairs])
             memory = frozen(np.arange(len(pairs)), batch)
-        logits = m.packed_logits(batch, memory).value
+        logits = m.packed_logits(batch, memory)
+    assert type(logits) is np.ndarray
     return [logits[batch.target_pair == i] for i in range(len(pairs))]
 
 
@@ -420,7 +423,7 @@ def test_packed_pair_logits_equal_the_pair_run_alone(seed):
     for (src, tgt), packed in zip(pairs, packed_pair_logits(m, pairs)):
         with nm.no_tape():
             cache = enc.DecoderCache(m, *m.memory(enc.pad_ids([src], pad)))
-            alone = m.decoder_logits(enc.pad_ids([[bos, *tgt]], pad), cache).value[0]
+            alone = m.decoder_logits(enc.pad_ids([[bos, *tgt]], pad), cache)[0]
         assert np.abs(packed - alone).max() <= 1e-12 * np.abs(alone).max()
 
 
@@ -605,14 +608,14 @@ def test_cached_step_logits_match_full_prefix(arch):
             if step == 4:
                 keep = np.array([0, 2, 5])
                 ys, additive = ys[keep], additive[keep]
-                memory = nm.Tensor(memory.value[keep])
+                memory = memory[keep]
                 cache.keep(keep)
             cached = m.decoder_logits(ys[:, -1:], cache)
             full = m.decoder_logits(ys, enc.DecoderCache(m, memory, additive))
-            assert cached.value.shape == (ys.shape[0], 1, len(m.vocab))
-            assert not cached.taped and cache.offset == step + 1
-            last = full.value[:, -1]
-            assert np.abs(cached.value[:, 0] - last).max() <= 1e-12 * np.abs(last).max()
+            assert type(cached) is np.ndarray and type(full) is np.ndarray
+            assert cached.shape == (ys.shape[0], 1, len(m.vocab)) and cache.offset == step + 1
+            last = full[:, -1]
+            assert np.abs(cached[:, 0] - last).max() <= 1e-12 * np.abs(last).max()
             ys = np.concatenate([ys, last.argmax(axis=-1)[:, None]], axis=1)
         # the cache has used every position max_len allows
         with pytest.raises(ContractViolation):
@@ -620,13 +623,14 @@ def test_cached_step_logits_match_full_prefix(arch):
         untaped = enc.DecoderCache(m, memory, additive)
     # on the tape a cache must be fresh and built on the tape: a fed cache
     # and one built under no_tape are refused, a fresh taped one is not
+    memory = nm.constant(memory)
     fed = enc.DecoderCache(m, memory, additive)
     m.decoder_logits(ys[:, :1], fed)
     for cache in (fed, untaped):
         with pytest.raises(ContractViolation, match="fresh cache built on the tape"):
             m.decoder_logits(ys[:, :1], cache)
-    assert m.decoder_logits(ys[:, :2], enc.DecoderCache(m, memory, additive)).taped
-    assert m.seq2seq_loss([([5, 6], [7])]).taped
+    assert type(m.decoder_logits(ys[:, :2], enc.DecoderCache(m, memory, additive))) is nm.Tensor
+    assert type(m.seq2seq_loss([([5, 6], [7])])) is nm.Tensor
 
 
 def test_memory_rejects_all_pad_row():
@@ -671,11 +675,11 @@ def test_mlm_head_is_one_affine_map():
     ids = enc.pad_ids([[5, 6, 7], [8, 9]], m.vocab.pad)
     with nm.no_tape():
         final, _ = m.memory(ids)
-        logits = m.mlm_logits(ids).value
+        logits = m.mlm_logits(ids)
     # the loss and masked-token accuracy share this head; it is the affine
     # map of the final states, bit for bit
-    assert np.array_equal(logits, final.value @ m.params["mlm.w"].value
-                          + m.params["mlm.b"].value)
+    assert type(logits) is np.ndarray
+    assert np.array_equal(logits, final @ m.params["mlm.w"].value + m.params["mlm.b"].value)
     with pytest.raises(ContractViolation, match="mlm model"):
         small_model().mlm_logits(ids)
 
@@ -704,6 +708,39 @@ def bench_shape_batch(task, seed=31):
     return model, model.packed_loss(batch, frozen(np.arange(len(sources)), batch))
 
 
+@pytest.mark.parametrize("case", ["sentence", "span stack", "padded memory"])
+def test_blocks_off_the_tape_keep_the_taped_bits(case):
+    # the encoder blocks, the final norm and one decoding step run the same
+    # kernels on the tape and off it; off it every result is a plain ndarray
+    # with the bits of the taped node's value.  A chart encodes a (1, n, d)
+    # sentence and runs (S, k, d) stacks of spans; decoding reads a padded
+    # memory of up to 64 rows under its pad mask
+    model, _ = bench_shape_batch("seq2seq")
+    vocab, d = model.vocab, model.config.d_model
+    rng = np.random.default_rng(43)
+    if case == "padded memory":
+        ids = enc.pad_ids([[5] * int(k) for k in rng.integers(1, 13, size=64)], vocab.pad)
+        _, additive = model.memory(ids)
+        x, cross = rng.standard_normal(ids.shape + (d,)), additive
+    else:
+        x = rng.standard_normal((1, 9, d) if case == "sentence" else (12, 4, d))
+        additive, cross = 0.0, np.zeros((x.shape[0], 1, 1, x.shape[1]))
+    bos = np.full((x.shape[0], 1), vocab.bos)
+    # nm.constant is a tape leaf on the tape and the array itself off it
+    for name, build in {
+        "encoder block 0": lambda: model.encoder_block(0, nm.constant(x), additive),
+        "encoder block 1": lambda: model.encoder_block(1, nm.constant(x), additive),
+        "final norm": lambda: model.final_norm(nm.constant(x)),
+        "decoder step": lambda: model.decoder_logits(
+            bos, enc.DecoderCache(model, nm.constant(x), cross)),
+    }.items():
+        taped = build()
+        with nm.no_tape():
+            bare = build()
+        assert type(taped) is nm.Tensor and type(bare) is np.ndarray, name
+        assert bare.shape == taped.shape and bare.tobytes() == taped.value.tobytes(), name
+
+
 @pytest.mark.parametrize("task", enc.TASKS)
 def test_every_parameter_can_change_the_loss(task):
     # a parameter whose gradient is rounding noise cannot change an output
@@ -718,24 +755,33 @@ def test_every_parameter_can_change_the_loss(task):
 
 
 def test_inference_records_no_tape(monkeypatch):
-    # encode, decoding, charts and masked-token accuracy run under no_tape, so
-    # no tensor they build keeps a parent; a training loss still records
-    has_parents = []
+    # encode, decoding, charts and masked-token accuracy run the kernels
+    # under no_tape on plain arrays, so none builds a single Tensor; a
+    # training loss still records a tape
+    m, mlm = small_model(), small_model("mlm")
+    built = []
     init = nm.Tensor.__init__
 
-    def recording_init(self, *args, **kwargs):
+    def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        has_parents.append(bool(self.parents))
+        built.append(self)
 
-    monkeypatch.setattr(nm.Tensor, "__init__", recording_init)
-    m = small_model()
-    m.encode([5, 6, 7])
-    m.greedy_decode([[5, 6, 7], [8, 9]], max_new=4)
-    build_sci_chart(m, [5, 6, 7, 8], t=1)
-    masked_prediction_accuracy(small_model("mlm"), [[5, 6, 7], [8, 9, 10]])
-    assert has_parents and not any(has_parents)
-    m.seq2seq_loss([([5, 6], [7])])
-    assert any(has_parents)
+    monkeypatch.setattr(nm.Tensor, "__init__", counting_init)
+    routes = {
+        "encode": lambda: m.encode([5, 6, 7], mask=LayerMask.block_diagonal(1, 3)),
+        "greedy_decode": lambda: m.greedy_decode([[5, 6, 7], [8, 9]], max_new=4),
+        "build_sci_chart": lambda: build_sci_chart(m, [5, 6, 7, 8], t=1),
+        "build_sci_charts": lambda: build_sci_charts(m, [[5, 6, 7, 8], [9, 5]], [0, 1, 2]),
+        "context_free_vector": lambda: context_free_vector(m, [5, 6, 7, 8], (1, 2), 1),
+        "frozen_memory": lambda: m.frozen_memory([[5, 6], [7]]),
+        "masked_prediction_accuracy": lambda: masked_prediction_accuracy(
+            mlm, [[5, 6, 7], [8, 9, 10]]),
+    }
+    for name, route in routes.items():
+        route()
+        assert len(built) == 0, name
+    loss = m.seq2seq_loss([([5, 6], [7])])
+    assert type(loss) is nm.Tensor and loss.parents and len(built) > 0
 
 
 def test_decode_respects_max_len_budget():
@@ -910,6 +956,17 @@ def test_load_rejects_negative_step(tmp_path):
     man["step"] = -5
     rewrite_manifest(tmp_path, man)
     with pytest.raises(CheckpointError, match="step must be >= 0, got -5"):
+        load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("task", ["seq2seq", "probe"])
+def test_load_rejects_a_decoder_task_without_decoder_layers(tmp_path, task):
+    # this used to raise a bare ContractViolation that named no checkpoint
+    save_checkpoint(small_model(task), tmp_path)
+    man = manifest_of(tmp_path)
+    man["config"]["dec_layers"] = 0
+    rewrite_manifest(tmp_path, man)
+    with pytest.raises(CheckpointError, match=f"^{tmp_path}: {task} needs dec_layers >= 1$"):
         load_checkpoint(tmp_path)
 
 

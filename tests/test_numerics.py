@@ -245,13 +245,15 @@ def test_no_tape_keeps_values_only():
     a = nm.parameter(rng.standard_normal((3, 4)))
     b = nm.parameter(rng.standard_normal((4, 3)))
     recorded = composite(a, b)
+    recorded_loss = nm.cross_entropy(recorded, np.array([0, 1, 2]))
     with nm.no_tape():
         bare = composite(a, b)
         loss = nm.cross_entropy(bare, np.array([0, 1, 2]))
-    assert np.array_equal(bare.value, recorded.value)
-    assert recorded.parents and recorded.vjp is not None and recorded.taped
-    for out in (bare, loss):
-        assert out.parents == () and out.vjp is None and not out.taped
+    assert recorded.parents and recorded.vjp is not None
+    # off the tape a kernel returns the plain array of its forward, no Tensor
+    for out, taped in ((bare, recorded), (loss, recorded_loss)):
+        assert type(out) is np.ndarray and type(taped) is nm.Tensor
+        assert_same_bits(out, taped.value)
 
 
 def test_backward_rejects_tensor_built_without_tape():
@@ -263,19 +265,30 @@ def test_backward_rejects_tensor_built_without_tape():
     assert a.grad is None
 
 
+def test_backward_rejects_a_plain_array_on_the_tape():
+    # on the tape the operands are Tensors: an array there is refused by
+    # name before any gradient is touched, not an AttributeError mid-walk
+    a = nm.parameter(np.ones(3))
+    loss = nm.total_sum(nm.mul(a, np.full(3, 2.0)))
+    with pytest.raises(ContractViolation, match="pass it as a constant"):
+        nm.backward(loss, [a])
+    assert a.grad is None
+
+
 def test_no_tape_restores_recording_on_exit_and_on_error():
     a = nm.parameter(np.ones(3))
     with nm.no_tape():
         with nm.no_tape():
             pass
-        assert not nm.total_sum(a).taped  # a nested block leaves the outer one off
-    assert nm.total_sum(a).parents == (a,)
+        # a nested block leaves the outer one off
+        assert not nm.taping() and type(nm.total_sum(a)) is np.ndarray
+    assert nm.taping() and nm.total_sum(a).parents == (a,)
     with pytest.raises(RuntimeError):
         with nm.no_tape():
             raise RuntimeError("boom")
     loss = nm.total_sum(a)
     nm.backward(loss, [a])
-    assert loss.taped and np.array_equal(a.grad, np.ones(3))
+    assert type(loss) is nm.Tensor and np.array_equal(a.grad, np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +316,18 @@ def draw(rng, shape, layout):
 
 
 def run_kernel(mode, kernel, *args):
-    """The kernel's output tensor, built in tape mode ``mode``."""
+    """The kernel's output array in tape mode ``mode``, and its tape node on
+    the tape (None off it).  Off the tape the kernel must return a plain
+    ndarray with the bits of the taped node's value."""
+    node = kernel(*args)
+    assert type(node) is nm.Tensor
+    if mode == "taped":
+        return node.value, node
     with TAPE_MODES[mode]():
         out = kernel(*args)
-    assert out.taped == (mode == "taped")
-    return out
+    assert type(out) is np.ndarray
+    assert_same_bits(out, node.value)
+    return out, None
 
 
 def assert_same_bits(got, want):
@@ -329,12 +349,12 @@ def assert_same_bits(got, want):
 def test_permute_matches_earlier_expression(mode, layout, shape, axes):
     rng = np.random.default_rng(20)
     x = draw(rng, shape, layout)
-    out = run_kernel(mode, nm.permute, nm.constant(x), axes)
+    out, node = run_kernel(mode, nm.permute, nm.constant(x), axes)
     g = rng.standard_normal(out.shape)
     want, want_grad = ref_permute(x, axes, g)
-    assert_same_bits(out.value, want)
-    if out.taped:
-        assert_same_bits(out.vjp(g)[0], want_grad)
+    assert_same_bits(out, want)
+    if node is not None:
+        assert_same_bits(node.vjp(g)[0], want_grad)
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "view"])
@@ -346,12 +366,13 @@ def test_layer_norm_matches_earlier_expression(mode, layout, shape):
     x = draw(rng, shape, layout)
     gain = rng.standard_normal((1, shape[-1])) * 0.5 + 1.0
     bias = rng.standard_normal((1, shape[-1])) * 0.1
-    out = run_kernel(mode, nm.layer_norm, nm.constant(x), nm.constant(gain), nm.constant(bias))
+    out, node = run_kernel(mode, nm.layer_norm, nm.constant(x), nm.constant(gain),
+                           nm.constant(bias))
     g = draw(rng, shape, layout)
     want, want_grads = ref_layer_norm(x, gain, bias, g)
-    assert_same_bits(out.value, want)
-    if out.taped:
-        for got_grad, want_grad in zip(out.vjp(g), want_grads):
+    assert_same_bits(out, want)
+    if node is not None:
+        for got_grad, want_grad in zip(node.vjp(g), want_grads):
             assert_same_bits(got_grad, want_grad)
 
 
@@ -371,12 +392,12 @@ def test_masked_softmax_matches_earlier_expression(mode, layout, masked, nq):
     rng = np.random.default_rng(22)
     scores = draw(rng, (B, H, nq, N), layout) * 3.0
     additive = key_pad_mask(rng, N) if masked else 0.0
-    out = run_kernel(mode, nm.masked_softmax, nm.constant(scores), additive)
+    out, node = run_kernel(mode, nm.masked_softmax, nm.constant(scores), additive)
     g = draw(rng, (B, H, nq, N), layout)
     want, want_grad = ref_masked_softmax(scores, additive, g)
-    assert_same_bits(out.value, want)
-    if out.taped:
-        assert_same_bits(out.vjp(g)[0], want_grad)
+    assert_same_bits(out, want)
+    if node is not None:
+        assert_same_bits(node.vjp(g)[0], want_grad)
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "view"])
@@ -387,11 +408,11 @@ def test_cross_entropy_matches_earlier_expression(mode, layout):
     targets = rng.integers(0, 11, size=(B, N))
     weights = (rng.random((B, N)) < 0.7).astype(np.float64)
     weights[0, 0] = 1.0
-    out = run_kernel(mode, nm.cross_entropy, nm.constant(logits), targets, weights)
+    out, node = run_kernel(mode, nm.cross_entropy, nm.constant(logits), targets, weights)
     want, want_grad = ref_cross_entropy(logits, targets, weights, np.float64(0.75))
-    assert_same_bits(out.value, np.asarray(want))
-    if out.taped:
-        assert_same_bits(out.vjp(np.float64(0.75))[0], want_grad)
+    assert_same_bits(out, np.asarray(want))
+    if node is not None:
+        assert_same_bits(node.vjp(np.float64(0.75))[0], want_grad)
 
 
 # Measured at most 7.5e-16 of the largest entry over 30 seeds per shape.
@@ -414,23 +435,64 @@ def test_affine_matches_two_node_layer(mode, layout, x_shape, m):
     x, w, b = draw(rng, x_shape, layout), draw(rng, (k, m), layout), rng.standard_normal((1, m))
     g = draw(rng, x_shape[:-1] + (m,), layout)
     for bs in ([nm.constant(b)], []):  # attention keys have no bias
-        out = run_kernel(mode, nm.affine, nm.constant(x), nm.constant(w), *bs)
+        out, node = run_kernel(mode, nm.affine, nm.constant(x), nm.constant(w), *bs)
         ref = ref_affine(nm.constant(x), nm.constant(w), *bs)
-        assert_same_bits(out.value, ref.value)
-        if not out.taped:
+        assert_same_bits(out, ref.value)
+        if node is None:
             continue
-        gx, gw, *gb = out.vjp(g)
+        gx, gw, *gb = node.vjp(g)
         if bs:
             ref_g, ref_gb = ref.vjp(g)
             ref_gx, ref_gw = ref.parents[0].vjp(ref_g)
             assert_same_bits(gb[0], ref_gb)
         else:
             ref_gx, ref_gw = ref.vjp(g)
-            assert gb == [] and len(out.parents) == 2
+            assert gb == [] and len(node.parents) == 2
         assert_same_bits(gx, ref_gx)
         # one GEMM over every position sums the weight gradient in another order
         assert gw.shape == ref_gw.shape
         assert np.abs(gw - ref_gw).max() <= AFFINE_WEIGHT_GRAD_BOUND * np.abs(ref_gw).max()
+
+
+def every_kernel(rng, layout):
+    """(name, kernel, args) for each numerics kernel at the encoder's shapes;
+    array operands go in as constants, as the tests above pass them."""
+
+    def c(shape):
+        return nm.constant(draw(rng, shape, layout))
+
+    x, y, bias = c((B, N, D)), c((B, N, D)), nm.constant(rng.standard_normal((1, D)))
+    ids = rng.integers(0, 11, size=(B, N))
+    return [
+        ("add, residual", nm.add, (x, y)),
+        ("add, bias", nm.add, (x, bias)),
+        ("sub", nm.sub, (x, y)),
+        ("mul", nm.mul, (x, y)),
+        ("scale", nm.scale, (x, 0.125)),
+        ("matmul", nm.matmul, (c((B, H, N, DH)), c((B, H, DH, N)))),
+        ("affine", nm.affine, (x, c((D, D)), bias)),
+        ("relu", nm.relu, (x,)),
+        ("reshape", nm.reshape, (x, (B, N, H, DH))),
+        ("permute", nm.permute, (x, (0, 2, 1))),
+        ("total_sum", nm.total_sum, (x,)),
+        ("layer_norm", nm.layer_norm, (x, c((1, D)), bias)),
+        ("masked_softmax", nm.masked_softmax, (c((B, H, N, N)), key_pad_mask(rng, N))),
+        ("embedding", nm.embedding, (c((11, D)), ids)),
+        ("cross_entropy", nm.cross_entropy, (c((B, N, 11)), ids)),
+    ]
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "view"])
+def test_every_kernel_off_the_tape_returns_its_taped_bits(layout):
+    # one forward expression per kernel: under no_tape it is returned as a
+    # plain ndarray, on the tape wrapped in a node, with the same bits
+    for name, kernel, args in every_kernel(np.random.default_rng(29), layout):
+        out, _ = run_kernel("no_tape", kernel, *args)
+        assert type(out) is np.ndarray, name
+        # array inputs in place of the constants give the same array
+        with nm.no_tape():
+            bare = kernel(*(a.value if type(a) is nm.Tensor else a for a in args))
+        assert_same_bits(bare, out)
 
 
 def bench_model_and_pairs():
@@ -574,11 +636,12 @@ def test_masked_softmax_all_zero_array_matches_scalar_zero(mode):
     scores[0, 0, 0, :3] = -0.0
     scores[0, 0, 1, :] = -0.0
     g = rng.standard_normal(scores.shape)
-    scalar = run_kernel(mode, nm.masked_softmax, nm.constant(scores), 0.0)
-    array = run_kernel(mode, nm.masked_softmax, nm.constant(scores), np.zeros((1, 1, N, N)))
-    assert_same_bits(scalar.value, array.value)
-    if scalar.taped:
-        assert_same_bits(scalar.vjp(g)[0], array.vjp(g)[0])
+    scalar, scalar_node = run_kernel(mode, nm.masked_softmax, nm.constant(scores), 0.0)
+    array, array_node = run_kernel(mode, nm.masked_softmax, nm.constant(scores),
+                                   np.zeros((1, 1, N, N)))
+    assert_same_bits(scalar, array)
+    if scalar_node is not None:
+        assert_same_bits(scalar_node.vjp(g)[0], array_node.vjp(g)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -489,7 +489,8 @@ def test_probe_memory_encoded_once_tracks_per_batch_encode():
 
     def per_batch(idx, batch):
         memory, _ = encoder.frozen_memory([sources[i] for i in idx])
-        return constant(memory.value[batch.src_pair, batch.src_pos])
+        assert type(memory) is np.ndarray
+        return constant(memory[batch.src_pair, batch.src_pos])
 
     idx = np.random.default_rng(0).integers(0, len(sources), size=16)
     batch = packed(idx)
@@ -536,10 +537,15 @@ def test_packed_probe_loss_matches_padded_reference(kind):
     batch = pack_pairs([(sources[i], targets[i]) for i in idx], probe.vocab)
     assert (batch.src_ids.shape[0] < len(idx)) == (kind == "mixed")
     runs = []
+
+    def padded_reference():
+        # the frozen memory is a plain array; on the tape it enters as a constant
+        memory, additive = encoder.frozen_memory([sources[i] for i in idx])
+        return ref_target_loss(probe, constant(memory), additive, [targets[i] for i in idx])
+
     for loss_of in (
         lambda: probe.packed_loss(batch, training._frozen_batches(encoder, sources)(idx, batch)),
-        lambda: ref_target_loss(probe, *encoder.frozen_memory([sources[i] for i in idx]),
-                                [targets[i] for i in idx]),
+        padded_reference,
     ):
         loss = loss_of()
         backward(loss, probe.params)
